@@ -33,9 +33,9 @@ print()
 print("== reproducibility ==")
 again = simulate_paths(params, grid, n_paths=3, seed=42)
 print("same seed, bit-identical:", np.array_equal(paths.values, again.values))
-# Each path owns substream `i` of the master seed, so the first rows of a
-# bigger run coincide with a smaller one; chunked or parallel generation
-# cannot change the numbers.
+# Each block of 8192 paths owns one substream of the master seed, so the first
+# rows of a bigger run coincide with a smaller one; chunked or parallel
+# generation cannot change the numbers.
 more = simulate_paths(params, grid, n_paths=10, seed=42)
 print("rows stable under a larger run:", np.array_equal(paths.values, more.values[:3]))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NonFiniteSampleError, ValidationError
-from .model import ModelParams, TimeGrid, hitting_frequency, hitting_probability, simulate_paths
+from .model import RNG_SCHEME, ModelParams, TimeGrid, hitting_frequency, hitting_probability, simulate_paths
 from .ode import (
     OdeForm,
     OdeProblem,
@@ -93,6 +94,8 @@ def _provenance(command: str, args: argparse.Namespace, keys: list[str]) -> dict
     prov["seed"] = args.seed
     prov["precision"] = args.precision
     prov["version"] = __version__
+    prov["numpy"] = np.__version__
+    prov["rng_scheme"] = RNG_SCHEME
     return prov
 
 
@@ -114,6 +117,8 @@ def _cmd_simulate(args) -> _Report:
 def _cmd_hit(args) -> _Report:
     params = ModelParams(x0=args.x0, r=args.rate, sigma=args.sigma)
     closed = hitting_probability(params, args.level, args.t)
+    if not (math.isfinite(args.grid_step) and args.grid_step > 0):
+        raise ValidationError(f"grid-step must be finite and > 0, got {args.grid_step!r}")
     n_steps = max(1, round(args.t / args.grid_step))
     grid = TimeGrid.regular(args.t, n_steps)
     freq = hitting_frequency(params, args.level, grid, args.paths, args.seed)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import log_ndtr, ndtr
 
 from .errors import ValidationError
 
@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 _MAX_SEED = 1 << 64
+_BLOCK = 1 << 13  # rows per substream; part of the determinism contract
+RNG_SCHEME = "philox4x64-block8192"  # recorded in CLI provenance; bump when sampled values move
 
 
 @dataclass(frozen=True)
@@ -144,38 +146,21 @@ class TimeGrid:
 class SeedStreams:
     """Per-index deterministic substreams of one master seed.
 
-    Stream ``i`` draws from a counter-based generator whose counter is
-    pre-positioned at block ``i`` (bit-identical to
-    ``Philox(key=seed, counter=i << 128)``). Values therefore depend only on
-    (seed, index), never on how many streams exist or the order in which they
-    are consumed, which makes chunked or parallel sampling reproducible.
+    Stream ``i`` is ``Philox(key=seed, counter=i << 128)``: a counter-based
+    generator whose values depend only on (seed, index), never on how many
+    streams exist or the order in which they are consumed. The samplers key
+    one stream per block of 8192 rows, which makes chunked or parallel
+    sampling reproducible.
     """
 
     def __init__(self, seed: int):
         if not (0 <= int(seed) < _MAX_SEED):
             raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-        self._bit_gen = np.random.Philox(key=int(seed))
-        self._gen = np.random.Generator(self._bit_gen)
-        self._key = self._bit_gen.state["state"]["key"]
+        self._seed = int(seed)
 
     def generator(self, index: int) -> np.random.Generator:
-        """Generator positioned at the start of substream ``index`` (< 2^64).
-
-        The same generator object is repositioned on every call, so finish
-        drawing from one substream before requesting the next.
-        """
-        self._bit_gen.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": np.array([0, 0, index, 0], dtype=np.uint64),
-                "key": self._key,
-            },
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return self._gen
+        """A fresh generator at the start of substream ``index`` (< 2^64)."""
+        return np.random.Generator(np.random.Philox(key=self._seed, counter=int(index) << 128))
 
 
 @dataclass(frozen=True)
@@ -203,21 +188,37 @@ class PathSet:
             fileobj.write(",".join(row) + "\n")
 
 
-def _fill_noise(streams: SeedStreams, indices: range, scale: np.ndarray, out: np.ndarray) -> None:
-    """Fill ``out`` rows with cumulative noise sum(sigma*sqrt(dt)*Z) per substream."""
-    for row, idx in enumerate(indices):
-        z = streams.generator(idx).standard_normal(scale.size)
-        np.cumsum(scale * z, out=out[row, :])
+def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base):
+    """Yield ``(start, block)`` with rows of ``base + cumsum(scale * Z)``.
+
+    The one sampler of the package. Block ``b`` covers rows
+    ``b*8192 .. b*8192 + 8191`` and draws its standard normals as one
+    ``(rows, scale.size)`` matrix from ``SeedStreams(seed).generator(b)``, so
+    row ``i`` reads offset ``(i % 8192)*scale.size`` of stream ``i // 8192``
+    and does not depend on ``n_rows``. ``block`` is one reused buffer,
+    overwritten by the next block.
+    """
+    streams = SeedStreams(seed)
+    buf = np.empty((min(_BLOCK, n_rows), scale.size))
+    for b, start in enumerate(range(0, n_rows, _BLOCK)):
+        block = buf[: min(_BLOCK, n_rows - start)]
+        streams.generator(b).standard_normal(out=block)
+        block *= scale
+        if scale.size > 1:  # a one-column cumsum is the identity, yet costs a pass
+            np.cumsum(block, axis=1, out=block)
+        block += base
+        yield start, block
 
 
 def simulate_paths(p: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> PathSet:
     """Simulate exact-increment paths of the additive model.
 
     Each increment X(t_{i+1}) - X(t_i) is drawn exactly from
-    N(mu*dt, sigma^2*dt); there is no time-stepping bias. Path ``i`` consumes
-    only substream ``i`` of ``seed``, so the output is a pure function of
-    (params, grid, n_paths, seed) regardless of chunking or parallelism, and
-    the first k rows coincide with those of any larger run.
+    N(mu*dt, sigma^2*dt); there is no time-stepping bias. Rows are sampled in
+    blocks of 8192, block ``b`` from substream ``b`` of ``seed``, so the output
+    is a pure function of (params, grid, n_paths, seed) regardless of
+    chunking or parallelism, and the first k rows coincide with those of any
+    larger run.
 
     Parameters
     ----------
@@ -235,14 +236,13 @@ def simulate_paths(p: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> P
     validate_params(p)
     if n_paths < 1:
         raise ValidationError(f"n_paths must be >= 1, got {n_paths!r}")
-    streams = SeedStreams(seed)
-    scale = p.sigma * np.sqrt(grid.steps)
     values = np.empty((n_paths, grid.n_times))
     values[:, 0] = p.x0
-    _fill_noise(streams, range(n_paths), scale, values[:, 1:])
     # Drift enters through the exact line x0 + mu*t rather than a cumulative
     # sum of mu*dt, so sigma = 0 paths are exactly linear.
-    values[:, 1:] += (p.x0 + p.mu * grid.times[1:])[None, :]
+    base = p.x0 + p.mu * grid.times[1:]
+    for start, block in _gaussian_blocks(seed, n_paths, p.sigma * np.sqrt(grid.steps), base):
+        values[start : start + len(block), 1:] = block
     return PathSet(grid=grid, values=values, seed=int(seed))
 
 
@@ -293,8 +293,8 @@ def hitting_probability(p: ModelParams, level: float, t: float) -> float:
     the crossing is deterministic and the probability is 0 or 1.
     """
     validate_params(p)
-    if t <= 0:
-        raise ValidationError(f"t must be > 0, got {t!r}")
+    if not 0 < t < math.inf:
+        raise ValidationError(f"t must be finite and > 0, got {t!r}")
     if level == p.x0:
         raise ValidationError("level must differ from x0; the path starts on the level")
     mu = p.mu
@@ -308,8 +308,8 @@ def hitting_probability(p: ModelParams, level: float, t: float) -> float:
     sig_sqrt_t = p.sigma * math.sqrt(t)
     # exp * cdf evaluated in log space: the exponential factor alone can
     # overflow for strong drift even though the product is a probability.
-    term1 = norm.cdf((-d + drift * t) / sig_sqrt_t)
-    log_term2 = 2.0 * drift * d / (p.sigma * p.sigma) + norm.logcdf(
+    term1 = ndtr((-d + drift * t) / sig_sqrt_t)
+    log_term2 = 2.0 * drift * d / (p.sigma * p.sigma) + log_ndtr(
         (-d - drift * t) / sig_sqrt_t
     )
     prob = term1 + math.exp(log_term2)
@@ -327,36 +327,23 @@ class HitFrequency:
 
 
 def hitting_frequency(
-    p: ModelParams,
-    level: float,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-    chunk_paths: int = 8192,
+    p: ModelParams, level: float, grid: TimeGrid, n_paths: int, seed: int
 ) -> HitFrequency:
     """Fraction of simulated paths that reach ``level`` by the end of the grid.
 
-    Paths are generated in chunks to bound memory; the per-path substreams
-    make the result identical to simulating all paths at once.
+    Path ``i`` is row ``i`` of ``simulate_paths`` with the same arguments;
+    paths are scanned one 8192-row block at a time to bound memory.
     """
     validate_params(p)
     if n_paths < 1:
         raise ValidationError(f"n_paths must be >= 1, got {n_paths!r}")
-    streams = SeedStreams(seed)
-    scale = p.sigma * np.sqrt(grid.steps)
     base = p.x0 + p.mu * grid.times[1:]
-    up = p.x0 < level
     n_hits = 0
-    buf = np.empty((min(chunk_paths, n_paths), grid.n_times - 1))
-    for start in range(0, n_paths, chunk_paths):
-        rows = range(start, min(start + chunk_paths, n_paths))
-        block = buf[: len(rows)]
-        _fill_noise(streams, rows, scale, block)
-        block += base[None, :]
-        if up:
-            hit = (block >= level).any(axis=1) | (p.x0 >= level)
+    for _, block in _gaussian_blocks(seed, n_paths, p.sigma * np.sqrt(grid.steps), base):
+        if p.x0 < level:
+            hit = (block >= level).any(axis=1)
         else:
-            hit = (block <= level).any(axis=1) | (p.x0 <= level)
+            hit = (block <= level).any(axis=1) | (p.x0 == level)
         n_hits += int(hit.sum())
     freq = n_hits / n_paths
     se = math.sqrt(freq * (1.0 - freq) / n_paths)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ValidationError
 from .ode import SineSolution, sine_solution
@@ -168,6 +167,8 @@ def normalization_constant(
     estimated error. On the rate ladder the sine term vanishes and
     A = sqrt(2/K) exactly.
     """
+    from scipy import integrate  # deferred: only this function needs quadrature
+
     _check_positive(r=r, sigma=sigma, strike=strike)
     a = math.sqrt(r / (0.5 * sigma * sigma))
     closed = 0.5 * strike - math.sin(2.0 * a * strike) / (4.0 * a)

@@ -1,10 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from bachelier_lab import __version__, quantized_rate
 from bachelier_lab.cli import run
+from bachelier_lab.model import RNG_SCHEME
 
 R1 = quantized_rate(1, 0.2, 1.0)
 
@@ -79,6 +81,32 @@ def test_simulate_rejects_zero_paths_with_diagnostic(capsys):
     ])
     assert code == 2
     assert "n_paths" in capsys.readouterr().err
+
+
+_HIT = ["hit", "--x0", "0", "--rate", "0", "--sigma", "1", "--level", "1", "--paths", "100"]
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (_HIT + ["--t", "1", "--grid-step", "0"], "grid-step"),
+        (_HIT + ["--t", "1", "--grid-step", "-0.1"], "grid-step"),
+        (_HIT + ["--t", "1", "--grid-step", "nan"], "grid-step"),
+        (_HIT + ["--t", "nan"], "t must"),
+        (_HIT + ["--t", "inf"], "t must"),
+        # Overflowing samples give se=inf; no martingale verdict may be certified from it.
+        (["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5",
+          "--samples", "2000", "--coef1", "1e300", "--coef2", "1e300"], "non-finite"),
+    ],
+    ids=["grid-step-zero", "grid-step-negative", "grid-step-nan", "t-nan", "t-inf",
+         "drift-check-overflow"],
+)
+def test_invalid_numeric_inputs_exit_two_with_one_line(argv, field, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert field in captured.err
 
 
 def test_usage_errors_exit_one(capsys):
@@ -208,3 +236,5 @@ def test_provenance_contains_all_regeneration_inputs(capsys):
     assert prov["grid-step"] == "0.05"
     assert prov["paths"] == "1500"
     assert prov["seed"] == "42"
+    assert prov["numpy"] == np.__version__
+    assert prov["rng_scheme"] == RNG_SCHEME

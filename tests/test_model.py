@@ -98,13 +98,30 @@ def test_simulation_is_bit_exact_for_fixed_inputs():
 
 
 def test_path_rows_do_not_depend_on_how_many_paths_are_drawn():
-    # Per-path substreams: row i of a small run equals row i of a large run,
-    # which is what makes chunked or parallel generation order-independent.
+    # Block-keyed substreams: row i of a small run equals row i of a large run,
+    # also across an 8192-row block boundary, which is what makes chunked or
+    # parallel generation order-independent.
     p = ModelParams(x0=1.0, r=0.05, sigma=0.3)
     grid = TimeGrid.regular(1.0, 8)
-    small = simulate_paths(p, grid, 10, seed=99)
-    large = simulate_paths(p, grid, 200, seed=99)
-    assert np.array_equal(small.values, large.values[:10])
+    for n_small, n_large in [(10, 200), (8193, 2 * 8192 + 3)]:
+        small = simulate_paths(p, grid, n_small, seed=99)
+        large = simulate_paths(p, grid, n_large, seed=99)
+        assert np.array_equal(small.values, large.values[:n_small])
+
+
+def test_row_i_reads_its_block_substream_at_its_offset():
+    # Pins the sampling scheme: row i takes n_steps normals at offset
+    # (i % 8192)*n_steps of Philox(key=seed, counter=(i // 8192) << 128).
+    p = ModelParams(x0=1.0, r=0.05, sigma=0.3)
+    grid = TimeGrid.regular(1.0, 5)
+    n, seed = 2 * 8192 + 3, 2024
+    paths = simulate_paths(p, grid, n, seed)
+    for i in (0, 1, 8191, 8192, 8193, n - 1):
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=(i // 8192) << 128))
+        z = gen.standard_normal((i % 8192 + 1) * 5)[-5:]
+        expected = p.x0 + p.mu * grid.times[1:] + np.cumsum(p.sigma * np.sqrt(grid.steps) * z)
+        assert paths.values[i, 0] == p.x0
+        assert np.array_equal(paths.values[i, 1:], expected)
 
 
 def test_initial_column_equals_x0():
@@ -226,12 +243,16 @@ def test_hitting_frequency_agrees_with_closed_form():
     assert freq.frequency <= HIT_NO_DRIFT + 4 * freq.standard_error  # bias is one-sided
 
 
-def test_hitting_frequency_is_chunk_invariant():
+def test_hitting_frequency_counts_the_simulated_paths_that_reach_the_level():
+    # 2*8192 + 3 paths straddle two block boundaries.
     p = ModelParams(x0=0.0, r=0.1, sigma=1.0)
     grid = TimeGrid.regular(1.0, 50)
-    a = hitting_frequency(p, 0.8, grid, 100, seed=3, chunk_paths=7)
-    b = hitting_frequency(p, 0.8, grid, 100, seed=3, chunk_paths=100)
-    assert a == b
+    n = 2 * 8192 + 3
+    paths = simulate_paths(p, grid, n, seed=3)
+    up = hitting_frequency(p, 0.8, grid, n, seed=3)
+    assert up.n_hits == int((paths.values >= 0.8).any(axis=1).sum())
+    down = hitting_frequency(p, -0.8, grid, n, seed=3)
+    assert down.n_hits == int((paths.values <= -0.8).any(axis=1).sum())
 
 
 def test_pathset_csv_round_trip():
