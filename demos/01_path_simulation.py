@@ -6,11 +6,13 @@ paths can be sampled exactly on any grid. Prices may go negative; that is a
 property of the additive model, not a bug.
 """
 
+import contextlib
 import io
 
 import numpy as np
 
 from bachelier_lab import ModelParams, TimeGrid, exact_marginal, simulate_paths
+from bachelier_lab.cli import run
 
 params = ModelParams(x0=100.0, r=0.05, sigma=0.2)
 grid = TimeGrid.regular(1.0, 12)
@@ -40,7 +42,10 @@ more = simulate_paths(params, grid, n_paths=10, seed=42)
 print("rows stable under a larger run:", np.array_equal(paths.values, more.values[:3]))
 
 print()
-print("== CSV export: one row per grid time ==")
+print("== CSV export through the CLI: one row per grid time ==")
 buf = io.StringIO()
-paths.write_csv(buf, precision=6)
-print("\n".join(buf.getvalue().splitlines()[:5]))
+with contextlib.redirect_stdout(buf):
+    run(["simulate", "--x0", "100", "--rate", "0.05", "--sigma", "0.2", "--t-end", "1",
+         "--steps", "12", "--paths", "3", "--seed", "42", "--precision", "6"])
+table = [line for line in buf.getvalue().splitlines() if not line.startswith("#")]
+print("\n".join(table[:5]))

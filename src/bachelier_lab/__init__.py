@@ -22,7 +22,6 @@ from .model import (
     hitting_frequency,
     hitting_probability,
     simulate_paths,
-    validate_params,
 )
 from .ode import (
     CharacteristicRoots,

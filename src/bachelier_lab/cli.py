@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 usage error, 2 validation or numeric error.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import NonFiniteSampleError, ValidationError
+from .errors import NonFiniteSampleError, ValidationError, check
 from .model import RNG_SCHEME, ModelParams, TimeGrid, hitting_frequency, hitting_probability, simulate_paths
 from .ode import (
     OdeForm,
@@ -43,36 +42,42 @@ class _Report:
     columns: list[str] = field(default_factory=list)
     rows: list[list] = field(default_factory=list)
     payload: dict | None = None  # JSON body; defaults to records built from rows
-    csv_text: str | None = None  # pre-rendered CSV body (simulate)
 
 
-def _fmt(value, precision: int) -> str:
+def _number(value: float, precision: int, where: str) -> str:
+    """``value`` to ``precision`` significant digits; NaN and infinity are refused."""
+    if not math.isfinite(value):
+        raise NonFiniteSampleError(f"{where} is {value!r}; only finite numbers are printed")
+    return format(value, f".{precision}g")
+
+
+def _fmt(value, precision: int, column: str) -> str:
+    if value is None:  # an undefined statistic, such as the z-score of a degenerate row
+        return ""
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
-        return format(value, f".{precision}g")
+        return _number(value, precision, column)
     return str(value)
 
 
-def _rounded(value, precision: int):
+def _rounded(value, precision: int, key: str = "output"):
     if isinstance(value, bool):
         return value
     if isinstance(value, float):
-        return float(format(value, f".{precision}g"))
+        return float(_number(value, precision, key))
     if isinstance(value, (list, tuple)):
-        return [_rounded(v, precision) for v in value]
+        return [_rounded(v, precision, key) for v in value]
     if isinstance(value, dict):
-        return {k: _rounded(v, precision) for k, v in value.items()}
+        return {k: _rounded(v, precision, k) for k, v in value.items()}
     return value
 
 
 def _render_csv(report: _Report, precision: int) -> str:
     lines = [f"# {k}={v}" for k, v in report.provenance.items()]
-    if report.csv_text is not None:
-        return "\n".join(lines) + "\n" + report.csv_text
     lines.append(",".join(report.columns))
     for row in report.rows:
-        lines.append(",".join(_fmt(v, precision) for v in row))
+        lines.append(",".join(_fmt(v, precision, c) for v, c in zip(row, report.columns)))
     return "\n".join(lines) + "\n"
 
 
@@ -81,7 +86,7 @@ def _render_json(report: _Report, precision: int) -> str:
     if body is None:
         body = {"results": [dict(zip(report.columns, row)) for row in report.rows]}
     doc = {"provenance": report.provenance, **_rounded(body, precision)}
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _provenance(command: str, args: argparse.Namespace, keys: list[str]) -> dict:
@@ -105,21 +110,18 @@ def _cmd_simulate(args) -> _Report:
     grid = TimeGrid.regular(args.t_end, args.steps)
     paths = simulate_paths(params, grid, args.paths, args.seed)
     prov = _provenance("simulate", args, ["x0", "rate", "sigma", "drift", "t-end", "steps", "paths"])
-    buf = io.StringIO()
-    paths.write_csv(buf, precision=args.precision)
-    payload = {
-        "t": [float(v) for v in grid.times],
-        "paths": [[float(v) for v in row] for row in paths.values],
-    }
-    return _Report(provenance=prov, csv_text=buf.getvalue(), payload=payload)
+    times = grid.times.tolist()
+    columns = ["t"] + [f"path_{i}" for i in range(paths.n_paths)]
+    rows = [[t] + column for t, column in zip(times, paths.values.T.tolist())]
+    return _Report(provenance=prov, columns=columns, rows=rows,
+                   payload={"t": times, "paths": paths.values.tolist()})
 
 
 def _cmd_hit(args) -> _Report:
     params = ModelParams(x0=args.x0, r=args.rate, sigma=args.sigma)
     closed = hitting_probability(params, args.level, args.t)
-    if not (math.isfinite(args.grid_step) and args.grid_step > 0):
-        raise ValidationError(f"grid-step must be finite and > 0, got {args.grid_step!r}")
-    n_steps = max(1, round(args.t / args.grid_step))
+    check("grid-step", args.grid_step, "positive")
+    n_steps = max(1, round(check("t/grid-step", args.t / args.grid_step)))
     grid = TimeGrid.regular(args.t, n_steps)
     freq = hitting_frequency(params, args.level, grid, args.paths, args.seed)
     prov = _provenance("hit", args, ["x0", "rate", "sigma", "level", "t", "grid-step", "paths"])
@@ -183,8 +185,8 @@ def _cmd_surface(args) -> _Report:
         amplitude = normalization_constant(mode.rate, mode.sigma, mode.strike).amplitude
     else:
         amplitude = args.amplitude
-    x = np.linspace(0.0, mode.strike, args.x_points)
-    t = np.linspace(0.0, args.t_end, args.t_points)
+    x = np.linspace(0.0, mode.strike, check("x-points", args.x_points, "integer", 1))
+    t = np.linspace(0.0, args.t_end, check("t-points", args.t_points, "integer", 1))
     surf = payoff_surface(mode, amplitude, x, t, args.discount_sign)
     prov = _provenance(
         "surface", args, ["n", "sigma", "strike", "x-points", "t-end", "t-points", "discount-sign"]
@@ -234,7 +236,6 @@ def _cmd_drift_check(args) -> _Report:
         "classification",
     ]
     rows = []
-    records = []
     for x0 in args.x0:
         for t in args.t:
             report = drift_estimate(
@@ -243,9 +244,8 @@ def _cmd_drift_check(args) -> _Report:
             verdict = classify(report, args.z_threshold)
             record = report.to_dict()
             record["classification"] = verdict.classification.value
-            records.append(record)
             rows.append([record[c] for c in columns])
-    return _Report(provenance=prov, columns=columns, rows=rows, payload={"results": records})
+    return _Report(provenance=prov, columns=columns, rows=rows)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -355,14 +355,17 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:
+        # Every float option, recorded in provenance as given, must be finite.
+        for key, value in vars(args).items():
+            if isinstance(value, (float, list)):
+                check(key.replace("_", "-"), value)
+        check("precision", args.precision, "integer", 0)
         report = args.handler(args)
-    except (ValidationError, NonFiniteSampleError) as exc:
+        render = _render_csv if args.format == "csv" else _render_json
+        text = render(report, args.precision)
+    except (ValidationError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "csv":
-        text = _render_csv(report, args.precision)
-    else:
-        text = _render_json(report, args.precision)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

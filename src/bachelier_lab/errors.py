@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one input-domain check."""
+
+import math
+import numbers
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -7,3 +12,36 @@ class ValidationError(ValueError):
 
 class NonFiniteSampleError(ArithmeticError):
     """A Monte Carlo sample produced NaN or infinity; the message locates it."""
+
+
+_DOMAINS = {
+    "finite": ("finite", lambda v: True),
+    "positive": ("finite and > 0", lambda v: v > 0),
+    "nonnegative": ("finite and >= 0", lambda v: v >= 0),
+}
+
+
+def check(name: str, value, domain: str = "finite", least: int = 0):
+    """Return ``value`` if it lies in ``domain``; otherwise raise a ValidationError naming ``name``.
+
+    Domains: ``"finite"``, ``"positive"`` (finite and > 0), ``"nonnegative"``
+    (finite and >= 0), elementwise for arrays, with complex values allowed
+    under ``"finite"``; and ``"integer"``, an integer >= ``least``.
+    """
+    if domain == "integer":
+        if isinstance(value, numbers.Integral) and value >= least:
+            return value
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+    want, inside = _DOMAINS[domain]
+    if isinstance(value, float) and math.isfinite(value) and inside(value):
+        return value  # the common scalar case, without a numpy round trip
+    v = np.asarray(value)
+    good = np.isfinite(v) & inside(v)
+    if good.all():
+        return value
+    if v.ndim == 0:
+        got = repr(value)
+    else:
+        i = int(np.flatnonzero(~good)[0])
+        got = f"{v.flat[i].item()!r} at index {i}"
+    raise ValidationError(f"{name} must be {want}, got {got}")

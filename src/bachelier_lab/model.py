@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
-from .errors import ValidationError
+from .errors import ValidationError, check
 
 __all__ = [
     "ModelParams",
@@ -24,7 +24,6 @@ __all__ = [
     "HittingTime",
     "HitFrequency",
     "SeedStreams",
-    "validate_params",
     "exact_marginal",
     "simulate_paths",
     "first_hitting_time",
@@ -63,26 +62,20 @@ class ModelParams:
     drift: float | None = None
     exploratory_drift: bool = False
 
+    def __post_init__(self):
+        check("x0", self.x0)
+        check("r", self.r)
+        check("sigma", self.sigma, "nonnegative")
+        drift = self.r if self.drift is None else check("drift", self.drift)
+        if drift != self.r and not self.exploratory_drift:
+            raise ValidationError(
+                "drift must equal r under no-arbitrage; set exploratory_drift=True to override"
+            )
+
     @property
     def mu(self) -> float:
         """Effective drift: r unless an exploratory drift was supplied."""
         return self.r if self.drift is None else self.drift
-
-
-def validate_params(p: ModelParams) -> ModelParams:
-    """Return ``p`` unchanged if its invariants hold, else raise ValidationError."""
-    for name in ("x0", "r", "sigma"):
-        if not math.isfinite(getattr(p, name)):
-            raise ValidationError(f"{name} must be finite, got {getattr(p, name)!r}")
-    if p.drift is not None and not math.isfinite(p.drift):
-        raise ValidationError(f"drift must be finite, got {p.drift!r}")
-    if p.sigma < 0:
-        raise ValidationError(f"sigma must be >= 0, got {p.sigma!r}")
-    if p.drift is not None and p.drift != p.r and not p.exploratory_drift:
-        raise ValidationError(
-            "drift must equal r under no-arbitrage; set exploratory_drift=True to override"
-        )
-    return p
 
 
 @dataclass(frozen=True)
@@ -99,9 +92,7 @@ class GaussianLaw:
 
 def exact_marginal(p: ModelParams, t: float) -> GaussianLaw:
     """Exact law of X(t): Gaussian with mean x0 + mu*t and variance sigma^2*t."""
-    validate_params(p)
-    if t < 0:
-        raise ValidationError(f"t must be >= 0, got {t!r}")
+    check("t", t, "nonnegative")
     return GaussianLaw(mean=p.x0 + p.mu * t, variance=p.sigma * p.sigma * t)
 
 
@@ -113,22 +104,19 @@ class TimeGrid:
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        if times.ndim != 1 or times.size < 2:
-            raise ValidationError("times must be a 1-d grid with at least two points")
-        if times[0] != 0.0:
-            raise ValidationError(f"times must start exactly at 0, got {times[0]!r}")
-        if not np.all(np.diff(times) > 0):
-            raise ValidationError("times must be strictly increasing")
-        if not np.all(np.isfinite(times)):
-            raise ValidationError("times must be finite")
+        if not (times.ndim == 1 and times.size >= 2 and times[0] == 0.0
+                and np.all(np.diff(times) > 0) and np.all(np.isfinite(times))):
+            raise ValidationError(
+                "times must be a finite, strictly increasing 1-d grid of at least two "
+                "points starting exactly at 0"
+            )
         object.__setattr__(self, "times", times)
 
     @classmethod
     def regular(cls, t_end: float, n_steps: int) -> "TimeGrid":
         """Uniform grid of ``n_steps`` steps on [0, t_end]."""
-        if n_steps < 1:
-            raise ValidationError(f"n_steps must be >= 1, got {n_steps!r}")
-        return cls(np.linspace(0.0, float(t_end), int(n_steps) + 1))
+        check("n_steps", n_steps, "integer", 1)
+        return cls(np.linspace(0.0, float(t_end), n_steps + 1))
 
     @property
     def n_times(self) -> int:
@@ -178,15 +166,6 @@ class PathSet:
     def path(self, i: int) -> np.ndarray:
         return self.values[i]
 
-    def write_csv(self, fileobj, precision: int = 15) -> None:
-        """Write ``t,path_0,path_1,...`` with one row per grid time."""
-        header = "t," + ",".join(f"path_{i}" for i in range(self.n_paths))
-        fileobj.write(header + "\n")
-        fmt = f".{int(precision)}g"
-        for j, t in enumerate(self.grid.times):
-            row = [format(t, fmt)] + [format(v, fmt) for v in self.values[:, j]]
-            fileobj.write(",".join(row) + "\n")
-
 
 def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base):
     """Yield ``(start, block)`` with rows of ``base + cumsum(scale * Z)``.
@@ -233,9 +212,7 @@ def simulate_paths(p: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> P
     -------
     PathSet
     """
-    validate_params(p)
-    if n_paths < 1:
-        raise ValidationError(f"n_paths must be >= 1, got {n_paths!r}")
+    check("n_paths", n_paths, "integer", 1)
     values = np.empty((n_paths, grid.n_times))
     values[:, 0] = p.x0
     # Drift enters through the exact line x0 + mu*t rather than a cumulative
@@ -265,6 +242,7 @@ def first_hitting_time(path: np.ndarray, grid: TimeGrid, level: float) -> Hittin
     exactly at the level hits at time 0. Only values up to the returned time
     are inspected; crossings between grid points are not interpolated.
     """
+    check("level", level)
     values = np.asarray(path, dtype=float)
     if values.shape != grid.times.shape:
         raise ValidationError(
@@ -292,10 +270,8 @@ def hitting_probability(p: ModelParams, level: float, t: float) -> float:
     independent oracle for Monte Carlo hitting frequencies. With sigma = 0
     the crossing is deterministic and the probability is 0 or 1.
     """
-    validate_params(p)
-    if not 0 < t < math.inf:
-        raise ValidationError(f"t must be finite and > 0, got {t!r}")
-    if level == p.x0:
+    check("t", t, "positive")
+    if check("level", level) == p.x0:
         raise ValidationError("level must differ from x0; the path starts on the level")
     mu = p.mu
     if p.sigma == 0.0:
@@ -334,9 +310,8 @@ def hitting_frequency(
     Path ``i`` is row ``i`` of ``simulate_paths`` with the same arguments;
     paths are scanned one 8192-row block at a time to bound memory.
     """
-    validate_params(p)
-    if n_paths < 1:
-        raise ValidationError(f"n_paths must be >= 1, got {n_paths!r}")
+    check("level", level)
+    check("n_paths", n_paths, "integer", 1)
     base = p.x0 + p.mu * grid.times[1:]
     n_hits = 0
     for _, block in _gaussian_blocks(seed, n_paths, p.sigma * np.sqrt(grid.steps), base):

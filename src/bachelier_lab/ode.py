@@ -13,14 +13,13 @@ candidate solutions are checked numerically via central-difference residuals.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check
 
 __all__ = [
     "OdeForm",
@@ -59,8 +58,8 @@ class OdeProblem:
     form: OdeForm
 
     def __post_init__(self):
-        if not (self.sigma > 0):
-            raise ValidationError(f"sigma must be > 0, got {self.sigma!r}")
+        check("r", self.r)
+        check("sigma", self.sigma, "positive")
 
     @property
     def diffusion(self) -> float:
@@ -88,10 +87,8 @@ def characteristic_roots_full(r: float, sigma: float) -> CharacteristicRoots:
     0 < r < 2*sigma^2, a repeated real root at r = 0 and r = 2*sigma^2,
     distinct real roots otherwise.
     """
-    if not (sigma > 0):
-        raise ValidationError(f"sigma must be > 0, got {sigma!r}")
-    if not math.isfinite(r):
-        raise ValidationError(f"r must be finite, got {r!r}")
+    check("sigma", sigma, "positive")
+    check("r", r)
     a = 0.5 * sigma * sigma
     sig2 = sigma * sigma
     if r == 0.0:
@@ -116,15 +113,17 @@ def characteristic_roots_full(r: float, sigma: float) -> CharacteristicRoots:
     return CharacteristicRoots(RootCase.DISTINCT_REAL, complex(hi), complex(lo))
 
 
+def _wavenumber(r: float, sigma: float) -> float:
+    """sqrt(r/D) with D = sigma^2/2, for r > 0; rejected if it leaves the float range."""
+    return check("wavenumber sqrt(r/D)", math.sqrt(r / (0.5 * sigma * sigma)), "positive")
+
+
 def characteristic_roots_hedged(r: float, sigma: float) -> CharacteristicRoots:
     """Roots of r + (sigma^2/2)*lam^2 = 0: purely imaginary +/- i*sqrt(r/D)."""
-    if not (sigma > 0):
-        raise ValidationError(f"sigma must be > 0, got {sigma!r}")
-    if r < 0:
-        raise ValidationError(f"r must be >= 0 for the hedged form, got {r!r}")
-    if r == 0.0:
+    check("sigma", sigma, "positive")
+    if check("r", r, "nonnegative") == 0.0:
         return CharacteristicRoots(RootCase.REPEATED_REAL, 0j, 0j)
-    w = math.sqrt(r / (0.5 * sigma * sigma))
+    w = _wavenumber(r, sigma)
     return CharacteristicRoots(RootCase.COMPLEX_CONJUGATE, complex(0.0, w), complex(0.0, -w))
 
 
@@ -141,11 +140,10 @@ class SineSolution:
 
 def sine_solution(amplitude: float, r: float, sigma: float) -> SineSolution:
     """Oscillatory hedged-form solution with wavenumber sqrt(r/D), D = sigma^2/2."""
-    if not (r > 0):
-        raise ValidationError(f"r must be > 0, got {r!r}")
-    if not (sigma > 0):
-        raise ValidationError(f"sigma must be > 0, got {sigma!r}")
-    return SineSolution(amplitude=amplitude, wavenumber=math.sqrt(r / (0.5 * sigma * sigma)))
+    check("amplitude", amplitude)
+    check("r", r, "positive")
+    check("sigma", sigma, "positive")
+    return SineSolution(amplitude=amplitude, wavenumber=_wavenumber(r, sigma))
 
 
 @dataclass(frozen=True)
@@ -177,9 +175,8 @@ class ExponentialSolution:
 
 def general_solution(roots: CharacteristicRoots, coef1: complex, coef2: complex) -> ExponentialSolution:
     """Closed-form solution with free coefficients over the given roots."""
-    for name, value in (("coef1", coef1), ("coef2", coef2)):
-        if not (cmath.isfinite(complex(value))):
-            raise ValidationError(f"{name} must be finite, got {value!r}")
+    check("coef1", coef1)
+    check("coef2", coef2)
     return ExponentialSolution(roots=roots, coef1=complex(coef1), coef2=complex(coef2))
 
 
@@ -199,9 +196,8 @@ def delta_gamma(v, x: float, h: float) -> DeltaGamma:
     differentiable evaluators. Steps below 1e-8*max(1, |x|) are rejected:
     there subtractive cancellation, not truncation, dominates.
     """
-    if not (h > 0):
-        raise ValidationError(f"h must be > 0, got {h!r}")
-    if h < 1e-8 * max(1.0, abs(x)):
+    check("x", x)
+    if check("h", h, "positive") < 1e-8 * max(1.0, abs(x)):
         raise ValidationError(
             f"h={h!r} is below the cancellation floor 1e-8*max(1, |x|) at x={x!r}"
         )

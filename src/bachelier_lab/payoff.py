@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import check
 
 __all__ = [
     "OptionKind",
@@ -74,8 +74,7 @@ class PayoffSpec:
     discount_sign: DiscountSign = DiscountSign.MINUS
 
     def __post_init__(self):
-        if not (self.strike > 0):
-            raise ValidationError(f"strike must be > 0, got {self.strike!r}")
+        check("strike", self.strike, "positive")
 
     def payoff(self, x):
         if self.kind is OptionKind.CALL:
@@ -83,28 +82,21 @@ class PayoffSpec:
         return put_payoff(x, self.strike)
 
 
-def _check_strike(strike: float) -> None:
-    if not (strike > 0):
-        raise ValidationError(f"strike must be > 0, got {strike!r}")
-
-
 def call_payoff(x, strike: float):
     """Exercise value max(x - strike, 0) of a call."""
-    _check_strike(strike)
-    return np.maximum(x - strike, 0.0)
+    return np.maximum(x - check("strike", strike, "positive"), 0.0)
 
 
 def put_payoff(x, strike: float):
     """Exercise value max(strike - x, 0) of a put."""
-    _check_strike(strike)
-    return np.maximum(strike - x, 0.0)
+    return np.maximum(check("strike", strike, "positive") - x, 0.0)
 
 
 def moneyness(x: float, strike: float, tol: float) -> Moneyness:
     """Classify a price as above, at, or below the strike within ``tol``."""
-    _check_strike(strike)
-    if not (tol > 0):
-        raise ValidationError(f"tol must be > 0, got {tol!r}")
+    check("x", x)
+    check("strike", strike, "positive")
+    check("tol", tol, "positive")
     if x > strike + tol:
         state = MoneynessState.DEEP_IN_THE_MONEY
     elif x < strike - tol:
@@ -116,6 +108,6 @@ def moneyness(x: float, strike: float, tol: float) -> Moneyness:
 
 def discounted_value(value, r: float, t: float, sign: DiscountSign = DiscountSign.MINUS):
     """Apply the exponential weight e^{sign * r * t} to ``value``."""
-    if t < 0:
-        raise ValidationError(f"t must be >= 0, got {t!r}")
+    check("r", r)
+    check("t", t, "nonnegative")
     return value * math.exp(sign.factor * r * t)

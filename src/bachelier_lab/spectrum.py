@@ -20,8 +20,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ValidationError
-from .ode import SineSolution, sine_solution
+from .errors import check
+from .ode import SineSolution, _wavenumber, sine_solution
 from .payoff import DiscountSign
 
 __all__ = [
@@ -38,12 +38,6 @@ __all__ = [
 ]
 
 
-def _check_positive(**kwargs) -> None:
-    for name, value in kwargs.items():
-        if not (value > 0):
-            raise ValidationError(f"{name} must be > 0, got {value!r}")
-
-
 def quantized_rate(n: int, sigma: float, strike: float) -> float:
     """Rate of mode ``n``: (sigma^2/(2*K^2)) * n^2 * pi^2.
 
@@ -51,10 +45,9 @@ def quantized_rate(n: int, sigma: float, strike: float) -> float:
     and triggers a warning; negative n is rejected since it only flips the
     sign of the mode amplitude.
     """
-    _check_positive(sigma=sigma, strike=strike)
-    if n != int(n) or n < 0:
-        raise ValidationError(f"n must be a non-negative integer, got {n!r}")
-    if n == 0:
+    check("sigma", sigma, "positive")
+    check("strike", strike, "positive")
+    if check("n", n, "integer", 0) == 0:
         warnings.warn("mode n=0 is degenerate: rate 0 and identically zero payoff")
         return 0.0
     return (sigma * sigma / (2.0 * strike * strike)) * n * n * math.pi * math.pi
@@ -69,9 +62,9 @@ class ModeSpec:
     strike: float
 
     def __post_init__(self):
-        _check_positive(sigma=self.sigma, strike=self.strike)
-        if self.n != int(self.n) or self.n < 1:
-            raise ValidationError(f"n must be a positive integer, got {self.n!r}")
+        check("n", self.n, "integer", 1)
+        check("sigma", self.sigma, "positive")
+        check("strike", self.strike, "positive")
 
     @property
     def diffusion(self) -> float:
@@ -100,9 +93,7 @@ class RateSpectrum:
 
     @classmethod
     def build(cls, sigma: float, strike: float, n_max: int) -> "RateSpectrum":
-        _check_positive(sigma=sigma, strike=strike)
-        if n_max < 1:
-            raise ValidationError(f"n_max must be >= 1, got {n_max!r}")
+        check("n_max", n_max, "integer", 1)
         modes = tuple(ModeSpec(n=n, sigma=sigma, strike=strike) for n in range(1, n_max + 1))
         return cls(sigma=sigma, strike=strike, modes=modes)
 
@@ -120,9 +111,10 @@ def mode_index(r: float, sigma: float, strike: float, rel_tol: float) -> tuple[i
     nearest integer (at least 1), and accepts iff the rounded mode's rate is
     within ``rel_tol`` relative error of ``r``.
     """
-    _check_positive(sigma=sigma, strike=strike, rel_tol=rel_tol)
-    if not (r > 0):
-        raise ValidationError(f"r must be > 0, got {r!r}")
+    check("r", r, "positive")
+    check("sigma", sigma, "positive")
+    check("strike", strike, "positive")
+    check("rel_tol", rel_tol, "positive")
     n_exact = math.sqrt(2.0 * r * strike * strike / (sigma * sigma)) / math.pi
     n_star = max(1, round(n_exact))
     admissible = abs(quantized_rate(n_star, sigma, strike) - r) <= rel_tol * r
@@ -131,11 +123,8 @@ def mode_index(r: float, sigma: float, strike: float, rel_tol: float) -> tuple[i
 
 def boundary_residual(n: int, sigma: float, strike: float) -> float:
     """|sin(sqrt(r_n/D)*K)|: the computable witness that mode n vanishes at K."""
-    if n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
-    rate = quantized_rate(n, sigma, strike)
-    wavenumber = math.sqrt(rate / (0.5 * sigma * sigma))
-    return abs(math.sin(wavenumber * strike))
+    check("n", n, "integer", 1)
+    return abs(math.sin(_wavenumber(quantized_rate(n, sigma, strike), sigma) * strike))
 
 
 class IntegralMethod(str, Enum):
@@ -161,23 +150,34 @@ def normalization_constant(
 ) -> NormalizationResult:
     """Normalization amplitude A = (integral_0^K sin^2(a*x) dx)^(-1/2), a = sqrt(r/D).
 
-    The integral is always computed both ways: the antiderivative
-    K/2 - sin(2*a*K)/(4*a) and adaptive quadrature. ``method`` selects which
-    value is reported; the cross-check discrepancy is returned as the
-    estimated error. On the rate ladder the sine term vanishes and
-    A = sqrt(2/K) exactly.
+    The integral is always computed both ways: in closed form and by
+    adaptive quadrature. ``method`` selects which value is reported; the
+    cross-check discrepancy is returned as the estimated error. The closed
+    form is the antiderivative K/2 - sin(2*a*K)/(4*a), which cancels as
+    u = 2*a*K goes to 0; below u = 1 it is summed instead as
+    (K/2)*(1 - sin(u)/u) = (K/2)*(u^2/3! - u^4/5! + ...). On the rate ladder
+    the sine term vanishes and A = sqrt(2/K) exactly.
     """
     from scipy import integrate  # deferred: only this function needs quadrature
 
-    _check_positive(r=r, sigma=sigma, strike=strike)
-    a = math.sqrt(r / (0.5 * sigma * sigma))
-    closed = 0.5 * strike - math.sin(2.0 * a * strike) / (4.0 * a)
+    check("r", r, "positive")
+    check("sigma", sigma, "positive")
+    check("strike", strike, "positive")
+    a = _wavenumber(r, sigma)
+    u = check("2*wavenumber*strike", 2.0 * a * strike)
+    if u < 1.0:
+        # Nested from the tail: u^2/3! * (1 - u^2/(4*5) * (1 - u^2/(6*7) * (...))).
+        series = 1.0
+        for k in range(11, 1, -1):
+            series = 1.0 - series * u * u / ((2 * k) * (2 * k + 1))
+        closed = 0.5 * strike * (u * u / 6.0) * series
+    else:
+        closed = 0.5 * strike - math.sin(2.0 * a * strike) / (4.0 * a)
     quad_value, _ = integrate.quad(
         lambda x: math.sin(a * x) ** 2, 0.0, strike, epsabs=1e-10, epsrel=1e-10, limit=400
     )
     value = closed if method is IntegralMethod.CLOSED_FORM else quad_value
-    if value <= 0:
-        raise ValidationError(f"normalization integral must be > 0, got {value!r}")
+    check("normalization integral", value, "positive")
     return NormalizationResult(
         amplitude=value ** -0.5,
         integral=value,
@@ -215,13 +215,12 @@ def payoff_surface(
     The growth convention (PLUS) reproduces the oscillatory surface as
     written in the closed form; MINUS applies standard discounting instead.
     """
-    _check_positive(amplitude=amplitude)
-    x = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    t = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if t.size and t.min() < 0:
-        raise ValidationError(f"t grid must be non-negative, got min {t.min()!r}")
+    check("amplitude", amplitude, "positive")
+    x = check("x grid", np.atleast_1d(np.asarray(x_grid, dtype=float)))
+    t = check("t grid", np.atleast_1d(np.asarray(t_grid, dtype=float)), "nonnegative")
     profile = amplitude * np.sin(mode.wavenumber * x)
-    weight = np.exp(sign.factor * mode.rate * t)
+    with np.errstate(over="ignore"):
+        weight = check("time weight e^{sign*r_n*t}", np.exp(sign.factor * mode.rate * t))
     return PayoffSurface(
         x=x,
         t=t,

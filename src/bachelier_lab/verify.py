@@ -20,8 +20,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NonFiniteSampleError, ValidationError
-from .model import ModelParams, _gaussian_blocks, exact_marginal, validate_params
+from .errors import NonFiniteSampleError, ValidationError, check
+from .model import ModelParams, _gaussian_blocks, exact_marginal
 from .ode import SineSolution, delta_gamma
 from .payoff import DiscountSign
 
@@ -64,7 +64,7 @@ class DriftReport:
             "estimated_drift_rate": self.estimated_drift_rate,
             "standard_error": self.standard_error,
             "analytic_drift_rate": self.analytic_drift_rate,
-            "z_score": self.z_score,
+            "z_score": None if self.degenerate else self.z_score,  # undefined at se = 0
             "sign_convention": self.sign_convention.value,
             "degenerate": self.degenerate,
         }
@@ -92,10 +92,9 @@ def analytic_drift(
     h: float = 1e-3,
 ) -> float:
     """Ito drift of V(X)e^{sign*r*t} at state x, derivatives by central differences."""
-    if sigma < 0:
-        raise ValidationError(f"sigma must be >= 0, got {sigma!r}")
-    if t < 0:
-        raise ValidationError(f"t must be >= 0, got {t!r}")
+    check("r", r)
+    check("sigma", sigma, "nonnegative")
+    check("t", t, "nonnegative")
     dg = delta_gamma(v, x, h)
     s = sign.factor
     return math.exp(s * r * t) * (
@@ -148,13 +147,11 @@ def drift_estimate(
     h : float
         Central-difference step for the analytic drift.
     """
-    validate_params(p)
-    if not (0 < dt <= _MAX_DT):
+    if check("dt", dt, "positive") > _MAX_DT:
         raise ValidationError(f"dt must be in (0, {_MAX_DT}], got {dt!r}")
-    if n_samples < _MIN_SAMPLES:
-        raise ValidationError(f"n_samples must be >= {_MIN_SAMPLES}, got {n_samples!r}")
-    if t < 0:
-        raise ValidationError(f"t must be >= 0, got {t!r}")
+    check("n_samples", n_samples, "integer", _MIN_SAMPLES)
+    check("x0", x0)
+    check("t", t, "nonnegative")
 
     s = sign.factor
     w_now = math.exp(s * p.r * t)
@@ -185,8 +182,10 @@ def drift_estimate(
         dy = np.asarray(v(x[:, 0]), dtype=float) * w_next - y_now
         rates[start : start + len(x)] = dy / dt
 
-    mean = float(rates.mean())
-    se = float(rates.std(ddof=1)) / math.sqrt(n_samples)
+    # Overflowing samples make the SE inf; classify rejects it, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(rates.mean())
+        se = float(rates.std(ddof=1)) / math.sqrt(n_samples)
     degenerate = se == 0.0
     z_score = (mean - analytic) / se if se > 0 else math.nan
     return DriftReport(
@@ -205,8 +204,7 @@ def drift_estimate(
 
 def classify(report: DriftReport, z_threshold: float = 3.0) -> MartingaleVerdict:
     """Classify the measured drift against zero at the given z threshold."""
-    if not (z_threshold > 0):
-        raise ValidationError(f"z_threshold must be > 0, got {z_threshold!r}")
+    check("z_threshold", z_threshold, "positive")
     est = report.estimated_drift_rate
     se = report.standard_error
     if not (math.isfinite(est) and math.isfinite(se)):
@@ -250,9 +248,7 @@ def integrability_check(
     For a bounded sine profile the analytic bound |A|*e^{|r|t} is attached
     as well; it holds for every t regardless of the sample.
     """
-    validate_params(p)
-    if n_samples < _MIN_SAMPLES:
-        raise ValidationError(f"n_samples must be >= {_MIN_SAMPLES}, got {n_samples!r}")
+    check("n_samples", n_samples, "integer", _MIN_SAMPLES)
     law = exact_marginal(p, t)
     weight = math.exp(sign.factor * p.r * t)
     samples = np.empty(n_samples)

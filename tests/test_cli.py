@@ -1,10 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from bachelier_lab import __version__, quantized_rate
+from bachelier_lab import ModelParams, TimeGrid, __version__, quantized_rate, simulate_paths
 from bachelier_lab.cli import run
 from bachelier_lab.model import RNG_SCHEME
 
@@ -74,6 +75,20 @@ def test_simulate_sigma_zero_csv(capsys):
     assert prov["version"] == __version__
 
 
+def test_pathset_csv_round_trip(capsys):
+    p = ModelParams(x0=1.0, r=0.05, sigma=0.3)
+    grid = TimeGrid.regular(1.0, 4)
+    paths = simulate_paths(p, grid, 3, seed=42)
+    assert run(["simulate", "--x0", "1", "--rate", "0.05", "--sigma", "0.3", "--t-end", "1",
+                "--steps", "4", "--paths", "3", "--seed", "42", "--precision", "17"]) == 0
+    lines = [l for l in capsys.readouterr().out.strip().split("\n") if not l.startswith("#")]
+    assert lines[0] == "t,path_0,path_1,path_2"
+    assert len(lines) == 1 + grid.n_times
+    parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(parsed[:, 0], grid.times)  # 17 digits round-trip exactly
+    assert np.array_equal(parsed[:, 1:], paths.values.T)
+
+
 def test_simulate_rejects_zero_paths_with_diagnostic(capsys):
     code = run([
         "simulate", "--x0", "0", "--rate", "0", "--sigma", "1",
@@ -84,6 +99,8 @@ def test_simulate_rejects_zero_paths_with_diagnostic(capsys):
 
 
 _HIT = ["hit", "--x0", "0", "--rate", "0", "--sigma", "1", "--level", "1", "--paths", "100"]
+_SURFACE = ["surface", "--n", "1", "--sigma", "0.2", "--strike", "1"]
+_DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--samples", "2000"]
 
 
 @pytest.mark.parametrize(
@@ -95,14 +112,36 @@ _HIT = ["hit", "--x0", "0", "--rate", "0", "--sigma", "1", "--level", "1", "--pa
         (_HIT + ["--t", "nan"], "t must"),
         (_HIT + ["--t", "inf"], "t must"),
         # Overflowing samples give se=inf; no martingale verdict may be certified from it.
-        (["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5",
-          "--samples", "2000", "--coef1", "1e300", "--coef2", "1e300"], "non-finite"),
+        (_DRIFT + ["--coef1", "1e300", "--coef2", "1e300"], "non-finite"),
+        (["solve", "--hedged", "--rate", "nan", "--sigma", "0.2"], "rate"),
+        (["spectrum", "--sigma", "inf", "--strike", "1", "--n-max", "3"], "sigma"),
+        (_SURFACE + ["--t-end", "nan"], "t-end"),
+        (_SURFACE + ["--amplitude", "inf"], "amplitude"),
+        (_SURFACE + ["--t-end", "1e10"], "time weight"),
+        (_SURFACE + ["--x-points", "0"], "x-points"),
+        (["normalize", "--rate", "inf", "--sigma", "0.2", "--strike", "1"], "rate"),
+        (["normalize", "--rate", "0.1", "--sigma", "1e-160", "--strike", "1"], "wavenumber"),
+        (["solve", "--rate", "1e300", "--sigma", "1e-200"], "division by zero"),
+        (_HIT + ["--t", "1e300", "--grid-step", "1e-300"], "t/grid-step"),
+        (["drift-check", "--rate", "1e300", "--sigma", "0.2", "--x0", "0.5",
+          "--samples", "2000"], "range error"),
+        # An infinite threshold would certify any sample as a martingale.
+        (_DRIFT + ["--z-threshold", "inf"], "z-threshold"),
+        (["simulate", "--x0", "0", "--rate", "0", "--sigma", "1", "--t-end", "1",
+          "--steps", "2", "--paths", "2", "--precision", "-3"], "precision"),
     ],
     ids=["grid-step-zero", "grid-step-negative", "grid-step-nan", "t-nan", "t-inf",
-         "drift-check-overflow"],
+         "drift-check-overflow", "solve-rate-nan", "spectrum-sigma-inf", "surface-t-end-nan",
+         "surface-amplitude-inf", "surface-weight-overflow", "surface-x-points-zero",
+         "normalize-rate-inf", "normalize-wavenumber-overflow", "solve-sigma-underflow",
+         "hit-step-count-overflow", "drift-check-rate-overflow", "drift-check-z-threshold-inf",
+         "simulate-precision-negative"],
 )
 def test_invalid_numeric_inputs_exit_two_with_one_line(argv, field, capsys):
-    assert run(argv) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv) == 2
+    assert [str(w.message) for w in caught] == []
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -137,6 +176,28 @@ def test_normalize_json_record(capsys):
     assert record["amplitude"] == pytest.approx(1.281848866227063, rel=1e-12)
     assert record["integral"] == pytest.approx(0.6085921591756197, rel=1e-12)
     assert record["method"] == "closed_form"
+
+
+def test_normalize_small_rate_is_finite(capsys):
+    assert run(["normalize", "--rate", "1e-30", "--sigma", "0.2", "--strike", "1"]) == 0
+    _, rows = _csv_rows(capsys.readouterr().out)
+    assert math.isfinite(float(rows[0][0])) and float(rows[0][1]) > 0
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON constant {token}")
+
+
+def test_degenerate_drift_row_has_no_z_score(capsys):
+    # coef1 = coef2 = 0 gives V = 0: every sample agrees, se = 0 and z is undefined.
+    argv = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5",
+            "--samples", "2000", "--coef1", "0", "--coef2", "0"]
+    assert run(argv + ["--format", "json"]) == 0
+    record = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["results"][0]
+    assert record["degenerate"] is True and record["z_score"] is None
+    assert run(argv) == 0
+    header, rows = _csv_rows(capsys.readouterr().out)
+    assert rows[0][header.index("z_score")] == ""
 
 
 def test_hit_report_fields(capsys):

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -13,7 +12,6 @@ from bachelier_lab import (
     hitting_frequency,
     hitting_probability,
     simulate_paths,
-    validate_params,
 )
 
 # First-passage oracle values, frozen from 30-digit evaluation of the closed
@@ -24,28 +22,32 @@ HIT_UNIT_DRIFT = 0.6681020012231706
 
 def test_validate_params_accepts_good_params():
     p = ModelParams(x0=100.0, r=0.05, sigma=0.2)
-    assert validate_params(p) is p
+    assert (p.x0, p.r, p.sigma, p.mu) == (100.0, 0.05, 0.2, 0.05)
 
 
 def test_validate_params_rejects_negative_sigma():
     with pytest.raises(ValidationError, match="sigma"):
-        validate_params(ModelParams(x0=100.0, r=0.05, sigma=-0.1))
+        ModelParams(x0=100.0, r=0.05, sigma=-0.1)
 
 
 def test_validate_params_rejects_non_finite_naming_field():
     with pytest.raises(ValidationError, match="x0"):
-        validate_params(ModelParams(x0=math.nan, r=0.05, sigma=0.2))
+        ModelParams(x0=math.nan, r=0.05, sigma=0.2)
     with pytest.raises(ValidationError, match="r"):
-        validate_params(ModelParams(x0=0.0, r=math.inf, sigma=0.2))
+        ModelParams(x0=0.0, r=math.inf, sigma=0.2)
+    with pytest.raises(ValidationError, match="sigma"):
+        ModelParams(x0=0.0, r=0.05, sigma=math.inf)
+    with pytest.raises(ValidationError, match="drift"):
+        ModelParams(x0=0.0, r=0.05, sigma=0.2, drift=math.nan, exploratory_drift=True)
 
 
 def test_drift_defaults_to_rate_and_requires_flag_to_differ():
     p = ModelParams(x0=0.0, r=0.05, sigma=0.2)
     assert p.mu == 0.05
     with pytest.raises(ValidationError, match="drift"):
-        validate_params(ModelParams(x0=0.0, r=0.05, sigma=0.2, drift=0.10))
+        ModelParams(x0=0.0, r=0.05, sigma=0.2, drift=0.10)
     q = ModelParams(x0=0.0, r=0.05, sigma=0.2, drift=0.10, exploratory_drift=True)
-    assert validate_params(q).mu == 0.10
+    assert q.mu == 0.10
 
 
 def test_exact_marginal_moments():
@@ -253,17 +255,3 @@ def test_hitting_frequency_counts_the_simulated_paths_that_reach_the_level():
     assert up.n_hits == int((paths.values >= 0.8).any(axis=1).sum())
     down = hitting_frequency(p, -0.8, grid, n, seed=3)
     assert down.n_hits == int((paths.values <= -0.8).any(axis=1).sum())
-
-
-def test_pathset_csv_round_trip():
-    p = ModelParams(x0=1.0, r=0.05, sigma=0.3)
-    grid = TimeGrid.regular(1.0, 4)
-    paths = simulate_paths(p, grid, 3, seed=42)
-    buf = io.StringIO()
-    paths.write_csv(buf, precision=17)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "t,path_0,path_1,path_2"
-    assert len(lines) == 1 + grid.n_times
-    parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    assert np.array_equal(parsed[:, 0], grid.times)  # 17 digits round-trip exactly
-    assert np.array_equal(parsed[:, 1:], paths.values.T)

@@ -157,6 +157,19 @@ def test_normalization_closed_form_and_quadrature_agree_on_random_triples():
         assert result.estimated_error <= 1e-8 * result.integral
 
 
+@pytest.mark.parametrize("r", [10.0 ** -e for e in range(2, 31, 2)])
+def test_normalization_small_rate_matches_mpmath(r):
+    # K/2 - sin(2aK)/(4a) cancels as 2aK -> 0; the value itself is ~ a^2 K^3 / 3.
+    mpmath = pytest.importorskip("mpmath")
+    sigma, strike = 0.2, 1.0
+    result = normalization_constant(r, sigma, strike)
+    with mpmath.workdps(50):
+        a = mpmath.sqrt(mpmath.mpf(r) / (mpmath.mpf(sigma) ** 2 / 2))
+        exact = mpmath.mpf(strike) / 2 - mpmath.sin(2 * a * strike) / (4 * a)
+        assert abs((result.integral - exact) / exact) <= 1e-12
+        assert abs((result.amplitude - exact ** -0.5) / exact ** -0.5) <= 1e-12
+
+
 def test_normalized_profile_integrates_to_one():
     for r, sigma, strike in [(0.1, 0.2, 1.0), (quantized_rate(2, 0.3, 1.5), 0.3, 1.5)]:
         result = normalization_constant(r, sigma, strike)
