@@ -1,6 +1,5 @@
 """Exception types shared across the package, and the one input-domain check."""
 
-import math
 import numbers
 
 import numpy as np
@@ -26,15 +25,16 @@ def check(name: str, value, domain: str = "finite", least: int = 0):
 
     Domains: ``"finite"``, ``"positive"`` (finite and > 0), ``"nonnegative"``
     (finite and >= 0), elementwise for arrays, with complex values allowed
-    under ``"finite"``; and ``"integer"``, an integer >= ``least``.
+    under ``"finite"``; and ``"integer"``, an integer >= ``least``, returned
+    as an ``int`` (an integral float such as 4.0 is accepted).
     """
     if domain == "integer":
-        if isinstance(value, numbers.Integral) and value >= least:
-            return value
+        integral = isinstance(value, numbers.Integral) or (
+            isinstance(value, float) and value.is_integer())
+        if integral and value >= least:
+            return int(value)
         raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
     want, inside = _DOMAINS[domain]
-    if isinstance(value, float) and math.isfinite(value) and inside(value):
-        return value  # the common scalar case, without a numpy round trip
     v = np.asarray(value)
     good = np.isfinite(v) & inside(v)
     if good.all():

@@ -66,8 +66,7 @@ class ModelParams:
         check("x0", self.x0)
         check("r", self.r)
         check("sigma", self.sigma, "nonnegative")
-        drift = self.r if self.drift is None else check("drift", self.drift)
-        if drift != self.r and not self.exploratory_drift:
+        if check("drift", self.mu) != self.r and not self.exploratory_drift:
             raise ValidationError(
                 "drift must equal r under no-arbitrage; set exploratory_drift=True to override"
             )
@@ -104,18 +103,18 @@ class TimeGrid:
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        if not (times.ndim == 1 and times.size >= 2 and times[0] == 0.0
-                and np.all(np.diff(times) > 0) and np.all(np.isfinite(times))):
-            raise ValidationError(
-                "times must be a finite, strictly increasing 1-d grid of at least two "
-                "points starting exactly at 0"
-            )
+        if times.ndim != 1 or times.size < 2:
+            raise ValidationError("times must be a 1-d grid with at least two points")
+        if check("times", times)[0] != 0.0:
+            raise ValidationError(f"times must start exactly at 0, got {times[0]!r}")
+        if not np.all(np.diff(times) > 0):
+            raise ValidationError("times must be strictly increasing")
         object.__setattr__(self, "times", times)
 
     @classmethod
     def regular(cls, t_end: float, n_steps: int) -> "TimeGrid":
         """Uniform grid of ``n_steps`` steps on [0, t_end]."""
-        check("n_steps", n_steps, "integer", 1)
+        n_steps = check("n_steps", n_steps, "integer", 1)
         return cls(np.linspace(0.0, float(t_end), n_steps + 1))
 
     @property
@@ -212,7 +211,7 @@ def simulate_paths(p: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> P
     -------
     PathSet
     """
-    check("n_paths", n_paths, "integer", 1)
+    n_paths = check("n_paths", n_paths, "integer", 1)
     values = np.empty((n_paths, grid.n_times))
     values[:, 0] = p.x0
     # Drift enters through the exact line x0 + mu*t rather than a cumulative
@@ -311,7 +310,7 @@ def hitting_frequency(
     paths are scanned one 8192-row block at a time to bound memory.
     """
     check("level", level)
-    check("n_paths", n_paths, "integer", 1)
+    n_paths = check("n_paths", n_paths, "integer", 1)
     base = p.x0 + p.mu * grid.times[1:]
     n_hits = 0
     for _, block in _gaussian_blocks(seed, n_paths, p.sigma * np.sqrt(grid.steps), base):

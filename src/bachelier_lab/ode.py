@@ -63,7 +63,12 @@ class OdeProblem:
 
     @property
     def diffusion(self) -> float:
-        return 0.5 * self.sigma * self.sigma
+        return _diffusion(self.sigma)
+
+
+def _diffusion(sigma: float) -> float:
+    """D = sigma^2/2; rejected if it underflows to 0 or overflows."""
+    return check("diffusion sigma^2/2", 0.5 * sigma * sigma, "positive")
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,9 @@ class CharacteristicRoots:
     root1: complex
     root2: complex
 
+    def __post_init__(self):
+        check("characteristic roots", (self.root1, self.root2))
+
 
 def characteristic_roots_full(r: float, sigma: float) -> CharacteristicRoots:
     """Roots of (sigma^2/2)*lam^2 + r*lam + r = 0.
@@ -89,8 +97,8 @@ def characteristic_roots_full(r: float, sigma: float) -> CharacteristicRoots:
     """
     check("sigma", sigma, "positive")
     check("r", r)
-    a = 0.5 * sigma * sigma
-    sig2 = sigma * sigma
+    a = _diffusion(sigma)
+    sig2 = 2.0 * a
     if r == 0.0:
         return CharacteristicRoots(RootCase.REPEATED_REAL, 0j, 0j)
     disc = r * r - 2.0 * sig2 * r
@@ -115,7 +123,7 @@ def characteristic_roots_full(r: float, sigma: float) -> CharacteristicRoots:
 
 def _wavenumber(r: float, sigma: float) -> float:
     """sqrt(r/D) with D = sigma^2/2, for r > 0; rejected if it leaves the float range."""
-    return check("wavenumber sqrt(r/D)", math.sqrt(r / (0.5 * sigma * sigma)), "positive")
+    return check("wavenumber sqrt(r/D)", math.sqrt(r / _diffusion(sigma)), "positive")
 
 
 def characteristic_roots_hedged(r: float, sigma: float) -> CharacteristicRoots:

@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import check
+from .errors import ValidationError, check
 
 __all__ = [
     "OptionKind",
@@ -110,4 +110,12 @@ def discounted_value(value, r: float, t: float, sign: DiscountSign = DiscountSig
     """Apply the exponential weight e^{sign * r * t} to ``value``."""
     check("r", r)
     check("t", t, "nonnegative")
-    return value * math.exp(sign.factor * r * t)
+    return value * _time_weight(sign.factor, r, t)
+
+
+def _time_weight(factor: float, r: float, t: float) -> float:
+    """e^{factor*r*t}; a weight beyond the float range is rejected by name."""
+    try:
+        return math.exp(factor * r * t)
+    except OverflowError:
+        raise ValidationError(f"time weight e^(sign*r*t) overflows at r={r!r}, t={t!r}") from None

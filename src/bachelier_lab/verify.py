@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NonFiniteSampleError, ValidationError, check
 from .model import ModelParams, _gaussian_blocks, exact_marginal
 from .ode import SineSolution, delta_gamma
-from .payoff import DiscountSign
+from .payoff import DiscountSign, _time_weight
 
 __all__ = [
     "DriftReport",
@@ -97,7 +97,7 @@ def analytic_drift(
     check("t", t, "nonnegative")
     dg = delta_gamma(v, x, h)
     s = sign.factor
-    return math.exp(s * r * t) * (
+    return _time_weight(s, r, t) * (
         s * r * float(v(x)) + r * dg.delta + 0.5 * sigma * sigma * dg.gamma
     )
 
@@ -149,14 +149,13 @@ def drift_estimate(
     """
     if check("dt", dt, "positive") > _MAX_DT:
         raise ValidationError(f"dt must be in (0, {_MAX_DT}], got {dt!r}")
-    check("n_samples", n_samples, "integer", _MIN_SAMPLES)
+    n_samples = check("n_samples", n_samples, "integer", _MIN_SAMPLES)
     check("x0", x0)
     check("t", t, "nonnegative")
 
     s = sign.factor
-    w_now = math.exp(s * p.r * t)
-    w_next = math.exp(s * p.r * (t + dt))
-    y_now = float(v(x0)) * w_now
+    w_next = _time_weight(s, p.r, t + dt)
+    y_now = float(v(x0)) * _time_weight(s, p.r, t)
     step_mean = x0 + p.mu * dt
     step_scale = p.sigma * math.sqrt(dt)
     analytic = analytic_drift(v, p.r, p.sigma, x0, t, sign, h)
@@ -164,29 +163,16 @@ def drift_estimate(
     if p.sigma == 0.0:
         # Every sample is the same deterministic difference quotient.
         mean = (float(v(step_mean)) * w_next - y_now) / dt
-        return DriftReport(
-            x0=x0,
-            t=t,
-            dt=dt,
-            n_samples=n_samples,
-            estimated_drift_rate=mean,
-            standard_error=0.0,
-            analytic_drift_rate=analytic,
-            z_score=math.nan,
-            sign_convention=sign,
-            degenerate=True,
-        )
-
-    rates = np.empty(n_samples)
-    for start, x in _gaussian_blocks(seed, n_samples, np.array([step_scale]), step_mean):
-        dy = np.asarray(v(x[:, 0]), dtype=float) * w_next - y_now
-        rates[start : start + len(x)] = dy / dt
-
-    # Overflowing samples make the SE inf; classify rejects it, so numpy need not warn.
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(rates.mean())
-        se = float(rates.std(ddof=1)) / math.sqrt(n_samples)
-    degenerate = se == 0.0
+        se = 0.0
+    else:
+        rates = np.empty(n_samples)
+        for start, x in _gaussian_blocks(seed, n_samples, np.array([step_scale]), step_mean):
+            dy = np.asarray(v(x[:, 0]), dtype=float) * w_next - y_now
+            rates[start : start + len(x)] = dy / dt
+        # Overflowing samples make the SE inf; classify rejects it, so numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(rates.mean())
+            se = float(rates.std(ddof=1)) / math.sqrt(n_samples)
     z_score = (mean - analytic) / se if se > 0 else math.nan
     return DriftReport(
         x0=x0,
@@ -198,7 +184,7 @@ def drift_estimate(
         analytic_drift_rate=analytic,
         z_score=z_score,
         sign_convention=sign,
-        degenerate=degenerate,
+        degenerate=se == 0.0,
     )
 
 
@@ -248,9 +234,9 @@ def integrability_check(
     For a bounded sine profile the analytic bound |A|*e^{|r|t} is attached
     as well; it holds for every t regardless of the sample.
     """
-    check("n_samples", n_samples, "integer", _MIN_SAMPLES)
+    n_samples = check("n_samples", n_samples, "integer", _MIN_SAMPLES)
     law = exact_marginal(p, t)
-    weight = math.exp(sign.factor * p.r * t)
+    weight = _time_weight(sign.factor, p.r, t)
     samples = np.empty(n_samples)
     for start, x in _gaussian_blocks(seed, n_samples, np.array([law.std]), law.mean):
         y = np.abs(np.asarray(v(x[:, 0]), dtype=float) * weight)
@@ -263,7 +249,7 @@ def integrability_check(
         samples[start : start + len(y)] = y
     bound = None
     if isinstance(v, SineSolution):
-        bound = abs(v.amplitude) * math.exp(abs(p.r) * t)
+        bound = abs(v.amplitude) * _time_weight(1.0, abs(p.r), t)
     return IntegrabilityWitness(
         mean_abs=float(samples.mean()),
         standard_error=float(samples.std(ddof=1)) / math.sqrt(n_samples),

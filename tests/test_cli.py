@@ -121,10 +121,11 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
         (_SURFACE + ["--x-points", "0"], "x-points"),
         (["normalize", "--rate", "inf", "--sigma", "0.2", "--strike", "1"], "rate"),
         (["normalize", "--rate", "0.1", "--sigma", "1e-160", "--strike", "1"], "wavenumber"),
-        (["solve", "--rate", "1e300", "--sigma", "1e-200"], "division by zero"),
+        (["solve", "--rate", "1e300", "--sigma", "1e-200"], "diffusion sigma^2/2"),
+        (["solve", "--rate", "1", "--sigma", "1e-160"], "characteristic roots"),
         (_HIT + ["--t", "1e300", "--grid-step", "1e-300"], "t/grid-step"),
         (["drift-check", "--rate", "1e300", "--sigma", "0.2", "--x0", "0.5",
-          "--samples", "2000"], "range error"),
+          "--samples", "2000"], "time weight"),
         # An infinite threshold would certify any sample as a martingale.
         (_DRIFT + ["--z-threshold", "inf"], "z-threshold"),
         (["simulate", "--x0", "0", "--rate", "0", "--sigma", "1", "--t-end", "1",
@@ -134,6 +135,7 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
          "drift-check-overflow", "solve-rate-nan", "spectrum-sigma-inf", "surface-t-end-nan",
          "surface-amplitude-inf", "surface-weight-overflow", "surface-x-points-zero",
          "normalize-rate-inf", "normalize-wavenumber-overflow", "solve-sigma-underflow",
+         "solve-root-overflow",
          "hit-step-count-overflow", "drift-check-rate-overflow", "drift-check-z-threshold-inf",
          "simulate-precision-negative"],
 )

@@ -14,12 +14,16 @@ from bachelier_lab.errors import ValidationError, check
         (5e-324, "positive", 0),
         (0.0, "nonnegative", 0),
         (np.array([0.0, 2.0]), "nonnegative", 0),
-        (3, "integer", 3),
-        (np.int64(0), "integer", 0),
     ],
 )
 def test_check_returns_values_inside_the_domain(value, domain, least):
     assert check("x", value, domain, least) is value
+
+
+@pytest.mark.parametrize("value,least", [(3, 3), (np.int64(0), 0), (4.0, 1), (np.float64(2.0), 2)])
+def test_check_returns_integral_counts_as_int(value, least):
+    got = check("x", value, "integer", least)
+    assert type(got) is int and got == value
 
 
 @pytest.mark.parametrize(
@@ -31,7 +35,10 @@ def test_check_returns_values_inside_the_domain(value, domain, least):
         (0.0, "positive", 0, "got 0.0"),
         (-0.5, "nonnegative", 0, "must be finite and >= 0, got -0.5"),
         (np.array([0.0, 1.0, -2.0]), "nonnegative", 0, "got -2.0 at index 2"),
-        (2.0, "integer", 0, "must be an integer >= 0, got 2.0"),
+        (2.5, "integer", 0, "must be an integer >= 0, got 2.5"),
+        (math.inf, "integer", 0, "got inf"),
+        (math.nan, "integer", 0, "got nan"),
+        ("3", "integer", 0, "got '3'"),
         (0, "integer", 1, "must be an integer >= 1, got 0"),
     ],
 )

@@ -70,16 +70,22 @@ def test_exact_marginal_rejects_negative_time():
 
 
 def test_time_grid_validation():
-    with pytest.raises(ValidationError):
-        TimeGrid(np.array([0.1, 0.2]))  # must start at 0
-    with pytest.raises(ValidationError):
-        TimeGrid(np.array([0.0, 0.5, 0.5]))  # strictly increasing
-    with pytest.raises(ValidationError):
-        TimeGrid(np.array([0.0]))  # at least one step
+    with pytest.raises(ValidationError, match="start exactly at 0"):
+        TimeGrid(np.array([0.1, 0.2]))
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        TimeGrid(np.array([0.0, 0.5, 0.5]))
+    with pytest.raises(ValidationError, match="at least two points"):
+        TimeGrid(np.array([0.0]))
+    with pytest.raises(ValidationError, match="times must be finite, got inf at index 2"):
+        TimeGrid(np.array([0.0, 0.5, np.inf]))
     grid = TimeGrid.regular(2.0, 4)
     assert grid.n_times == 5
     assert grid.times[0] == 0.0
     assert grid.t_end == 2.0
+    # An integral float count is accepted as the integer it equals.
+    assert np.array_equal(TimeGrid.regular(2.0, 4.0).times, grid.times)
+    with pytest.raises(ValidationError, match="n_steps"):
+        TimeGrid.regular(2.0, 2.5)
 
 
 def test_sigma_zero_paths_are_exactly_linear():

@@ -70,6 +70,15 @@ def test_full_roots_reject_zero_sigma():
         characteristic_roots_full(0.05, 0.0)
 
 
+def test_roots_reject_a_diffusion_or_root_outside_the_float_range():
+    # sigma > 0 whose sigma^2/2 underflows to 0 used to raise ZeroDivisionError.
+    for roots in (characteristic_roots_full, characteristic_roots_hedged):
+        with pytest.raises(ValidationError, match="diffusion sigma\\^2/2"):
+            roots(1.0, 1e-170)
+    with pytest.raises(ValidationError, match="characteristic roots"):
+        characteristic_roots_full(1.0, 1e-160)  # D is subnormal, so -r/sigma^2 is -inf
+
+
 @pytest.mark.parametrize("r", [-0.4, -0.02, 0.005, 0.02, 0.07, 0.08, 0.18, 1.5])
 @pytest.mark.parametrize("sigma", [0.05, 0.2, 1.3])
 def test_full_roots_satisfy_polynomial(r, sigma):

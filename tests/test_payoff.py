@@ -69,6 +69,12 @@ def test_discounted_value_rejects_negative_time():
         discounted_value(1.0, 0.05, -1.0)
 
 
+def test_discounted_value_rejects_an_overflowing_weight():
+    with pytest.raises(ValidationError, match="time weight"):
+        discounted_value(1.0, 1e300, 1.0, DiscountSign.PLUS)
+    assert discounted_value(1.0, 1e300, 1.0) == 0.0  # underflow to 0 is finite
+
+
 def test_discount_conventions_are_multiplicative_inverses():
     rng = np.random.default_rng(8)
     for r, t in zip(rng.uniform(-1, 1, 1000), rng.uniform(0, 10, 1000)):

@@ -46,6 +46,14 @@ def test_quantized_rate_rejects_negative_mode():
         quantized_rate(-1, 0.2, 1.0)
 
 
+def test_integral_float_mode_numbers_are_accepted():
+    assert quantized_rate(2.0, 0.2, 1.0) == quantized_rate(2, 0.2, 1.0)
+    assert ModeSpec(n=2.0, sigma=0.2, strike=1.0).rate == quantized_rate(2, 0.2, 1.0)
+    assert len(RateSpectrum.build(0.2, 1.0, 3.0)) == 3
+    with pytest.raises(ValidationError, match="n must be an integer"):
+        quantized_rate(1.5, 0.2, 1.0)
+
+
 def test_quantized_rate_validates_inputs():
     with pytest.raises(ValidationError, match="sigma"):
         quantized_rate(1, 0.0, 1.0)
