@@ -20,7 +20,7 @@ strike = 100.0
 print("== payoff table ==")
 print(f"{'x':>6} {'call':>6} {'put':>6} {'state':>5}")
 for x in (80.0, 95.0, 100.0, 105.0, 120.0):
-    state = moneyness(x, strike, tol=1e-9).state
+    state = moneyness(x, strike, tol=1e-9)
     print(f"{x:6.1f} {call_payoff(x, strike):6.1f} {put_payoff(x, strike):6.1f} "
           f"{state.letter:>5}")
 

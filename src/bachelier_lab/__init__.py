@@ -40,10 +40,7 @@ from .ode import (
 )
 from .payoff import (
     DiscountSign,
-    Moneyness,
     MoneynessState,
-    OptionKind,
-    PayoffSpec,
     call_payoff,
     discounted_value,
     moneyness,

@@ -13,7 +13,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,6 @@ from . import __version__
 from .errors import NonFiniteSampleError, ValidationError, check
 from .model import RNG_SCHEME, ModelParams, TimeGrid, hitting_frequency, hitting_probability, simulate_paths
 from .ode import (
-    OdeForm,
-    OdeProblem,
     characteristic_roots_full,
     characteristic_roots_hedged,
     general_solution,
@@ -38,10 +37,14 @@ __all__ = ["run", "main", "build_parser"]
 
 @dataclass
 class _Report:
-    provenance: dict
-    columns: list[str] = field(default_factory=list)
-    rows: list[list] = field(default_factory=list)
+    columns: list[str]
+    rows: list[list]
     payload: dict | None = None  # JSON body; defaults to records built from rows
+
+    @classmethod
+    def of(cls, records: list[dict]) -> "_Report":
+        """One row per record, columns in the records' key order."""
+        return cls(columns=list(records[0]), rows=[list(r.values()) for r in records])
 
 
 def _number(value: float, precision: int, where: str) -> str:
@@ -73,29 +76,32 @@ def _rounded(value, precision: int, key: str = "output"):
     return value
 
 
-def _render_csv(report: _Report, precision: int) -> str:
-    lines = [f"# {k}={v}" for k, v in report.provenance.items()]
+def _render_csv(provenance: dict, report: _Report, precision: int) -> str:
+    lines = [f"# {k}={v}" for k, v in provenance.items()]
     lines.append(",".join(report.columns))
     for row in report.rows:
         lines.append(",".join(_fmt(v, precision, c) for v, c in zip(row, report.columns)))
     return "\n".join(lines) + "\n"
 
 
-def _render_json(report: _Report, precision: int) -> str:
+def _render_json(provenance: dict, report: _Report, precision: int) -> str:
     body = report.payload
     if body is None:
         body = {"results": [dict(zip(report.columns, row)) for row in report.rows]}
-    doc = {"provenance": report.provenance, **_rounded(body, precision)}
+    doc = {"provenance": provenance, **_rounded(body, precision)}
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def _provenance(command: str, args: argparse.Namespace, keys: list[str]) -> dict:
-    prov = {"command": command}
-    for key in keys:
-        value = getattr(args, key.replace("-", "_"))
-        if isinstance(value, (DiscountSign, IntegralMethod, OdeForm)):
+def _provenance(args: argparse.Namespace) -> dict:
+    """The command, each of its options in declared order, then seed, precision and versions."""
+    prov = {"command": args.command}
+    for flag in _COMMANDS[args.command][2]:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if isinstance(value, Enum):
             value = value.value
-        prov[key] = value
+        elif isinstance(value, list):
+            value = ",".join(repr(v) for v in value)
+        prov[flag[2:]] = value
     prov["seed"] = args.seed
     prov["precision"] = args.precision
     prov["version"] = __version__
@@ -109,12 +115,10 @@ def _cmd_simulate(args) -> _Report:
                          exploratory_drift=args.drift is not None)
     grid = TimeGrid.regular(args.t_end, args.steps)
     paths = simulate_paths(params, grid, args.paths, args.seed)
-    prov = _provenance("simulate", args, ["x0", "rate", "sigma", "drift", "t-end", "steps", "paths"])
     times = grid.times.tolist()
     columns = ["t"] + [f"path_{i}" for i in range(paths.n_paths)]
     rows = [[t] + column for t, column in zip(times, paths.values.T.tolist())]
-    return _Report(provenance=prov, columns=columns, rows=rows,
-                   payload={"t": times, "paths": paths.values.tolist()})
+    return _Report(columns=columns, rows=rows, payload={"t": times, "paths": paths.values.tolist()})
 
 
 def _cmd_hit(args) -> _Report:
@@ -124,34 +128,23 @@ def _cmd_hit(args) -> _Report:
     n_steps = max(1, round(check("t/grid-step", args.t / args.grid_step)))
     grid = TimeGrid.regular(args.t, n_steps)
     freq = hitting_frequency(params, args.level, grid, args.paths, args.seed)
-    prov = _provenance("hit", args, ["x0", "rate", "sigma", "level", "t", "grid-step", "paths"])
-    columns = [
-        "closed_form_probability",
-        "mc_frequency",
-        "n_hits",
-        "n_paths",
-        "standard_error",
-        "abs_difference",
-    ]
-    row = [
-        closed,
-        freq.frequency,
-        freq.n_hits,
-        freq.n_paths,
-        freq.standard_error,
-        abs(freq.frequency - closed),
-    ]
-    return _Report(provenance=prov, columns=columns, rows=[row])
+    return _Report.of([{
+        "closed_form_probability": closed,
+        "mc_frequency": freq.frequency,
+        "n_hits": freq.n_hits,
+        "n_paths": freq.n_paths,
+        "standard_error": freq.standard_error,
+        "abs_difference": abs(freq.frequency - closed),
+    }])
 
 
 def _cmd_spectrum(args) -> _Report:
     ladder = RateSpectrum.build(args.sigma, args.strike, args.n_max)
-    prov = _provenance("spectrum", args, ["sigma", "strike", "n-max"])
     rows = []
     for mode in ladder:
         norm = normalization_constant(mode.rate, mode.sigma, mode.strike)
         rows.append([mode.n, mode.rate, mode.wavenumber, norm.amplitude])
-    return _Report(provenance=prov, columns=["n", "r_n", "wavenumber", "A"], rows=rows)
+    return _Report(columns=["n", "r_n", "wavenumber", "A"], rows=rows)
 
 
 def _cmd_solve(args) -> _Report:
@@ -159,48 +152,34 @@ def _cmd_solve(args) -> _Report:
         roots = characteristic_roots_hedged(args.rate, args.sigma)
     else:
         roots = characteristic_roots_full(args.rate, args.sigma)
-    prov = _provenance("solve", args, ["rate", "sigma", "hedged"])
-    columns = ["case", "root1_re", "root1_im", "root2_re", "root2_im"]
-    row = [
-        roots.case.value,
-        roots.root1.real,
-        roots.root1.imag,
-        roots.root2.real,
-        roots.root2.imag,
-    ]
-    return _Report(provenance=prov, columns=columns, rows=[row])
+    return _Report.of([{
+        "case": roots.case.value,
+        "root1_re": roots.root1.real,
+        "root1_im": roots.root1.imag,
+        "root2_re": roots.root2.real,
+        "root2_im": roots.root2.imag,
+    }])
 
 
 def _cmd_normalize(args) -> _Report:
     result = normalization_constant(args.rate, args.sigma, args.strike, args.method)
-    prov = _provenance("normalize", args, ["rate", "sigma", "strike", "method"])
     columns = ["amplitude", "integral", "method", "estimated_error"]
     row = [result.amplitude, result.integral, result.method.value, result.estimated_error]
-    return _Report(provenance=prov, columns=columns, rows=[row])
+    return _Report(columns=columns, rows=[row])
 
 
 def _cmd_surface(args) -> _Report:
     mode = ModeSpec(n=args.n, sigma=args.sigma, strike=args.strike)
-    if args.amplitude is None:
-        amplitude = normalization_constant(mode.rate, mode.sigma, mode.strike).amplitude
-    else:
-        amplitude = args.amplitude
+    if args.amplitude is None:  # provenance records the amplitude actually used
+        args.amplitude = normalization_constant(mode.rate, mode.sigma, mode.strike).amplitude
     x = np.linspace(0.0, mode.strike, check("x-points", args.x_points, "integer", 1))
     t = np.linspace(0.0, args.t_end, check("t-points", args.t_points, "integer", 1))
-    surf = payoff_surface(mode, amplitude, x, t, args.discount_sign)
-    prov = _provenance(
-        "surface", args, ["n", "sigma", "strike", "x-points", "t-end", "t-points", "discount-sign"]
-    )
-    prov["amplitude"] = amplitude
+    surf = payoff_surface(mode, args.amplitude, x, t, args.discount_sign)
     fmt = f".{args.precision}g"
-    columns = ["x"] + [f"t={format(tv, fmt)}" for tv in surf.t]
-    rows = [[float(xv)] + [float(y) for y in surf.values[i]] for i, xv in enumerate(surf.x)]
-    payload = {
-        "x": [float(v) for v in surf.x],
-        "t": [float(v) for v in surf.t],
-        "values": [[float(y) for y in row] for row in surf.values],
-    }
-    return _Report(provenance=prov, columns=columns, rows=rows, payload=payload)
+    payload = {"x": surf.x.tolist(), "t": surf.t.tolist(), "values": surf.values.tolist()}
+    columns = ["x"] + [f"t={format(tv, fmt)}" for tv in payload["t"]]
+    rows = [[xv] + row for xv, row in zip(payload["x"], payload["values"])]
+    return _Report(columns=columns, rows=rows, payload=payload)
 
 
 def _cmd_drift_check(args) -> _Report:
@@ -210,42 +189,88 @@ def _cmd_drift_check(args) -> _Report:
     else:
         roots = characteristic_roots_full(args.rate, args.sigma)
         profile = general_solution(roots, args.coef1, args.coef2)
-    prov = _provenance(
-        "drift-check",
-        args,
-        ["form", "rate", "sigma", "dt", "samples", "z-threshold", "discount-sign"],
-    )
-    prov["x0"] = ",".join(repr(v) for v in args.x0)
-    prov["t"] = ",".join(repr(v) for v in args.t)
-    if args.form == "sine":
-        prov["amplitude"] = args.amplitude
-    else:
-        prov["coef1"] = args.coef1
-        prov["coef2"] = args.coef2
-    columns = [
-        "x0",
-        "t",
-        "dt",
-        "n_samples",
-        "estimated_drift_rate",
-        "standard_error",
-        "analytic_drift_rate",
-        "z_score",
-        "sign_convention",
-        "degenerate",
-        "classification",
-    ]
-    rows = []
+    records = []
     for x0 in args.x0:
         for t in args.t:
             report = drift_estimate(
                 profile, params, x0, t, args.dt, args.samples, args.seed, args.discount_sign
             )
             verdict = classify(report, args.z_threshold)
-            record = report.to_dict()
-            record["classification"] = verdict.classification.value
-            rows.append([record[c] for c in columns])
-    return _Report(provenance=prov, columns=columns, rows=rows)
+            records.append({**report.to_dict(), "classification": verdict.classification.value})
+    return _Report.of(records)
+
+
+_FLOAT = {"type": float, "required": True}
+_INT = {"type": int, "required": True}
+_SIGN = {"type": DiscountSign, "choices": list(DiscountSign), "default": DiscountSign.PLUS}
+
+# Each subcommand once: (handler, help line, {flag: argparse keywords}). The
+# parser, the dispatch in ``run`` and provenance all read this table, so the
+# options a subcommand takes and the ones its output records cannot drift apart.
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "simulate exact-increment price paths", {
+        "--x0": _FLOAT,
+        "--rate": _FLOAT,
+        "--sigma": _FLOAT,
+        "--drift": {"type": float, "help": "exploratory drift (default: rate)"},
+        "--t-end": _FLOAT,
+        "--steps": _INT,
+        "--paths": _INT,
+    }),
+    "hit": (_cmd_hit, "closed-form vs Monte Carlo first passage", {
+        "--x0": _FLOAT,
+        "--rate": _FLOAT,
+        "--sigma": _FLOAT,
+        "--level": _FLOAT,
+        "--t": _FLOAT,
+        "--grid-step": {"type": float, "default": 1e-3},
+        "--paths": {"type": int, "default": 100_000},
+    }),
+    "spectrum": (_cmd_spectrum, "quantized rate ladder", {
+        "--sigma": _FLOAT,
+        "--strike": _FLOAT,
+        "--n-max": _INT,
+    }),
+    "solve": (_cmd_solve, "characteristic roots, full or hedged", {
+        "--rate": _FLOAT,
+        "--sigma": _FLOAT,
+        "--hedged": {"action": "store_true", "help": "solve the hedged form"},
+    }),
+    "normalize": (_cmd_normalize, "normalization amplitude over [0, K]", {
+        "--rate": _FLOAT,
+        "--sigma": _FLOAT,
+        "--strike": _FLOAT,
+        "--method": {
+            "type": IntegralMethod,
+            "choices": list(IntegralMethod),
+            "default": IntegralMethod.CLOSED_FORM,
+        },
+    }),
+    "surface": (_cmd_surface, "time-weighted mode payoff table", {
+        "--n": _INT,
+        "--sigma": _FLOAT,
+        "--strike": _FLOAT,
+        "--x-points": {"type": int, "default": 21},
+        "--t-end": {"type": float, "default": 1.0},
+        "--t-points": {"type": int, "default": 5},
+        "--amplitude": {"type": float, "help": "default: normalized amplitude"},
+        "--discount-sign": _SIGN,
+    }),
+    "drift-check": (_cmd_drift_check, "one-step drift estimate + verdict", {
+        "--form": {"choices": ["full", "sine"], "default": "full"},
+        "--rate": _FLOAT,
+        "--sigma": _FLOAT,
+        "--x0": {"type": float, "nargs": "+", "required": True, "help": "probe states"},
+        "--t": {"type": float, "nargs": "+", "default": [0.0], "help": "probe times"},
+        "--dt": {"type": float, "default": 1e-3},
+        "--samples": {"type": int, "default": 100_000},
+        "--z-threshold": {"type": float, "default": 3.0},
+        "--amplitude": {"type": float, "default": 1.0, "help": "sine form amplitude"},
+        "--coef1": {"type": float, "default": 0.5, "help": "full form coefficient"},
+        "--coef2": {"type": float, "default": 0.5, "help": "full form coefficient"},
+        "--discount-sign": _SIGN,
+    }),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -264,87 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bachelier-lab", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("simulate", parents=[common], help="simulate exact-increment price paths")
-    p.add_argument("--x0", type=float, required=True)
-    p.add_argument("--rate", type=float, required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--drift", type=float, default=None, help="exploratory drift (default: rate)")
-    p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--paths", type=int, required=True)
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser("hit", parents=[common], help="closed-form vs Monte Carlo first passage")
-    p.add_argument("--x0", type=float, required=True)
-    p.add_argument("--rate", type=float, required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--level", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--grid-step", type=float, default=1e-3)
-    p.add_argument("--paths", type=int, default=100_000)
-    p.set_defaults(handler=_cmd_hit)
-
-    p = sub.add_parser("spectrum", parents=[common], help="quantized rate ladder")
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--strike", type=float, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.set_defaults(handler=_cmd_spectrum)
-
-    p = sub.add_parser("solve", parents=[common], help="characteristic roots, full or hedged")
-    p.add_argument("--rate", type=float, required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--hedged", action="store_true", help="solve the hedged form")
-    p.set_defaults(handler=_cmd_solve)
-
-    p = sub.add_parser("normalize", parents=[common], help="normalization amplitude over [0, K]")
-    p.add_argument("--rate", type=float, required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--strike", type=float, required=True)
-    p.add_argument(
-        "--method",
-        type=IntegralMethod,
-        choices=list(IntegralMethod),
-        default=IntegralMethod.CLOSED_FORM,
-    )
-    p.set_defaults(handler=_cmd_normalize)
-
-    p = sub.add_parser("surface", parents=[common], help="time-weighted mode payoff table")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--strike", type=float, required=True)
-    p.add_argument("--x-points", type=int, default=21)
-    p.add_argument("--t-end", type=float, default=1.0)
-    p.add_argument("--t-points", type=int, default=5)
-    p.add_argument("--amplitude", type=float, default=None, help="default: normalized amplitude")
-    p.add_argument(
-        "--discount-sign",
-        type=DiscountSign,
-        choices=list(DiscountSign),
-        default=DiscountSign.PLUS,
-    )
-    p.set_defaults(handler=_cmd_surface)
-
-    p = sub.add_parser("drift-check", parents=[common], help="one-step drift estimate + verdict")
-    p.add_argument("--form", choices=["full", "sine"], default="full")
-    p.add_argument("--rate", type=float, required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--x0", type=float, nargs="+", required=True, help="probe states")
-    p.add_argument("--t", type=float, nargs="+", default=[0.0], help="probe times")
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--z-threshold", type=float, default=3.0)
-    p.add_argument("--amplitude", type=float, default=1.0, help="sine form amplitude")
-    p.add_argument("--coef1", type=float, default=0.5, help="full form coefficient")
-    p.add_argument("--coef2", type=float, default=0.5, help="full form coefficient")
-    p.add_argument(
-        "--discount-sign",
-        type=DiscountSign,
-        choices=list(DiscountSign),
-        default=DiscountSign.PLUS,
-    )
-    p.set_defaults(handler=_cmd_drift_check)
-
+    for name, (_, help_line, options) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_line)
+        for flag, spec in options.items():
+            p.add_argument(flag, **spec)
     return parser
 
 
@@ -360,9 +308,9 @@ def run(argv=None) -> int:
             if isinstance(value, (float, list)):
                 check(key.replace("_", "-"), value)
         check("precision", args.precision, "integer", 0)
-        report = args.handler(args)
+        report = _COMMANDS[args.command][0](args)
         render = _render_csv if args.format == "csv" else _render_json
-        text = render(report, args.precision)
+        text = render(_provenance(args), report, args.precision)
     except (ValidationError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

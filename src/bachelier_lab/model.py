@@ -156,7 +156,6 @@ class PathSet:
 
     grid: TimeGrid
     values: np.ndarray
-    seed: int
 
     @property
     def n_paths(self) -> int:
@@ -188,6 +187,19 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base):
         yield start, block
 
 
+def _increments(p: ModelParams, grid: TimeGrid):
+    """Per-step scale sigma*sqrt(dt) and the exact drift line x0 + mu*t at times after 0.
+
+    Drift enters through the line rather than a cumulative sum of mu*dt, so
+    sigma = 0 paths are exactly linear. Either leaving the float range is
+    rejected by name.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = check("step scale sigma*sqrt(dt)", p.sigma * np.sqrt(grid.steps))
+        base = check("drift line x0 + mu*t", p.x0 + p.mu * grid.times[1:])
+    return scale, base
+
+
 def simulate_paths(p: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> PathSet:
     """Simulate exact-increment paths of the additive model.
 
@@ -214,12 +226,9 @@ def simulate_paths(p: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> P
     n_paths = check("n_paths", n_paths, "integer", 1)
     values = np.empty((n_paths, grid.n_times))
     values[:, 0] = p.x0
-    # Drift enters through the exact line x0 + mu*t rather than a cumulative
-    # sum of mu*dt, so sigma = 0 paths are exactly linear.
-    base = p.x0 + p.mu * grid.times[1:]
-    for start, block in _gaussian_blocks(seed, n_paths, p.sigma * np.sqrt(grid.steps), base):
+    for start, block in _gaussian_blocks(seed, n_paths, *_increments(p, grid)):
         values[start : start + len(block), 1:] = block
-    return PathSet(grid=grid, values=values, seed=int(seed))
+    return PathSet(grid=grid, values=values)
 
 
 @dataclass(frozen=True)
@@ -283,11 +292,14 @@ def hitting_probability(p: ModelParams, level: float, t: float) -> float:
     sig_sqrt_t = p.sigma * math.sqrt(t)
     # exp * cdf evaluated in log space: the exponential factor alone can
     # overflow for strong drift even though the product is a probability.
+    # When the exponent overflows too, the log sum is inf - inf = NaN.
     term1 = ndtr((-d + drift * t) / sig_sqrt_t)
-    log_term2 = 2.0 * drift * d / (p.sigma * p.sigma) + log_ndtr(
-        (-d - drift * t) / sig_sqrt_t
-    )
-    prob = term1 + math.exp(log_term2)
+    with np.errstate(invalid="ignore"):
+        log_term2 = 2.0 * drift * d / (p.sigma * p.sigma) + log_ndtr(
+            (-d - drift * t) / sig_sqrt_t
+        )
+    term2 = check("first-passage term e^(2*mu*d/sigma^2)*Phi(.)", math.exp(log_term2))
+    prob = term1 + term2
     return min(max(prob, 0.0), 1.0)
 
 
@@ -311,9 +323,8 @@ def hitting_frequency(
     """
     check("level", level)
     n_paths = check("n_paths", n_paths, "integer", 1)
-    base = p.x0 + p.mu * grid.times[1:]
     n_hits = 0
-    for _, block in _gaussian_blocks(seed, n_paths, p.sigma * np.sqrt(grid.steps), base):
+    for _, block in _gaussian_blocks(seed, n_paths, *_increments(p, grid)):
         if p.x0 < level:
             hit = (block >= level).any(axis=1)
         else:

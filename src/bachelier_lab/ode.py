@@ -101,10 +101,12 @@ def characteristic_roots_full(r: float, sigma: float) -> CharacteristicRoots:
     sig2 = 2.0 * a
     if r == 0.0:
         return CharacteristicRoots(RootCase.REPEATED_REAL, 0j, 0j)
-    disc = r * r - 2.0 * sig2 * r
+    disc = check("discriminant r^2 - 2*sigma^2*r", r * r - 2.0 * sig2 * r)
     # The repeated-root boundary r = 2*sigma^2 is a zero of the discriminant;
-    # honor it within a few ulps of the computed value.
-    if abs(disc) <= 8.0 * np.finfo(float).eps * (r * r + 2.0 * sig2 * abs(r)):
+    # honor it within a few ulps of the computed value. The bound is scaled
+    # term by term: r^2 + 2*sigma^2*|r| itself can overflow when disc does not.
+    ulps = 8.0 * np.finfo(float).eps
+    if abs(disc) <= ulps * r * r + ulps * 2.0 * sig2 * abs(r):
         lam = complex(-r / sig2)
         return CharacteristicRoots(RootCase.REPEATED_REAL, lam, lam)
     if 0.0 < r < 2.0 * sig2:
@@ -194,7 +196,6 @@ class DeltaGamma:
 
     delta: float
     gamma: float
-    step: float
 
 
 def delta_gamma(v, x: float, h: float) -> DeltaGamma:
@@ -215,7 +216,6 @@ def delta_gamma(v, x: float, h: float) -> DeltaGamma:
     return DeltaGamma(
         delta=(up - down) / (2.0 * h),
         gamma=(up - 2.0 * mid + down) / (h * h),
-        step=h,
     )
 
 

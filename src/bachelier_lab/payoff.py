@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -11,21 +10,13 @@ import numpy as np
 from .errors import ValidationError, check
 
 __all__ = [
-    "OptionKind",
     "DiscountSign",
     "MoneynessState",
-    "Moneyness",
-    "PayoffSpec",
     "call_payoff",
     "put_payoff",
     "moneyness",
     "discounted_value",
 ]
-
-
-class OptionKind(str, Enum):
-    CALL = "call"
-    PUT = "put"
 
 
 class DiscountSign(str, Enum):
@@ -59,29 +50,6 @@ class MoneynessState(str, Enum):
         }[self]
 
 
-@dataclass(frozen=True)
-class Moneyness:
-    state: MoneynessState
-    tolerance: float
-
-
-@dataclass(frozen=True)
-class PayoffSpec:
-    """Contract terms: strike, option kind, and discounting convention."""
-
-    strike: float
-    kind: OptionKind
-    discount_sign: DiscountSign = DiscountSign.MINUS
-
-    def __post_init__(self):
-        check("strike", self.strike, "positive")
-
-    def payoff(self, x):
-        if self.kind is OptionKind.CALL:
-            return call_payoff(x, self.strike)
-        return put_payoff(x, self.strike)
-
-
 def call_payoff(x, strike: float):
     """Exercise value max(x - strike, 0) of a call."""
     return np.maximum(x - check("strike", strike, "positive"), 0.0)
@@ -92,18 +60,16 @@ def put_payoff(x, strike: float):
     return np.maximum(check("strike", strike, "positive") - x, 0.0)
 
 
-def moneyness(x: float, strike: float, tol: float) -> Moneyness:
+def moneyness(x: float, strike: float, tol: float) -> MoneynessState:
     """Classify a price as above, at, or below the strike within ``tol``."""
     check("x", x)
     check("strike", strike, "positive")
     check("tol", tol, "positive")
     if x > strike + tol:
-        state = MoneynessState.DEEP_IN_THE_MONEY
-    elif x < strike - tol:
-        state = MoneynessState.DEEP_OUT_OF_THE_MONEY
-    else:
-        state = MoneynessState.AT_THE_MONEY
-    return Moneyness(state=state, tolerance=tol)
+        return MoneynessState.DEEP_IN_THE_MONEY
+    if x < strike - tol:
+        return MoneynessState.DEEP_OUT_OF_THE_MONEY
+    return MoneynessState.AT_THE_MONEY
 
 
 def discounted_value(value, r: float, t: float, sign: DiscountSign = DiscountSign.MINUS):

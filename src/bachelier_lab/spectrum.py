@@ -197,9 +197,6 @@ class PayoffSurface:
     x: np.ndarray
     t: np.ndarray
     values: np.ndarray
-    mode: ModeSpec
-    amplitude: float
-    sign: DiscountSign
     outside_domain: np.ndarray
 
 
@@ -225,8 +222,5 @@ def payoff_surface(
         x=x,
         t=t,
         values=profile[:, None] * weight[None, :],
-        mode=mode,
-        amplitude=amplitude,
-        sign=sign,
         outside_domain=(x < 0) | (x > mode.strike),
     )

@@ -79,7 +79,6 @@ class DriftClass(str, Enum):
 @dataclass(frozen=True)
 class MartingaleVerdict:
     classification: DriftClass
-    confidence_multiplier: float
 
 
 def analytic_drift(
@@ -207,7 +206,7 @@ def classify(report: DriftReport, z_threshold: float = 3.0) -> MartingaleVerdict
         cls = DriftClass.SUPERMARTINGALE_STRICT
     else:
         cls = DriftClass.VIOLATES_SUPERMARTINGALE
-    return MartingaleVerdict(classification=cls, confidence_multiplier=z_threshold)
+    return MartingaleVerdict(classification=cls)
 
 
 @dataclass(frozen=True)
@@ -216,8 +215,6 @@ class IntegrabilityWitness:
 
     mean_abs: float
     standard_error: float
-    n_samples: int
-    t: float
     analytic_bound: float | None = None
 
 
@@ -253,7 +250,5 @@ def integrability_check(
     return IntegrabilityWitness(
         mean_abs=float(samples.mean()),
         standard_error=float(samples.std(ddof=1)) / math.sqrt(n_samples),
-        n_samples=n_samples,
-        t=t,
         analytic_bound=bound,
     )

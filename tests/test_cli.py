@@ -1,11 +1,19 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from bachelier_lab import ModelParams, TimeGrid, __version__, quantized_rate, simulate_paths
+from bachelier_lab import (
+    ModelParams,
+    TimeGrid,
+    __version__,
+    normalization_constant,
+    quantized_rate,
+    simulate_paths,
+)
 from bachelier_lab.cli import run
 from bachelier_lab.model import RNG_SCHEME
 
@@ -123,8 +131,14 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
         (["normalize", "--rate", "0.1", "--sigma", "1e-160", "--strike", "1"], "wavenumber"),
         (["solve", "--rate", "1e300", "--sigma", "1e-200"], "diffusion sigma^2/2"),
         (["solve", "--rate", "1", "--sigma", "1e-160"], "characteristic roots"),
+        (["solve", "--rate", "1e300", "--sigma", "1"], "discriminant"),
+        (["hit", "--x0=-0.5", "--rate=1.08e296", "--sigma=0.5", "--level=1.89e16", "--t", "1",
+          "--grid-step", "0.5", "--paths", "2"], "first-passage term"),
+        (["simulate", "--x0", "1", "--rate", "1", "--sigma", "0", "--drift", "1e300",
+          "--t-end", "1e300", "--steps", "1", "--paths", "1"], "drift line"),
         (_HIT + ["--t", "1e300", "--grid-step", "1e-300"], "t/grid-step"),
-        (["drift-check", "--rate", "1e300", "--sigma", "0.2", "--x0", "0.5",
+        # The sine form: the full form stops earlier, at its discriminant.
+        (["drift-check", "--form", "sine", "--rate", "1e300", "--sigma", "0.2", "--x0", "0.5",
           "--samples", "2000"], "time weight"),
         # An infinite threshold would certify any sample as a martingale.
         (_DRIFT + ["--z-threshold", "inf"], "z-threshold"),
@@ -135,7 +149,8 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
          "drift-check-overflow", "solve-rate-nan", "spectrum-sigma-inf", "surface-t-end-nan",
          "surface-amplitude-inf", "surface-weight-overflow", "surface-x-points-zero",
          "normalize-rate-inf", "normalize-wavenumber-overflow", "solve-sigma-underflow",
-         "solve-root-overflow",
+         "solve-root-overflow", "solve-discriminant-overflow", "hit-reflection-term-nan",
+         "simulate-drift-line-overflow",
          "hit-step-count-overflow", "drift-check-rate-overflow", "drift-check-z-threshold-inf",
          "simulate-precision-negative"],
 )
@@ -286,18 +301,44 @@ def test_output_file_matches_stdout(tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == stdout_text
 
 
-def test_provenance_contains_all_regeneration_inputs(capsys):
-    argv = ["hit", "--x0", "0.5", "--rate", "0.1", "--sigma", "0.7", "--level", "1.5",
-            "--t", "2", "--grid-step", "0.05", "--paths", "1500", "--seed", "42"]
-    assert run(argv) == 0
+_PROVENANCE_CASES = {
+    "simulate": (["simulate", "--x0", "1", "--rate", "0.05", "--sigma", "0.3", "--t-end", "1",
+                  "--steps", "4", "--paths", "3"], {"drift": "None", "t-end": "1.0"}),
+    "hit": (["hit", "--x0", "0.5", "--rate", "0.1", "--sigma", "0.7", "--level", "1.5", "--t", "2",
+             "--grid-step", "0.05", "--paths", "1500"],
+            {"x0": "0.5", "rate": "0.1", "sigma": "0.7", "level": "1.5", "t": "2.0",
+             "grid-step": "0.05", "paths": "1500"}),
+    "spectrum": (["spectrum", "--sigma", "0.2", "--strike", "1", "--n-max", "2"], {"n-max": "2"}),
+    "solve": (["solve", "--hedged", "--rate", "0.02", "--sigma", "0.2"], {"hedged": "True"}),
+    "normalize": (["normalize", "--rate", "0.1", "--sigma", "0.2", "--strike", "1"],
+                  {"method": "closed_form"}),
+    # Without --amplitude the surface records the normalized amplitude it used.
+    "surface": (["surface", "--n", "1", "--sigma", "0.2", "--strike", "1", "--x-points", "3"],
+                {"amplitude": str(normalization_constant(R1, 0.2, 1.0).amplitude),
+                 "discount-sign": "plus"}),
+    # The sine form still records the full form's coefficients.
+    "drift-check": (["drift-check", "--form", "sine", "--rate", repr(R1), "--sigma", "0.2",
+                     "--x0", "0.25", "0.5", "--samples", "2000"],
+                    {"x0": "0.25,0.5", "t": "0.0", "amplitude": "1.0", "coef1": "0.5",
+                     "coef2": "0.5"}),
+}
+_COMMON_OPTIONS = {"--seed", "--format", "--out", "--precision"}
+
+
+@pytest.mark.parametrize("command", list(_PROVENANCE_CASES))
+def test_provenance_contains_all_regeneration_inputs(command, capsys):
+    argv, expected = _PROVENANCE_CASES[command]
+    assert run([command, "--help"]) == 0
+    flags = re.findall(r"^  (--[a-z0-9-]+)", capsys.readouterr().out, re.MULTILINE)
+    options = [flag[2:] for flag in flags if flag not in _COMMON_OPTIONS]
+    assert run(argv + ["--seed", "42"]) == 0
     prov = _provenance(capsys.readouterr().out)
-    assert prov["x0"] == "0.5"
-    assert prov["rate"] == "0.1"
-    assert prov["sigma"] == "0.7"
-    assert prov["level"] == "1.5"
-    assert prov["t"] == "2.0"
-    assert prov["grid-step"] == "0.05"
-    assert prov["paths"] == "1500"
+    assert list(prov) == ["command", *options, "seed", "precision", "version", "numpy",
+                          "rng_scheme"]
+    assert prov["command"] == command
     assert prov["seed"] == "42"
     assert prov["numpy"] == np.__version__
     assert prov["rng_scheme"] == RNG_SCHEME
+    assert {key: prov[key] for key in expected} == expected
+    assert run(argv + ["--seed", "42", "--format", "json"]) == 0
+    assert list(json.loads(capsys.readouterr().out)["provenance"]) == list(prov)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -235,6 +236,17 @@ def test_hitting_probability_degenerate_sigma():
     wrong_way = ModelParams(x0=0.0, r=-1.0, sigma=0.0)
     assert hitting_probability(wrong_way, 0.5, 1.0) == 0.0
     assert hitting_probability(wrong_way, -0.5, 1.0) == 1.0
+
+
+def test_hitting_probability_rejects_an_undefined_reflection_term():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # 2*mu*d/sigma^2 overflows to inf and log Phi to -inf: their sum was NaN.
+        p = ModelParams(x0=-0.5, r=1.08e296, sigma=0.5)
+        with pytest.raises(ValidationError, match="first-passage term"):
+            hitting_probability(p, 1.89e16, 1.0)
+        # log Phi alone at -inf is a zero term, not an error.
+        assert hitting_probability(ModelParams(x0=0.0, r=1.0, sigma=1.0), 1e200, 1.0) == 0.0
 
 
 def test_hitting_probability_rejects_start_on_level():

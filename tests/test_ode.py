@@ -77,6 +77,19 @@ def test_roots_reject_a_diffusion_or_root_outside_the_float_range():
             roots(1.0, 1e-170)
     with pytest.raises(ValidationError, match="characteristic roots"):
         characteristic_roots_full(1.0, 1e-160)  # D is subnormal, so -r/sigma^2 is -inf
+    # r*r overflows; the repeated-root test used to read inf <= inf.
+    with pytest.raises(ValidationError, match="discriminant"):
+        characteristic_roots_full(1e300, 1.0)
+
+
+def test_full_roots_near_the_float_range_are_classified():
+    # The discriminant is finite, but r^2 + 2*sigma^2*r overflows; an infinite
+    # repeated-root bound used to report these distinct roots as repeated.
+    r, sigma = 1.3e154, math.sqrt(7.5e152)
+    roots = characteristic_roots_full(r, sigma)
+    assert roots.case is RootCase.DISTINCT_REAL
+    assert roots.root2.real < roots.root1.real < 0
+    assert abs(_poly_full(r, sigma, roots.root1)) <= 1e-12 * r * abs(roots.root1)
 
 
 @pytest.mark.parametrize("r", [-0.4, -0.02, 0.005, 0.02, 0.07, 0.08, 0.18, 1.5])

@@ -4,8 +4,6 @@ import pytest
 from bachelier_lab import (
     DiscountSign,
     MoneynessState,
-    OptionKind,
-    PayoffSpec,
     ValidationError,
     call_payoff,
     discounted_value,
@@ -87,21 +85,21 @@ def test_discount_conventions_are_multiplicative_inverses():
 
 
 def test_moneyness_examples():
-    assert moneyness(101.0, 100.0, 1e-9).state is MoneynessState.DEEP_IN_THE_MONEY
-    assert moneyness(100.0, 100.0, 1e-9).state is MoneynessState.AT_THE_MONEY
-    assert moneyness(99.0, 100.0, 1e-9).state is MoneynessState.DEEP_OUT_OF_THE_MONEY
+    assert moneyness(101.0, 100.0, 1e-9) is MoneynessState.DEEP_IN_THE_MONEY
+    assert moneyness(100.0, 100.0, 1e-9) is MoneynessState.AT_THE_MONEY
+    assert moneyness(99.0, 100.0, 1e-9) is MoneynessState.DEEP_OUT_OF_THE_MONEY
 
 
 def test_moneyness_letters():
-    assert moneyness(101.0, 100.0, 1e-9).state.letter == "a"
-    assert moneyness(100.0, 100.0, 1e-9).state.letter == "b"
-    assert moneyness(99.0, 100.0, 1e-9).state.letter == "c"
+    assert moneyness(101.0, 100.0, 1e-9).letter == "a"
+    assert moneyness(100.0, 100.0, 1e-9).letter == "b"
+    assert moneyness(99.0, 100.0, 1e-9).letter == "c"
 
 
 def test_moneyness_is_monotone_with_tolerance_band():
     strike, tol = 100.0, 0.5
     xs = np.linspace(strike - 2.0, strike + 2.0, 801)
-    states = [moneyness(float(x), strike, tol).state for x in xs]
+    states = [moneyness(float(x), strike, tol) for x in xs]
     # c below, b inside the band (inclusive), a above; no overlaps.
     for x, state in zip(xs, states):
         if x > strike + tol:
@@ -113,20 +111,10 @@ def test_moneyness_is_monotone_with_tolerance_band():
     order = [MoneynessState.DEEP_OUT_OF_THE_MONEY, MoneynessState.AT_THE_MONEY,
              MoneynessState.DEEP_IN_THE_MONEY]
     assert sorted(set(states), key=order.index) == order
-    assert moneyness(strike + tol, strike, tol).state is MoneynessState.AT_THE_MONEY
-    assert moneyness(strike - tol, strike, tol).state is MoneynessState.AT_THE_MONEY
+    assert moneyness(strike + tol, strike, tol) is MoneynessState.AT_THE_MONEY
+    assert moneyness(strike - tol, strike, tol) is MoneynessState.AT_THE_MONEY
 
 
 def test_moneyness_rejects_bad_tolerance():
     with pytest.raises(ValidationError, match="tol"):
         moneyness(100.0, 100.0, 0.0)
-
-
-def test_payoff_spec_dispatch_and_defaults():
-    call = PayoffSpec(strike=100.0, kind=OptionKind.CALL)
-    put = PayoffSpec(strike=100.0, kind=OptionKind.PUT)
-    assert call.discount_sign is DiscountSign.MINUS
-    assert call.payoff(103.0) == 3.0
-    assert put.payoff(97.0) == 3.0
-    with pytest.raises(ValidationError, match="strike"):
-        PayoffSpec(strike=0.0, kind=OptionKind.CALL)
