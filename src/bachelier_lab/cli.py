@@ -164,7 +164,7 @@ def _cmd_solve(args) -> _Report:
 def _cmd_normalize(args) -> _Report:
     result = normalization_constant(args.rate, args.sigma, args.strike, args.method)
     columns = ["amplitude", "integral", "method", "estimated_error"]
-    row = [result.amplitude, result.integral, result.method.value, result.estimated_error]
+    row = [result.amplitude, result.integral, args.method.value, result.estimated_error]
     return _Report(columns=columns, rows=[row])
 
 
@@ -307,12 +307,13 @@ def run(argv=None) -> int:
         for key, value in vars(args).items():
             if isinstance(value, (float, list)):
                 check(key.replace("_", "-"), value)
-        check("precision", args.precision, "integer", 0)
+        if not 0 <= args.precision <= 17:  # float64 round-trips at 17 significant digits
+            raise ValidationError(f"precision must be an integer in [0, 17], got {args.precision}")
         report = _COMMANDS[args.command][0](args)
         render = _render_csv if args.format == "csv" else _render_json
         text = render(_provenance(args), report, args.precision)
-    except (ValidationError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValidationError, ArithmeticError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

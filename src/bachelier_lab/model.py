@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _MAX_SEED = 1 << 64
+_MAX_TIMES = np.iinfo(np.intp).max // 8  # the most float64 values one array can hold
 _BLOCK = 1 << 13  # rows per substream; part of the determinism contract
 RNG_SCHEME = "philox4x64-block8192"  # recorded in CLI provenance; bump when sampled values move
 
@@ -115,6 +116,8 @@ class TimeGrid:
     def regular(cls, t_end: float, n_steps: int) -> "TimeGrid":
         """Uniform grid of ``n_steps`` steps on [0, t_end]."""
         n_steps = check("n_steps", n_steps, "integer", 1)
+        if n_steps >= _MAX_TIMES:
+            raise ValidationError(f"n_steps must be < {_MAX_TIMES}: no float64 array is longer")
         return cls(np.linspace(0.0, float(t_end), n_steps + 1))
 
     @property
@@ -242,6 +245,11 @@ class HittingTime:
         return self.value is not None
 
 
+def _reached(values: np.ndarray, start: float, level: float) -> np.ndarray:
+    """Where ``values`` are at or beyond ``level``: above it from a start below, else below it."""
+    return values >= level if start < level else values <= level
+
+
 def first_hitting_time(path: np.ndarray, grid: TimeGrid, level: float) -> HittingTime:
     """First grid time at which the path is at or beyond ``level``.
 
@@ -256,10 +264,7 @@ def first_hitting_time(path: np.ndarray, grid: TimeGrid, level: float) -> Hittin
         raise ValidationError(
             f"path has {values.size} values but the grid has {grid.n_times} times"
         )
-    if values[0] < level:
-        mask = values >= level
-    else:
-        mask = values <= level
+    mask = _reached(values, values[0], level)
     if not mask.any():
         return HittingTime(value=None)
     return HittingTime(value=float(grid.times[int(np.argmax(mask))]))
@@ -325,10 +330,7 @@ def hitting_frequency(
     n_paths = check("n_paths", n_paths, "integer", 1)
     n_hits = 0
     for _, block in _gaussian_blocks(seed, n_paths, *_increments(p, grid)):
-        if p.x0 < level:
-            hit = (block >= level).any(axis=1)
-        else:
-            hit = (block <= level).any(axis=1) | (p.x0 == level)
+        hit = _reached(block, p.x0, level).any(axis=1) | (p.x0 == level)
         n_hits += int(hit.sum())
     freq = n_hits / n_paths
     se = math.sqrt(freq * (1.0 - freq) / n_paths)

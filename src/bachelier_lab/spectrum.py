@@ -138,7 +138,6 @@ class NormalizationResult:
 
     amplitude: float
     integral: float
-    method: IntegralMethod
     estimated_error: float
 
 
@@ -150,16 +149,14 @@ def normalization_constant(
 ) -> NormalizationResult:
     """Normalization amplitude A = (integral_0^K sin^2(a*x) dx)^(-1/2), a = sqrt(r/D).
 
-    The integral is always computed both ways: in closed form and by
-    adaptive quadrature. ``method`` selects which value is reported; the
-    cross-check discrepancy is returned as the estimated error. The closed
-    form is the antiderivative K/2 - sin(2*a*K)/(4*a), which cancels as
-    u = 2*a*K goes to 0; below u = 1 it is summed instead as
-    (K/2)*(1 - sin(u)/u) = (K/2)*(u^2/3! - u^4/5! + ...). On the rate ladder
-    the sine term vanishes and A = sqrt(2/K) exactly.
+    The integral is computed in closed form: the antiderivative
+    K/2 - sin(2*a*K)/(4*a), which cancels as u = 2*a*K goes to 0; below u = 1
+    it is summed instead as (K/2)*(1 - sin(u)/u) = (K/2)*(u^2/3! - u^4/5! + ...).
+    On the rate ladder the sine term vanishes and A = sqrt(2/K) exactly.
+    ``IntegralMethod.QUADRATURE`` reports adaptive quadrature instead. The
+    estimated error is the reported integral's distance from the closed
+    form: 0 for the closed form itself.
     """
-    from scipy import integrate  # deferred: only this function needs quadrature
-
     check("r", r, "positive")
     check("sigma", sigma, "positive")
     check("strike", strike, "positive")
@@ -173,16 +170,18 @@ def normalization_constant(
         closed = 0.5 * strike * (u * u / 6.0) * series
     else:
         closed = 0.5 * strike - math.sin(2.0 * a * strike) / (4.0 * a)
-    quad_value, _ = integrate.quad(
-        lambda x: math.sin(a * x) ** 2, 0.0, strike, epsabs=1e-10, epsrel=1e-10, limit=400
-    )
-    value = closed if method is IntegralMethod.CLOSED_FORM else quad_value
+    value = closed
+    if method is IntegralMethod.QUADRATURE:
+        from scipy import integrate  # deferred: importing it costs far more than the closed form
+
+        # full_output=1 returns a subdivision-limit notice rather than warning it.
+        value = integrate.quad(lambda x: math.sin(a * x) ** 2, 0.0, strike,
+                               epsabs=1e-10, epsrel=1e-10, limit=400, full_output=1)[0]
     check("normalization integral", value, "positive")
     return NormalizationResult(
         amplitude=value ** -0.5,
         integral=value,
-        method=method,
-        estimated_error=abs(closed - quad_value),
+        estimated_error=abs(value - closed),
     )
 
 

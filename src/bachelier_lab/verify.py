@@ -38,6 +38,7 @@ __all__ = [
 
 _MIN_SAMPLES = 1000
 _MAX_DT = 1e-2
+_H = 1e-3  # central-difference step of the analytic drift
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,12 @@ def analytic_drift(
     x: float,
     t: float,
     sign: DiscountSign = DiscountSign.PLUS,
-    h: float = 1e-3,
 ) -> float:
-    """Ito drift of V(X)e^{sign*r*t} at state x, derivatives by central differences."""
+    """Ito drift of V(X)e^{sign*r*t} at x; derivatives by central differences of step 1e-3."""
     check("r", r)
     check("sigma", sigma, "nonnegative")
     check("t", t, "nonnegative")
-    dg = delta_gamma(v, x, h)
+    dg = delta_gamma(v, x, _H)
     s = sign.factor
     return _time_weight(s, r, t) * (
         s * r * float(v(x)) + r * dg.delta + 0.5 * sigma * sigma * dg.gamma
@@ -110,17 +110,16 @@ def drift_estimate(
     n_samples: int,
     seed: int,
     sign: DiscountSign = DiscountSign.PLUS,
-    h: float = 1e-3,
 ) -> DriftReport:
     """Estimate the conditional drift of Y = V(X)e^{sign*r*t} from state x0.
 
     Draws X(t+dt) = x0 + mu*dt + sigma*sqrt(dt)*Z exactly (Gaussian one-step
     law), averages the per-sample increment of Y divided by dt, and reports
-    the standard error together with the analytic drift and the z-score of
-    their difference. Deterministic for a fixed seed: sample ``i`` comes from
-    the 8192-sample block ``i // 8192``, keyed by substream ``i // 8192`` of
-    ``seed``, so the estimate does not depend on worker count or execution
-    order.
+    the standard error together with the analytic drift (central differences
+    of step 1e-3) and the z-score of their difference. Deterministic for a
+    fixed seed: sample ``i`` comes from the 8192-sample block ``i // 8192``,
+    keyed by substream ``i // 8192`` of ``seed``, so the estimate does not
+    depend on worker count or execution order.
 
     Parameters
     ----------
@@ -143,8 +142,6 @@ def drift_estimate(
         Master seed (64-bit unsigned).
     sign : DiscountSign
         Exponential weight convention for Y.
-    h : float
-        Central-difference step for the analytic drift.
     """
     if check("dt", dt, "positive") > _MAX_DT:
         raise ValidationError(f"dt must be in (0, {_MAX_DT}], got {dt!r}")
@@ -157,7 +154,7 @@ def drift_estimate(
     y_now = float(v(x0)) * _time_weight(s, p.r, t)
     step_mean = x0 + p.mu * dt
     step_scale = p.sigma * math.sqrt(dt)
-    analytic = analytic_drift(v, p.r, p.sigma, x0, t, sign, h)
+    analytic = analytic_drift(v, p.r, p.sigma, x0, t, sign)
 
     if p.sigma == 0.0:
         # Every sample is the same deterministic difference quotient.

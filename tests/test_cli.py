@@ -1,11 +1,16 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bachelier_lab import cli
 from bachelier_lab import (
     ModelParams,
     TimeGrid,
@@ -137,6 +142,8 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
         (["simulate", "--x0", "1", "--rate", "1", "--sigma", "0", "--drift", "1e300",
           "--t-end", "1e300", "--steps", "1", "--paths", "1"], "drift line"),
         (_HIT + ["--t", "1e300", "--grid-step", "1e-300"], "t/grid-step"),
+        # 10^300 steps: a finite count, yet no array can hold the grid.
+        (_HIT + ["--t", "1", "--grid-step", "1e-300"], "n_steps"),
         # The sine form: the full form stops earlier, at its discriminant.
         (["drift-check", "--form", "sine", "--rate", "1e300", "--sigma", "0.2", "--x0", "0.5",
           "--samples", "2000"], "time weight"),
@@ -144,6 +151,7 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
         (_DRIFT + ["--z-threshold", "inf"], "z-threshold"),
         (["simulate", "--x0", "0", "--rate", "0", "--sigma", "1", "--t-end", "1",
           "--steps", "2", "--paths", "2", "--precision", "-3"], "precision"),
+        (["solve", "--rate", "0.02", "--sigma", "0.2", "--precision", "3000000000"], "precision"),
     ],
     ids=["grid-step-zero", "grid-step-negative", "grid-step-nan", "t-nan", "t-inf",
          "drift-check-overflow", "solve-rate-nan", "spectrum-sigma-inf", "surface-t-end-nan",
@@ -151,8 +159,8 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
          "normalize-rate-inf", "normalize-wavenumber-overflow", "solve-sigma-underflow",
          "solve-root-overflow", "solve-discriminant-overflow", "hit-reflection-term-nan",
          "simulate-drift-line-overflow",
-         "hit-step-count-overflow", "drift-check-rate-overflow", "drift-check-z-threshold-inf",
-         "simulate-precision-negative"],
+         "hit-step-count-overflow", "hit-grid-too-long", "drift-check-rate-overflow",
+         "drift-check-z-threshold-inf", "simulate-precision-negative", "solve-precision-too-big"],
 )
 def test_invalid_numeric_inputs_exit_two_with_one_line(argv, field, capsys):
     with warnings.catch_warnings(record=True) as caught:
@@ -163,6 +171,61 @@ def test_invalid_numeric_inputs_exit_two_with_one_line(argv, field, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert field in captured.err
+
+
+@pytest.mark.parametrize("exc,message", [
+    (MemoryError("Unable to allocate 745. GiB for an array"),
+     "Unable to allocate 745. GiB for an array"),
+    (MemoryError(), "out of memory"),
+], ids=["with-message", "bare"])
+def test_memory_error_exits_two_with_one_line(exc, message, monkeypatch, capsys):
+    def exhausted(args):
+        raise exc
+
+    _, help_line, options = cli._COMMANDS["solve"]
+    monkeypatch.setitem(cli._COMMANDS, "solve", (exhausted, help_line, options))
+    assert run(["solve", "--rate", "0.02", "--sigma", "0.2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+_INTEGRATE_PROBE = """
+import contextlib, io, sys
+from bachelier_lab.cli import run
+loaded = []
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(argv.split()) == 0
+    loaded.append("scipy.integrate" in sys.modules)
+print(loaded)
+"""
+
+
+def test_only_quadrature_loads_scipy_integrate():
+    argvs = [
+        "spectrum --sigma 0.2 --strike 1 --n-max 3",
+        "surface --n 1 --sigma 0.2 --strike 1",
+        "normalize --rate 0.1 --sigma 0.2 --strike 1",
+        "normalize --rate 0.1 --sigma 0.2 --strike 1 --method quadrature",
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    probe = subprocess.run([sys.executable, "-c", _INTEGRATE_PROBE, *argvs], env=env,
+                           capture_output=True, text=True, check=True)
+    assert probe.stdout.strip() == "[False, False, False, True]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--sigma", "0.2", "--strike", "1", "--n-max", "1000"],
+    *(["normalize", "--rate", repr(quantized_rate(n, 0.2, 1.0)), "--sigma", "0.2", "--strike", "1",
+       "--method", "quadrature"] for n in (512, 768)),
+], ids=["spectrum-n-max-1000", "quadrature-mode-512", "quadrature-mode-768"])
+def test_exit_zero_emits_no_warning(argv, capsys):
+    # On modes 512 and 768 quad reaches its subdivision limit; the error column reports it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_usage_errors_exit_one(capsys):

@@ -1,10 +1,11 @@
 """Property-based fuzzing of every subcommand through ``cli.run``, in process.
 
-Contract: the exit code is 0, 1 or 2 and no exception escapes; exit 0 prints
-only finite numbers (JSON parses strictly); exit 2 prints nothing on stdout
-and one ``error: `` line on stderr, apart from Python warnings. Each example
-starts from ordinary values and replaces up to three float options by wild
-ones. Counts stay small so that no example allocates large arrays.
+Contract: the exit code is 0, 1 or 2, no exception escapes and no Python
+warning is emitted; exit 0 prints only finite numbers (JSON parses
+strictly); exit 2 prints nothing on stdout and one ``error: `` line on
+stderr. Each example starts from ordinary values and replaces up to three
+float options by wild ones. Counts stay small so that no example allocates
+large arrays.
 """
 
 import contextlib
@@ -78,10 +79,11 @@ def _csv_finite(text):
 
 def _check_contract(argv):
     out, err = io.StringIO(), io.StringIO()
-    # Python warnings, such as numpy's overflow warnings, are recorded apart and not judged here.
-    with warnings.catch_warnings(record=True), contextlib.redirect_stdout(out), \
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
         code = run(argv)
+    assert [str(w.message) for w in caught] == []
     assert code in (0, 1, 2)
     if code == 0:
         if "--format=json" in argv:

@@ -127,7 +127,8 @@ def test_normalization_on_ladder_unit_strike():
     result = normalization_constant(rate, 0.2, 1.0)
     assert result.integral == pytest.approx(0.5, rel=1e-12)
     assert result.amplitude == pytest.approx(math.sqrt(2.0), rel=1e-12)
-    assert result.estimated_error <= 1e-8
+    quad = normalization_constant(rate, 0.2, 1.0, IntegralMethod.QUADRATURE)
+    assert quad.estimated_error <= 1e-8
 
 
 def test_normalization_on_ladder_strike_two():
@@ -150,8 +151,8 @@ def test_normalization_amplitude_is_inverse_sqrt_of_integral():
 def test_normalization_method_selection():
     closed = normalization_constant(0.1, 0.2, 1.0, IntegralMethod.CLOSED_FORM)
     quad = normalization_constant(0.1, 0.2, 1.0, IntegralMethod.QUADRATURE)
-    assert closed.method is IntegralMethod.CLOSED_FORM
-    assert quad.method is IntegralMethod.QUADRATURE
+    assert closed.estimated_error == 0.0
+    assert quad.estimated_error == abs(quad.integral - closed.integral)
     assert closed.integral == pytest.approx(quad.integral, rel=1e-10)
 
 
@@ -161,7 +162,7 @@ def test_normalization_closed_form_and_quadrature_agree_on_random_triples():
         r = rng.uniform(0.01, 1.5)
         sigma = rng.uniform(0.1, 1.0)
         strike = rng.uniform(0.5, 4.0)
-        result = normalization_constant(r, sigma, strike)
+        result = normalization_constant(r, sigma, strike, IntegralMethod.QUADRATURE)
         assert result.estimated_error <= 1e-8 * result.integral
 
 

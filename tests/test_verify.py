@@ -64,7 +64,7 @@ def test_analytic_drift_minus_convention_formula():
     dg = delta_gamma(v, x, h)
     diffusion = 0.5 * 0.2 * 0.2
     expected = math.exp(-R1 * t) * (-R1 * float(v(x)) + R1 * dg.delta + diffusion * dg.gamma)
-    assert analytic_drift(v, R1, 0.2, x, t, DiscountSign.MINUS, h) == expected
+    assert analytic_drift(v, R1, 0.2, x, t, DiscountSign.MINUS) == expected
 
 
 def test_drift_estimate_full_form_is_drift_free():
