@@ -1,17 +1,21 @@
 """Command-line front end: one subcommand per capability, CSV or JSON out.
 
+Each handler returns a column report: named float arrays and short lists,
+and optionally a JSON body of arrays. Each float column is checked for
+finiteness once, then printed through one ``%.{precision}g`` format.
+
 Outputs are deterministic for fixed argv (byte-identical re-runs) and embed
 the inputs needed to regenerate them as provenance: ``# key=value`` comment
 lines ahead of the CSV header, or a ``provenance`` object in JSON.
 
-Exit codes: 0 success, 1 usage error, 2 validation or numeric error.
+Exit codes: 0 success, 1 usage error, 2 validation or numeric error; exit 2
+writes nothing to stdout or to ``--out``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -20,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import NonFiniteSampleError, ValidationError, check
+from .errors import ValidationError, check
 from .model import RNG_SCHEME, ModelParams, TimeGrid, hitting_frequency, hitting_probability, simulate_paths
 from .ode import (
     characteristic_roots_full,
@@ -37,59 +41,59 @@ __all__ = ["run", "main", "build_parser"]
 
 @dataclass
 class _Report:
-    columns: list[str]
-    rows: list[list]
-    payload: dict | None = None  # JSON body; defaults to records built from rows
+    """Named columns in output order, and optionally the JSON body.
+
+    A column is a float array, or a short list of ints, strings, booleans,
+    and floats beside None for an undefined statistic. ``payload`` maps JSON
+    keys to float arrays; without it, JSON holds one record per row.
+    """
+
+    columns: list[tuple[str, np.ndarray | list]]  # not a dict: surface time labels can coincide
+    payload: dict[str, np.ndarray] | None = None
 
     @classmethod
     def of(cls, records: list[dict]) -> "_Report":
-        """One row per record, columns in the records' key order."""
-        return cls(columns=list(records[0]), rows=[list(r.values()) for r in records])
+        """One row per record, in the records' key order; a column of floats becomes an array."""
+        columns = ((key, [r[key] for r in records]) for key in records[0])
+        return cls([(key, np.array(cells) if all(isinstance(v, float) for v in cells) else cells)
+                    for key, cells in columns])
 
 
-def _number(value: float, precision: int, where: str) -> str:
-    """``value`` to ``precision`` significant digits; NaN and infinity are refused."""
-    if not math.isfinite(value):
-        raise NonFiniteSampleError(f"{where} is {value!r}; only finite numbers are printed")
-    return format(value, f".{precision}g")
-
-
-def _fmt(value, precision: int, column: str) -> str:
-    if value is None:  # an undefined statistic, such as the z-score of a degenerate row
-        return ""
+def _text(column: str, value, spec: str) -> str:
+    """One CSV cell of a list column; None, such as a degenerate row's z-score, is empty."""
+    if isinstance(value, float):
+        return spec % check(column, value)
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, float):
-        return _number(value, precision, column)
-    return str(value)
+    return "" if value is None else str(value)
 
 
-def _rounded(value, precision: int, key: str = "output"):
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, float):
-        return float(_number(value, precision, key))
-    if isinstance(value, (list, tuple)):
-        return [_rounded(v, precision, key) for v in value]
-    if isinstance(value, dict):
-        return {k: _rounded(v, precision, k) for k, v in value.items()}
-    return value
-
-
-def _render_csv(provenance: dict, report: _Report, precision: int) -> str:
+def _render_csv(provenance: dict, report: _Report, spec: str) -> str:
+    """Each float array checked once, then every row through one printf format."""
+    row = ",".join(spec if isinstance(c, np.ndarray) else "%s" for _, c in report.columns)
+    cells = [check(name, c) if isinstance(c, np.ndarray) else [_text(name, v, spec) for v in c]
+             for name, c in report.columns]
     lines = [f"# {k}={v}" for k, v in provenance.items()]
-    lines.append(",".join(report.columns))
-    for row in report.rows:
-        lines.append(",".join(_fmt(v, precision, c) for v, c in zip(row, report.columns)))
+    lines.append(",".join(name for name, _ in report.columns))
+    lines.extend(row % values for values in zip(*cells))
     return "\n".join(lines) + "\n"
 
 
-def _render_json(provenance: dict, report: _Report, precision: int) -> str:
-    body = report.payload
-    if body is None:
-        body = {"results": [dict(zip(report.columns, row)) for row in report.rows]}
-    doc = {"provenance": provenance, **_rounded(body, precision)}
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+def _json(key: str, value, spec: str) -> list:
+    """A float array rounded to ``spec`` once, flat, as nested lists; a list's floats one by one."""
+    if isinstance(value, np.ndarray):
+        flat = [float(spec % v) for v in check(key, value).ravel().tolist()]
+        return np.reshape(flat, value.shape).tolist()
+    return [float(spec % check(key, v)) if isinstance(v, float) else v for v in value]
+
+
+def _render_json(provenance: dict, report: _Report, spec: str) -> str:
+    if report.payload is None:
+        columns = {name: _json(name, column, spec) for name, column in report.columns}
+        body = {"results": [dict(zip(columns, row)) for row in zip(*columns.values())]}
+    else:
+        body = {key: _json(key, value, spec) for key, value in report.payload.items()}
+    return json.dumps({"provenance": provenance, **body}, indent=2, allow_nan=False) + "\n"
 
 
 def _provenance(args: argparse.Namespace) -> dict:
@@ -115,10 +119,8 @@ def _cmd_simulate(args) -> _Report:
                          exploratory_drift=args.drift is not None)
     grid = TimeGrid.regular(args.t_end, args.steps)
     paths = simulate_paths(params, grid, args.paths, args.seed)
-    times = grid.times.tolist()
-    columns = ["t"] + [f"path_{i}" for i in range(paths.n_paths)]
-    rows = [[t] + column for t, column in zip(times, paths.values.T.tolist())]
-    return _Report(columns=columns, rows=rows, payload={"t": times, "paths": paths.values.tolist()})
+    columns = [("t", grid.times), *((f"path_{i}", path) for i, path in enumerate(paths.values))]
+    return _Report(columns, payload={"t": grid.times, "paths": paths.values})
 
 
 def _cmd_hit(args) -> _Report:
@@ -139,12 +141,11 @@ def _cmd_hit(args) -> _Report:
 
 
 def _cmd_spectrum(args) -> _Report:
-    ladder = RateSpectrum.build(args.sigma, args.strike, args.n_max)
-    rows = []
-    for mode in ladder:
-        norm = normalization_constant(mode.rate, mode.sigma, mode.strike)
-        rows.append([mode.n, mode.rate, mode.wavenumber, norm.amplitude])
-    return _Report(columns=["n", "r_n", "wavenumber", "A"], rows=rows)
+    return _Report.of([
+        {"n": mode.n, "r_n": mode.rate, "wavenumber": mode.wavenumber,
+         "A": normalization_constant(mode.rate, mode.sigma, mode.strike).amplitude}
+        for mode in RateSpectrum.build(args.sigma, args.strike, args.n_max)
+    ])
 
 
 def _cmd_solve(args) -> _Report:
@@ -163,23 +164,20 @@ def _cmd_solve(args) -> _Report:
 
 def _cmd_normalize(args) -> _Report:
     result = normalization_constant(args.rate, args.sigma, args.strike, args.method)
-    columns = ["amplitude", "integral", "method", "estimated_error"]
-    row = [result.amplitude, result.integral, args.method.value, result.estimated_error]
-    return _Report(columns=columns, rows=[row])
+    return _Report.of([{"amplitude": result.amplitude, "integral": result.integral,
+                        "method": args.method.value, "estimated_error": result.estimated_error}])
 
 
 def _cmd_surface(args) -> _Report:
     mode = ModeSpec(n=args.n, sigma=args.sigma, strike=args.strike)
     if args.amplitude is None:  # provenance records the amplitude actually used
         args.amplitude = normalization_constant(mode.rate, mode.sigma, mode.strike).amplitude
-    x = np.linspace(0.0, mode.strike, check("x-points", args.x_points, "integer", 1))
-    t = np.linspace(0.0, args.t_end, check("t-points", args.t_points, "integer", 1))
+    x = np.linspace(0.0, mode.strike, check("x-points", args.x_points, "count", 1))
+    t = np.linspace(0.0, args.t_end, check("t-points", args.t_points, "count", 1))
     surf = payoff_surface(mode, args.amplitude, x, t, args.discount_sign)
-    fmt = f".{args.precision}g"
-    payload = {"x": surf.x.tolist(), "t": surf.t.tolist(), "values": surf.values.tolist()}
-    columns = ["x"] + [f"t={format(tv, fmt)}" for tv in payload["t"]]
-    rows = [[xv] + row for xv, row in zip(payload["x"], payload["values"])]
-    return _Report(columns=columns, rows=rows, payload=payload)
+    spec = f"%.{args.precision}g"  # the time labels print as the cells do
+    columns = [("x", surf.x), *zip((f"t={spec % tv}" for tv in surf.t.tolist()), surf.values.T)]
+    return _Report(columns, payload={"x": surf.x, "t": surf.t, "values": surf.values})
 
 
 def _cmd_drift_check(args) -> _Report:
@@ -311,7 +309,7 @@ def run(argv=None) -> int:
             raise ValidationError(f"precision must be an integer in [0, 17], got {args.precision}")
         report = _COMMANDS[args.command][0](args)
         render = _render_csv if args.format == "csv" else _render_json
-        text = render(_provenance(args), report, args.precision)
+        text = render(_provenance(args), report, f"%.{args.precision}g")
     except (ValidationError, ArithmeticError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2

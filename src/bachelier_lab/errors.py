@@ -13,6 +13,7 @@ class NonFiniteSampleError(ArithmeticError):
     """A Monte Carlo sample produced NaN or infinity; the message locates it."""
 
 
+MAX_COUNT = np.iinfo(np.intp).max // 8  # the most float64 values one array can hold
 _DOMAINS = {
     "finite": ("finite", lambda v: True),
     "positive": ("finite and > 0", lambda v: v > 0),
@@ -25,15 +26,19 @@ def check(name: str, value, domain: str = "finite", least: int = 0):
 
     Domains: ``"finite"``, ``"positive"`` (finite and > 0), ``"nonnegative"``
     (finite and >= 0), elementwise for arrays, with complex values allowed
-    under ``"finite"``; and ``"integer"``, an integer >= ``least``, returned
-    as an ``int`` (an integral float such as 4.0 is accepted).
+    under ``"finite"``; ``"integer"``, an integer >= ``least``, returned
+    as an ``int`` (an integral float such as 4.0 is accepted); and
+    ``"count"``, an integer that sizes an array or a loop, so also below
+    ``MAX_COUNT``.
     """
-    if domain == "integer":
+    if domain in ("integer", "count"):
         integral = isinstance(value, numbers.Integral) or (
             isinstance(value, float) and value.is_integer())
-        if integral and value >= least:
-            return int(value)
-        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not (integral and value >= least):
+            raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+        if domain == "count" and value >= MAX_COUNT:
+            raise ValidationError(f"{name} must be < {MAX_COUNT}: no float64 array is longer")
+        return int(value)
     want, inside = _DOMAINS[domain]
     v = np.asarray(value)
     good = np.isfinite(v) & inside(v)

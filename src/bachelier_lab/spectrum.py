@@ -93,7 +93,7 @@ class RateSpectrum:
 
     @classmethod
     def build(cls, sigma: float, strike: float, n_max: int) -> "RateSpectrum":
-        n_max = check("n_max", n_max, "integer", 1)
+        n_max = check("n_max", n_max, "count", 1)
         modes = tuple(ModeSpec(n=n, sigma=sigma, strike=strike) for n in range(1, n_max + 1))
         return cls(sigma=sigma, strike=strike, modes=modes)
 

@@ -145,7 +145,7 @@ def drift_estimate(
     """
     if check("dt", dt, "positive") > _MAX_DT:
         raise ValidationError(f"dt must be in (0, {_MAX_DT}], got {dt!r}")
-    n_samples = check("n_samples", n_samples, "integer", _MIN_SAMPLES)
+    n_samples = check("n_samples", n_samples, "count", _MIN_SAMPLES)
     check("x0", x0)
     check("t", t, "nonnegative")
 
@@ -228,7 +228,7 @@ def integrability_check(
     For a bounded sine profile the analytic bound |A|*e^{|r|t} is attached
     as well; it holds for every t regardless of the sample.
     """
-    n_samples = check("n_samples", n_samples, "integer", _MIN_SAMPLES)
+    n_samples = check("n_samples", n_samples, "count", _MIN_SAMPLES)
     law = exact_marginal(p, t)
     weight = _time_weight(sign.factor, p.r, t)
     samples = np.empty(n_samples)

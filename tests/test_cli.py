@@ -13,9 +13,11 @@ import pytest
 from bachelier_lab import cli
 from bachelier_lab import (
     ModelParams,
+    ModeSpec,
     TimeGrid,
     __version__,
     normalization_constant,
+    payoff_surface,
     quantized_rate,
     simulate_paths,
 )
@@ -152,6 +154,14 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
         (["simulate", "--x0", "0", "--rate", "0", "--sigma", "1", "--t-end", "1",
           "--steps", "2", "--paths", "2", "--precision", "-3"], "precision"),
         (["solve", "--rate", "0.02", "--sigma", "0.2", "--precision", "3000000000"], "precision"),
+        # Finite counts past the largest float64 array: refused before any allocation or loop.
+        (["simulate", "--x0", "1", "--rate", "0.05", "--sigma", "0.2", "--t-end", "1",
+          "--steps", "1", "--paths", "2000000000000000000"], "n_paths"),
+        (_SURFACE + ["--x-points", "2000000000000000000"], "x-points"),
+        (["drift-check", "--rate", "0.05", "--sigma", "0.2", "--x0", "0.1",
+          "--samples", "2000000000000000000"], "n_samples"),
+        (["hit", "--x0", "0", "--rate", "0", "--sigma", "1", "--level", "1", "--t", "1",
+          "--grid-step", "0.5", "--paths", "2000000000000000000"], "n_paths"),
     ],
     ids=["grid-step-zero", "grid-step-negative", "grid-step-nan", "t-nan", "t-inf",
          "drift-check-overflow", "solve-rate-nan", "spectrum-sigma-inf", "surface-t-end-nan",
@@ -160,7 +170,9 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
          "solve-root-overflow", "solve-discriminant-overflow", "hit-reflection-term-nan",
          "simulate-drift-line-overflow",
          "hit-step-count-overflow", "hit-grid-too-long", "drift-check-rate-overflow",
-         "drift-check-z-threshold-inf", "simulate-precision-negative", "solve-precision-too-big"],
+         "drift-check-z-threshold-inf", "simulate-precision-negative", "solve-precision-too-big",
+         "simulate-paths-too-many", "surface-x-points-too-many", "drift-check-samples-too-many",
+         "hit-paths-too-many"],
 )
 def test_invalid_numeric_inputs_exit_two_with_one_line(argv, field, capsys):
     with warnings.catch_warnings(record=True) as caught:
@@ -190,29 +202,111 @@ def test_memory_error_exits_two_with_one_line(exc, message, monkeypatch, capsys)
     assert captured.err == f"error: {message}\n"
 
 
-_INTEGRATE_PROBE = """
-import contextlib, io, sys
+_PATHS = np.array([[1.0, 2.0], [1.0, math.inf]])
+_NON_FINITE_REPORTS = {
+    "column": cli._Report([("n", [1, 2]), ("rate", np.array([0.5, math.nan]))]),
+    # The simulate layout: CSV prints the columns, JSON the payload of the same arrays.
+    "payload": cli._Report([("t", np.array([0.0, 1.0])), *zip(["path_0", "path_1"], _PATHS)],
+                           payload={"t": np.array([0.0, 1.0]), "paths": _PATHS}),
+}
+
+
+@pytest.mark.parametrize("case,fmt,name", [
+    ("column", "csv", "rate"), ("column", "json", "rate"),
+    ("payload", "csv", "path_1"), ("payload", "json", "paths"),
+])
+def test_non_finite_report_exits_two_and_writes_nothing(case, fmt, name, monkeypatch, capsys,
+                                                        tmp_path):
+    _, help_line, options = cli._COMMANDS["solve"]
+    monkeypatch.setitem(cli._COMMANDS, "solve",
+                        (lambda args: _NON_FINITE_REPORTS[case], help_line, options))
+    existing, missing = tmp_path / "existing.out", tmp_path / "missing.out"
+    existing.write_bytes(b"earlier output\n")
+    argv = ["solve", "--rate", "0.02", "--sigma", "0.2", "--format", fmt]
+    for out in ([], ["--out", str(existing)], ["--out", str(missing)]):
+        assert run(argv + out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {name} ") and captured.err.count("\n") == 1
+    assert existing.read_bytes() == b"earlier output\n"
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("precision", [0, 4, 16, 17])
+def test_printed_numbers_are_library_values_at_the_precision(precision, capsys):
+    # The reference is format() of the library's own arrays, not the renderer's code.
+    def text(v):
+        return format(v, f".{precision}g")
+
+    def number(v):
+        return float(text(v))
+
+    digits = ["--precision", str(precision)]
+    grid = TimeGrid.regular(1.0, 4)
+    paths = simulate_paths(ModelParams(x0=1.0, r=0.05, sigma=0.3), grid, 3, seed=42).values
+    argv = ["simulate", "--x0", "1", "--rate", "0.05", "--sigma", "0.3", "--t-end", "1",
+            "--steps", "4", "--paths", "3", "--seed", "42"] + digits
+    assert run(argv) == 0
+    _, rows = _csv_rows(capsys.readouterr().out)
+    assert rows == [[text(t), *map(text, col)] for t, col in zip(grid.times.tolist(),
+                                                               paths.T.tolist())]
+    assert run(argv + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["t"] == [number(t) for t in grid.times.tolist()]
+    assert doc["paths"] == [[number(v) for v in path] for path in paths.tolist()]
+
+    mode = ModeSpec(n=2, sigma=0.2, strike=1.0)
+    amplitude = normalization_constant(mode.rate, 0.2, 1.0).amplitude
+    surf = payoff_surface(mode, amplitude, np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 3))
+    argv = ["surface", "--n", "2", "--sigma", "0.2", "--strike", "1", "--x-points", "7",
+            "--t-points", "3"] + digits
+    assert run(argv) == 0
+    header, rows = _csv_rows(capsys.readouterr().out)
+    assert header == ["x", *(f"t={text(t)}" for t in surf.t.tolist())]
+    assert rows == [[text(x), *map(text, row)] for x, row in zip(surf.x.tolist(),
+                                                               surf.values.tolist())]
+    assert run(argv + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["x"] == [number(x) for x in surf.x.tolist()]
+    assert doc["t"] == [number(t) for t in surf.t.tolist()]
+    assert doc["values"] == [[number(v) for v in row] for row in surf.values.tolist()]
+
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import bachelier_lab
 from bachelier_lab.cli import run
-loaded = []
+def scipy_loaded():
+    return sorted(m for m in ("scipy", "scipy.special", "scipy.integrate") if m in sys.modules)
+loaded = [scipy_loaded()]
 for argv in sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert run(argv.split()) == 0
-    loaded.append("scipy.integrate" in sys.modules)
-print(loaded)
+    loaded.append(scipy_loaded())
+print(json.dumps(loaded))
 """
 
 
-def test_only_quadrature_loads_scipy_integrate():
+def test_scipy_loads_only_for_hit_and_quadrature():
+    # scipy.special is the slowest import of the package; only the hit oracle needs it.
     argvs = [
+        "solve --rate 0.02 --sigma 0.2",
         "spectrum --sigma 0.2 --strike 1 --n-max 3",
         "surface --n 1 --sigma 0.2 --strike 1",
+        "simulate --x0 1 --rate 0.05 --sigma 0.3 --t-end 1 --steps 4 --paths 3",
+        "drift-check --rate 0.02 --sigma 0.2 --x0 0.5 --samples 2000",
         "normalize --rate 0.1 --sigma 0.2 --strike 1",
+        "hit --x0 0 --rate 0 --sigma 1 --level 1 --t 1 --grid-step 0.1 --paths 100",
         "normalize --rate 0.1 --sigma 0.2 --strike 1 --method quadrature",
     ]
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    probe = subprocess.run([sys.executable, "-c", _INTEGRATE_PROBE, *argvs], env=env,
+    probe = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argvs], env=env,
                            capture_output=True, text=True, check=True)
-    assert probe.stdout.strip() == "[False, False, False, True]"
+    # After the import, then after each argv in turn; modules stay loaded once imported.
+    assert json.loads(probe.stdout) == [[]] * 7 + [
+        ["scipy", "scipy.special"],
+        ["scipy", "scipy.integrate", "scipy.special"],
+    ]
 
 
 @pytest.mark.parametrize("argv", [

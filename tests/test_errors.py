@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bachelier_lab.errors import ValidationError, check
+from bachelier_lab.errors import MAX_COUNT, ValidationError, check
 
 
 @pytest.mark.parametrize(
@@ -20,10 +20,16 @@ def test_check_returns_values_inside_the_domain(value, domain, least):
     assert check("x", value, domain, least) is value
 
 
-@pytest.mark.parametrize("value,least", [(3, 3), (np.int64(0), 0), (4.0, 1), (np.float64(2.0), 2)])
+@pytest.mark.parametrize("value,least", [(3, 3), (np.int64(0), 0), (4.0, 1), (np.float64(2.0), 2),
+                                         (MAX_COUNT - 1, 1)])
 def test_check_returns_integral_counts_as_int(value, least):
-    got = check("x", value, "integer", least)
-    assert type(got) is int and got == value
+    for domain in ("integer", "count"):
+        got = check("x", value, domain, least)
+        assert type(got) is int and got == value
+
+
+def test_only_counts_have_a_ceiling():
+    assert check("n", MAX_COUNT, "integer") == MAX_COUNT  # mode indices keep their domain
 
 
 @pytest.mark.parametrize(
@@ -40,6 +46,9 @@ def test_check_returns_integral_counts_as_int(value, least):
         (math.nan, "integer", 0, "got nan"),
         ("3", "integer", 0, "got '3'"),
         (0, "integer", 1, "must be an integer >= 1, got 0"),
+        (0, "count", 1, "must be an integer >= 1, got 0"),
+        (MAX_COUNT, "count", 1, f"must be < {MAX_COUNT}"),
+        (2e18, "count", 1, f"must be < {MAX_COUNT}"),
     ],
 )
 def test_check_names_the_field_and_the_domain(value, domain, least, shown):
