@@ -8,8 +8,9 @@ Outputs are deterministic for fixed argv (byte-identical re-runs) and embed
 the inputs needed to regenerate them as provenance: ``# key=value`` comment
 lines ahead of the CSV header, or a ``provenance`` object in JSON.
 
-Exit codes: 0 success, 1 usage error, 2 validation or numeric error; exit 2
-writes nothing to stdout or to ``--out``.
+Exit codes: 0 success, 1 usage error, 2 validation or numeric error, or an
+``--out`` that cannot be written. Exit 2 writes nothing to stdout, and a
+failed check writes nothing to ``--out``.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from .ode import (
 from .payoff import DiscountSign
 from .spectrum import IntegralMethod, ModeSpec, RateSpectrum, normalization_constant, payoff_surface
 from .verify import classify, drift_estimate
-
-__all__ = ["run", "main", "build_parser"]
 
 
 @dataclass
@@ -314,7 +313,11 @@ def run(argv=None) -> int:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

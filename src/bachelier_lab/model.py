@@ -15,20 +15,6 @@ import numpy as np
 
 from .errors import ValidationError, check
 
-__all__ = [
-    "ModelParams",
-    "TimeGrid",
-    "PathSet",
-    "GaussianLaw",
-    "HittingTime",
-    "HitFrequency",
-    "SeedStreams",
-    "exact_marginal",
-    "simulate_paths",
-    "first_hitting_time",
-    "hitting_probability",
-    "hitting_frequency",
-]
 
 _MAX_SEED = 1 << 64
 _BLOCK = 1 << 13  # rows per substream; part of the determinism contract
@@ -122,10 +108,6 @@ class TimeGrid:
     @property
     def steps(self) -> np.ndarray:
         return np.diff(self.times)
-
-    @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
 
 
 class SeedStreams:
@@ -222,6 +204,7 @@ def simulate_paths(p: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> P
     PathSet
     """
     n_paths = check("n_paths", n_paths, "count", 1)
+    check("n_paths * n_times", n_paths * grid.n_times, "count")  # the array's size, not each axis
     values = np.empty((n_paths, grid.n_times))
     values[:, 0] = p.x0
     for start, block in _gaussian_blocks(seed, n_paths, *_increments(p, grid)):

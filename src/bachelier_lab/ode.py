@@ -21,22 +21,6 @@ import numpy as np
 
 from .errors import ValidationError, check
 
-__all__ = [
-    "OdeForm",
-    "OdeProblem",
-    "RootCase",
-    "CharacteristicRoots",
-    "SineSolution",
-    "ExponentialSolution",
-    "DeltaGamma",
-    "characteristic_roots_full",
-    "characteristic_roots_hedged",
-    "sine_solution",
-    "general_solution",
-    "delta_gamma",
-    "residual",
-]
-
 
 class OdeForm(str, Enum):
     FULL = "full"

@@ -9,15 +9,6 @@ import numpy as np
 
 from .errors import ValidationError, check
 
-__all__ = [
-    "DiscountSign",
-    "MoneynessState",
-    "call_payoff",
-    "put_payoff",
-    "moneyness",
-    "discounted_value",
-]
-
 
 class DiscountSign(str, Enum):
     """Sign of the rate in the exponential weight e^{sign * r * t}.

@@ -21,21 +21,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import check
-from .ode import SineSolution, _wavenumber, sine_solution
+from .ode import _wavenumber
 from .payoff import DiscountSign
-
-__all__ = [
-    "ModeSpec",
-    "RateSpectrum",
-    "IntegralMethod",
-    "NormalizationResult",
-    "PayoffSurface",
-    "quantized_rate",
-    "mode_index",
-    "boundary_residual",
-    "normalization_constant",
-    "payoff_surface",
-]
 
 
 def quantized_rate(n: int, sigma: float, strike: float) -> float:
@@ -67,10 +54,6 @@ class ModeSpec:
         check("strike", self.strike, "positive")
 
     @property
-    def diffusion(self) -> float:
-        return 0.5 * self.sigma * self.sigma
-
-    @property
     def rate(self) -> float:
         return quantized_rate(self.n, self.sigma, self.strike)
 
@@ -78,30 +61,21 @@ class ModeSpec:
     def wavenumber(self) -> float:
         return self.n * math.pi / self.strike
 
-    def solution(self, amplitude: float) -> SineSolution:
-        """Mode profile amplitude*sin(sqrt(r_n/D)*x) as an ODE evaluator."""
-        return sine_solution(amplitude, self.rate, self.sigma)
-
 
 @dataclass(frozen=True)
 class RateSpectrum:
     """Modes n = 1..n_max for fixed volatility and strike."""
 
-    sigma: float
-    strike: float
     modes: tuple[ModeSpec, ...]
 
     @classmethod
     def build(cls, sigma: float, strike: float, n_max: int) -> "RateSpectrum":
         n_max = check("n_max", n_max, "count", 1)
         modes = tuple(ModeSpec(n=n, sigma=sigma, strike=strike) for n in range(1, n_max + 1))
-        return cls(sigma=sigma, strike=strike, modes=modes)
+        return cls(modes=modes)
 
     def __iter__(self):
         return iter(self.modes)
-
-    def __len__(self):
-        return len(self.modes)
 
 
 def mode_index(r: float, sigma: float, strike: float, rel_tol: float) -> tuple[int, bool]:
@@ -189,14 +163,13 @@ def normalization_constant(
 class PayoffSurface:
     """Tabulated Y(x, t) = amplitude*sin(a_n*x)*e^{sign*r_n*t} on a grid.
 
-    ``values[i, j]`` holds Y(x[i], t[j]). ``outside_domain`` marks x points
-    beyond [0, K], where the profile is defined but not normalized.
+    ``values[i, j]`` holds Y(x[i], t[j]). Points beyond [0, K] are
+    tabulated too: the profile is defined there but not normalized.
     """
 
     x: np.ndarray
     t: np.ndarray
     values: np.ndarray
-    outside_domain: np.ndarray
 
 
 def payoff_surface(
@@ -217,9 +190,4 @@ def payoff_surface(
     profile = amplitude * np.sin(mode.wavenumber * x)
     with np.errstate(over="ignore"):
         weight = check("time weight e^{sign*r_n*t}", np.exp(sign.factor * mode.rate * t))
-    return PayoffSurface(
-        x=x,
-        t=t,
-        values=profile[:, None] * weight[None, :],
-        outside_domain=(x < 0) | (x > mode.strike),
-    )
+    return PayoffSurface(x=x, t=t, values=profile[:, None] * weight[None, :])

@@ -15,7 +15,7 @@ z threshold. Nothing here asserts which holds; it measures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -25,16 +25,6 @@ from .model import ModelParams, _gaussian_blocks, exact_marginal
 from .ode import SineSolution, delta_gamma
 from .payoff import DiscountSign, _time_weight
 
-__all__ = [
-    "DriftReport",
-    "DriftClass",
-    "MartingaleVerdict",
-    "IntegrabilityWitness",
-    "analytic_drift",
-    "drift_estimate",
-    "classify",
-    "integrability_check",
-]
 
 _MIN_SAMPLES = 1000
 _MAX_DT = 1e-2
@@ -57,18 +47,9 @@ class DriftReport:
     degenerate: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "x0": self.x0,
-            "t": self.t,
-            "dt": self.dt,
-            "n_samples": self.n_samples,
-            "estimated_drift_rate": self.estimated_drift_rate,
-            "standard_error": self.standard_error,
-            "analytic_drift_rate": self.analytic_drift_rate,
-            "z_score": None if self.degenerate else self.z_score,  # undefined at se = 0
-            "sign_convention": self.sign_convention.value,
-            "degenerate": self.degenerate,
-        }
+        """The fields in declared order; the z-score is None where it is undefined (se = 0)."""
+        return {**asdict(self), "z_score": None if self.degenerate else self.z_score,
+                "sign_convention": self.sign_convention.value}
 
 
 class DriftClass(str, Enum):

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from bachelier_lab import cli
 from bachelier_lab import (
+    DriftReport,
     ModelParams,
     ModeSpec,
     TimeGrid,
@@ -162,6 +164,9 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
           "--samples", "2000000000000000000"], "n_samples"),
         (["hit", "--x0", "0", "--rate", "0", "--sigma", "1", "--level", "1", "--t", "1",
           "--grid-step", "0.5", "--paths", "2000000000000000000"], "n_paths"),
+        # Each count passes its own bound, but their product is past the largest array.
+        (["simulate", "--x0", "1", "--rate", "0.05", "--sigma", "0.2", "--t-end", "1",
+          "--steps", "1", "--paths", "1000000000000000000"], "n_paths * n_times"),
     ],
     ids=["grid-step-zero", "grid-step-negative", "grid-step-nan", "t-nan", "t-inf",
          "drift-check-overflow", "solve-rate-nan", "spectrum-sigma-inf", "surface-t-end-nan",
@@ -172,7 +177,7 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
          "hit-step-count-overflow", "hit-grid-too-long", "drift-check-rate-overflow",
          "drift-check-z-threshold-inf", "simulate-precision-negative", "solve-precision-too-big",
          "simulate-paths-too-many", "surface-x-points-too-many", "drift-check-samples-too-many",
-         "hit-paths-too-many"],
+         "hit-paths-too-many", "simulate-paths-times-steps-too-many"],
 )
 def test_invalid_numeric_inputs_exit_two_with_one_line(argv, field, capsys):
     with warnings.catch_warnings(record=True) as caught:
@@ -374,6 +379,18 @@ def test_degenerate_drift_row_has_no_z_score(capsys):
     assert rows[0][header.index("z_score")] == ""
 
 
+def test_drift_check_columns_are_the_report_fields(capsys):
+    columns = [f.name for f in fields(DriftReport)] + ["classification"]
+    argv = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.25", "0.5",
+            "--samples", "2000"]
+    assert run(argv) == 0
+    header, _ = _csv_rows(capsys.readouterr().out)
+    assert header == columns
+    assert run(argv + ["--format", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)["results"]
+    assert len(records) == 2 and all(list(record) == columns for record in records)
+
+
 def test_hit_report_fields(capsys):
     code = run([
         "hit", "--x0", "0", "--rate", "0", "--sigma", "1", "--level", "1",
@@ -447,6 +464,16 @@ def test_reruns_are_byte_identical(tmp_path, argv, fmt):
     assert run(argv + ["--format", fmt, "--out", str(out1)]) == 0
     assert run(argv + ["--format", fmt, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("target", ["missing-dir/x.csv", "."], ids=["missing-parent", "directory"])
+def test_unwritable_out_exits_two_with_one_line(tmp_path, target, capsys):
+    out = tmp_path / target
+    assert run(["solve", "--rate", "0.02", "--sigma", "0.2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_output_file_matches_stdout(tmp_path, capsys):

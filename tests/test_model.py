@@ -82,7 +82,7 @@ def test_time_grid_validation():
     grid = TimeGrid.regular(2.0, 4)
     assert grid.n_times == 5
     assert grid.times[0] == 0.0
-    assert grid.t_end == 2.0
+    assert grid.times[-1] == 2.0
     # An integral float count is accepted as the integer it equals.
     assert np.array_equal(TimeGrid.regular(2.0, 4.0).times, grid.times)
     with pytest.raises(ValidationError, match="n_steps"):

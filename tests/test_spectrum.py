@@ -18,6 +18,7 @@ from bachelier_lab import (
     payoff_surface,
     quantized_rate,
     residual,
+    sine_solution,
 )
 
 # Frozen from 30-digit evaluation of (sigma^2/(2K^2)) * n^2 * pi^2.
@@ -49,7 +50,7 @@ def test_quantized_rate_rejects_negative_mode():
 def test_integral_float_mode_numbers_are_accepted():
     assert quantized_rate(2.0, 0.2, 1.0) == quantized_rate(2, 0.2, 1.0)
     assert ModeSpec(n=2.0, sigma=0.2, strike=1.0).rate == quantized_rate(2, 0.2, 1.0)
-    assert len(RateSpectrum.build(0.2, 1.0, 3.0)) == 3
+    assert len(RateSpectrum.build(0.2, 1.0, 3.0).modes) == 3
     with pytest.raises(ValidationError, match="n must be an integer"):
         quantized_rate(1.5, 0.2, 1.0)
 
@@ -80,11 +81,10 @@ def test_rate_scaling_in_strike():
 
 def test_mode_spec_derived_quantities():
     mode = ModeSpec(n=3, sigma=0.2, strike=2.0)
-    assert mode.diffusion == 0.5 * 0.2 * 0.2
     assert mode.rate == pytest.approx(quantized_rate(3, 0.2, 2.0), rel=1e-15)
     assert mode.wavenumber == pytest.approx(3 * math.pi / 2.0, rel=1e-15)
     # sqrt(r_n / D) * K recovers n*pi
-    assert math.sqrt(mode.rate / mode.diffusion) * 2.0 == pytest.approx(
+    assert math.sqrt(mode.rate / (0.5 * mode.sigma**2)) * 2.0 == pytest.approx(
         3 * math.pi, rel=1e-12
     )
 
@@ -197,7 +197,7 @@ def test_normalization_validates_inputs():
 
 def test_rate_spectrum_build_and_invariants():
     ladder = RateSpectrum.build(0.2, 1.0, 20)
-    assert len(ladder) == 20
+    assert len(ladder.modes) == 20
     rates = [mode.rate for mode in ladder]
     assert all(b > a for a, b in zip(rates, rates[1:]))
     base = rates[0]
@@ -217,8 +217,8 @@ def test_mode_solutions_satisfy_hedged_ode(n, sigma, strike):
     # these modes satisfy it with margin.
     mode = ModeSpec(n=n, sigma=sigma, strike=strike)
     h = 1e-3
-    assert mode.diffusion * h * h / 12.0 * mode.wavenumber ** 4 <= 1e-6
-    v = mode.solution(1.0)
+    assert 0.5 * mode.sigma**2 * h * h / 12.0 * mode.wavenumber ** 4 <= 1e-6
+    v = sine_solution(1.0, mode.rate, mode.sigma)
     problem = OdeProblem(r=mode.rate, sigma=sigma, form=OdeForm.HEDGED)
     for x in np.linspace(0.1 * strike, 0.9 * strike, 9):
         assert abs(residual(v, problem, float(x), h)) <= 1e-6
@@ -248,12 +248,6 @@ def test_payoff_surface_discounting_convention():
     assert plus.values[0, 0] * minus.values[0, 0] == pytest.approx(
         math.sin(mode.wavenumber * 0.5) ** 2, rel=1e-12
     )
-
-
-def test_payoff_surface_flags_points_outside_strike_interval():
-    mode = ModeSpec(n=2, sigma=0.2, strike=1.0)
-    surf = payoff_surface(mode, 1.0, [-0.1, 0.5, 1.2], [0.0])
-    assert surf.outside_domain.tolist() == [True, False, True]
 
 
 def test_payoff_surface_validation():
