@@ -171,8 +171,11 @@ def _cmd_surface(args) -> _Report:
     mode = ModeSpec(n=args.n, sigma=args.sigma, strike=args.strike)
     if args.amplitude is None:  # provenance records the amplitude actually used
         args.amplitude = normalization_constant(mode.rate, mode.sigma, mode.strike).amplitude
-    x = np.linspace(0.0, mode.strike, check("x-points", args.x_points, "count", 1))
-    t = np.linspace(0.0, args.t_end, check("t-points", args.t_points, "count", 1))
+    n_x = check("x-points", args.x_points, "count", 1)
+    n_t = check("t-points", args.t_points, "count", 1)
+    check("x-points * t-points", n_x * n_t, "count")  # the table's size, not each axis
+    x = np.linspace(0.0, mode.strike, n_x)
+    t = np.linspace(0.0, args.t_end, n_t)
     surf = payoff_surface(mode, args.amplitude, x, t, args.discount_sign)
     spec = f"%.{args.precision}g"  # the time labels print as the cells do
     columns = [("x", surf.x), *zip((f"t={spec % tv}" for tv in surf.t.tolist()), surf.values.T)]

@@ -154,12 +154,20 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base):
     row ``i`` reads offset ``(i % 8192)*scale.size`` of stream ``i // 8192``
     and does not depend on ``n_rows``. ``block`` is one reused buffer,
     overwritten by the next block.
+
+    One generator serves every block: for block ``b`` its bit generator is
+    re-keyed in place to counter ``b << 128`` with an empty buffer, the state
+    ``generator(b)`` starts in, which costs a fraction of building a Philox.
     """
-    streams = SeedStreams(seed)
+    gen = SeedStreams(seed).generator(0)
+    state = gen.bit_generator.state  # substream 0 before any draw
     buf = np.empty((min(_BLOCK, n_rows), scale.size))
     for b, start in enumerate(range(0, n_rows, _BLOCK)):
         block = buf[: min(_BLOCK, n_rows - start)]
-        streams.generator(b).standard_normal(out=block)
+        if b:
+            state["state"]["counter"] = np.array([0, 0, b, 0], dtype=np.uint64)
+            gen.bit_generator.state = state
+        gen.standard_normal(out=block)
         block *= scale
         if scale.size > 1:  # a one-column cumsum is the identity, yet costs a pass
             np.cumsum(block, axis=1, out=block)

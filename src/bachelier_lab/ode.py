@@ -70,6 +70,15 @@ class CharacteristicRoots:
 
     def __post_init__(self):
         check("characteristic roots", (self.root1, self.root2))
+        r1, r2 = self.root1, self.root2
+        if self.case is RootCase.COMPLEX_CONJUGATE:
+            tagged = r2 == r1.conjugate()
+        elif self.case is RootCase.REPEATED_REAL:
+            tagged = r1 == r2 and r1.imag == 0.0
+        else:
+            tagged = r1.imag == 0.0 and r2.imag == 0.0
+        if not tagged:
+            raise ValidationError(f"roots {r1!r}, {r2!r} do not fit the case {self.case.value}")
 
 
 def characteristic_roots_full(r: float, sigma: float) -> CharacteristicRoots:
@@ -142,13 +151,19 @@ def sine_solution(amplitude: float, r: float, sigma: float) -> SineSolution:
 
 @dataclass(frozen=True)
 class ExponentialSolution:
-    """Two-parameter closed form over a characteristic root pair.
+    """Two-parameter closed form over a characteristic root pair, evaluated in real arithmetic.
 
-    Evaluates coef1*e^{root1*x} + coef2*e^{root2*x}, or
-    (coef1 + coef2*x)*e^{root*x} for a repeated root. The real part is
-    returned: for real ODE coefficients the real part of a complex solution
-    is itself a solution, and conjugate-symmetric coefficients make the
-    imaginary part vanish identically.
+    The value is the real part of coef1*e^{root1*x} + coef2*e^{root2*x}, or
+    of (coef1 + coef2*x)*e^{root*x} for a repeated root: for real ODE
+    coefficients the real part of a complex solution is itself a solution.
+    With c1 = coef1, c2 = coef2, it is computed per case as
+
+    * repeated root lam:         (Re c1 + Re c2*x) * e^{lam*x}
+    * distinct real lam1, lam2:  Re c1 * e^{lam1*x} + Re c2 * e^{lam2*x}
+    * conjugate pair a +/- i*b:  e^{a*x} * ((Re c1 + Re c2)*cos(b*x) + (Im c2 - Im c1)*sin(b*x))
+
+    where ``root1`` = a + i*b. The sine term is skipped when its coefficient
+    is 0, as it is for real coefficients.
     """
 
     roots: CharacteristicRoots
@@ -157,13 +172,16 @@ class ExponentialSolution:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
+        c1, c2, lam1 = self.coef1, self.coef2, self.roots.root1
         if self.roots.case is RootCase.REPEATED_REAL:
-            val = (self.coef1 + self.coef2 * x) * np.exp(self.roots.root1 * x)
+            out = (c1.real + c2.real * x) * np.exp(lam1.real * x)
+        elif self.roots.case is RootCase.DISTINCT_REAL:
+            out = c1.real * np.exp(lam1.real * x) + c2.real * np.exp(self.roots.root2.real * x)
         else:
-            val = self.coef1 * np.exp(self.roots.root1 * x) + self.coef2 * np.exp(
-                self.roots.root2 * x
-            )
-        out = np.real(val)
+            wave = (c1.real + c2.real) * np.cos(lam1.imag * x)
+            if c2.imag != c1.imag:
+                wave += (c2.imag - c1.imag) * np.sin(lam1.imag * x)
+            out = np.exp(lam1.real * x) * wave
         return float(out) if out.ndim == 0 else out
 
 

@@ -132,22 +132,22 @@ def drift_estimate(
 
     s = sign.factor
     w_next = _time_weight(s, p.r, t + dt)
-    y_now = float(v(x0)) * _time_weight(s, p.r, t)
     step_mean = x0 + p.mu * dt
     step_scale = p.sigma * math.sqrt(dt)
-    analytic = analytic_drift(v, p.r, p.sigma, x0, t, sign)
-
-    if p.sigma == 0.0:
-        # Every sample is the same deterministic difference quotient.
-        mean = (float(v(step_mean)) * w_next - y_now) / dt
-        se = 0.0
-    else:
-        rates = np.empty(n_samples)
-        for start, x in _gaussian_blocks(seed, n_samples, np.array([step_scale]), step_mean):
-            dy = np.asarray(v(x[:, 0]), dtype=float) * w_next - y_now
-            rates[start : start + len(x)] = dy / dt
-        # Overflowing samples make the SE inf; classify rejects it, so numpy need not warn.
-        with np.errstate(over="ignore", invalid="ignore"):
+    # A profile that overflows surfaces through the V(x0) check, or through an
+    # inf or NaN estimate that classify rejects; numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_now = check("payoff V(x0)", float(v(x0))) * _time_weight(s, p.r, t)
+        analytic = analytic_drift(v, p.r, p.sigma, x0, t, sign)
+        if p.sigma == 0.0:
+            # Every sample is the same deterministic difference quotient.
+            mean = (float(v(step_mean)) * w_next - y_now) / dt
+            se = 0.0
+        else:
+            rates = np.empty(n_samples)
+            for start, x in _gaussian_blocks(seed, n_samples, np.array([step_scale]), step_mean):
+                dy = np.asarray(v(x[:, 0]), dtype=float) * w_next - y_now
+                rates[start : start + len(x)] = dy / dt
             mean = float(rates.mean())
             se = float(rates.std(ddof=1)) / math.sqrt(n_samples)
     z_score = (mean - analytic) / se if se > 0 else math.nan
@@ -214,7 +214,8 @@ def integrability_check(
     weight = _time_weight(sign.factor, p.r, t)
     samples = np.empty(n_samples)
     for start, x in _gaussian_blocks(seed, n_samples, np.array([law.std]), law.mean):
-        y = np.abs(np.asarray(v(x[:, 0]), dtype=float) * weight)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below, by index
+            y = np.abs(np.asarray(v(x[:, 0]), dtype=float) * weight)
         if not np.all(np.isfinite(y)):
             bad = int(np.flatnonzero(~np.isfinite(y))[0])
             raise NonFiniteSampleError(

@@ -167,6 +167,11 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
         # Each count passes its own bound, but their product is past the largest array.
         (["simulate", "--x0", "1", "--rate", "0.05", "--sigma", "0.2", "--t-end", "1",
           "--steps", "1", "--paths", "1000000000000000000"], "n_paths * n_times"),
+        (_SURFACE + ["--x-points", "4294967296", "--t-points", "4294967296"],
+         "x-points * t-points"),
+        # e^{1.618*3000} overflows: the profile at the probe state is refused by name.
+        (["drift-check", "--form", "full", "--rate", "-0.02", "--sigma", "0.2", "--x0=3000"],
+         "payoff V(x0)"),
     ],
     ids=["grid-step-zero", "grid-step-negative", "grid-step-nan", "t-nan", "t-inf",
          "drift-check-overflow", "solve-rate-nan", "spectrum-sigma-inf", "surface-t-end-nan",
@@ -177,7 +182,8 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
          "hit-step-count-overflow", "hit-grid-too-long", "drift-check-rate-overflow",
          "drift-check-z-threshold-inf", "simulate-precision-negative", "solve-precision-too-big",
          "simulate-paths-too-many", "surface-x-points-too-many", "drift-check-samples-too-many",
-         "hit-paths-too-many", "simulate-paths-times-steps-too-many"],
+         "hit-paths-too-many", "simulate-paths-times-steps-too-many",
+         "surface-x-points-times-t-points-too-many", "drift-check-payoff-overflow"],
 )
 def test_invalid_numeric_inputs_exit_two_with_one_line(argv, field, capsys):
     with warnings.catch_warnings(record=True) as caught:

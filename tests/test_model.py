@@ -6,6 +6,7 @@ import pytest
 
 from bachelier_lab import (
     ModelParams,
+    SeedStreams,
     TimeGrid,
     ValidationError,
     exact_marginal,
@@ -14,6 +15,7 @@ from bachelier_lab import (
     hitting_probability,
     simulate_paths,
 )
+from bachelier_lab.model import _gaussian_blocks
 
 # First-passage oracle values, frozen from 30-digit evaluation of the closed
 # form: 2*Phi(-1) for the driftless case, Phi(0) + e^2*Phi(-2) with unit drift.
@@ -131,6 +133,19 @@ def test_row_i_reads_its_block_substream_at_its_offset():
         expected = p.x0 + p.mu * grid.times[1:] + np.cumsum(p.sigma * np.sqrt(grid.steps) * z)
         assert paths.values[i, 0] == p.x0
         assert np.array_equal(paths.values[i, 1:], expected)
+
+
+def test_each_block_reads_its_substream_from_the_start():
+    # One generator is re-keyed per block; it must give exactly the normals of a
+    # fresh generator(b), across blocks 0-3 and a partial last block.
+    seed, n = 31, 3 * 8192 + 5
+    for width in (1, 3):
+        blocks = [(start, block.copy()) for start, block in
+                  _gaussian_blocks(seed, n, np.ones(width), np.zeros(width))]
+        assert [start for start, _ in blocks] == [0, 8192, 2 * 8192, 3 * 8192]
+        for b, (start, block) in enumerate(blocks):
+            z = SeedStreams(seed).generator(b).standard_normal((min(8192, n - start), width))
+            assert np.array_equal(block, np.cumsum(z, axis=1))
 
 
 def test_initial_column_equals_x0():

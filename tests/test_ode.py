@@ -82,6 +82,20 @@ def test_roots_reject_a_diffusion_or_root_outside_the_float_range():
         characteristic_roots_full(1e300, 1.0)
 
 
+@pytest.mark.parametrize("case,root1,root2", [
+    (RootCase.COMPLEX_CONJUGATE, complex(-0.5, 0.8), complex(-0.5, 0.8)),
+    (RootCase.COMPLEX_CONJUGATE, complex(-0.5, 0.8), complex(-0.4, -0.8)),
+    (RootCase.REPEATED_REAL, complex(-2.0), complex(-1.0)),
+    (RootCase.REPEATED_REAL, complex(0.0, 1.0), complex(0.0, 1.0)),
+    (RootCase.DISTINCT_REAL, complex(1.0), complex(-1.0, 0.5)),
+    (RootCase.DISTINCT_REAL, complex(0.0, 1.0), complex(0.0, -1.0)),
+], ids=["complex-not-conjugate", "complex-real-parts-differ", "repeated-unequal",
+        "repeated-not-real", "distinct-root2-not-real", "distinct-conjugate-pair"])
+def test_roots_must_fit_their_case(case, root1, root2):
+    with pytest.raises(ValidationError, match=case.value):
+        CharacteristicRoots(case, root1, root2)
+
+
 def test_full_roots_near_the_float_range_are_classified():
     # The discriminant is finite, but r^2 + 2*sigma^2*r overflows; an infinite
     # repeated-root bound used to report these distinct roots as repeated.
@@ -180,6 +194,41 @@ def test_general_solution_rejects_non_finite_coefficients():
     roots = characteristic_roots_full(0.02, 0.2)
     with pytest.raises(ValidationError, match="coef"):
         general_solution(roots, math.nan, 0.0)
+
+
+# Dyadic roots make every product root*x exact, so the bound measures the
+# evaluator. Rounding root*x, which any evaluation must, adds about
+# eps*|root*x| relative on top.
+_DYADIC_ROOTS = [
+    CharacteristicRoots(RootCase.COMPLEX_CONJUGATE, complex(-0.25, 0.5), complex(-0.25, -0.5)),
+    CharacteristicRoots(RootCase.COMPLEX_CONJUGATE, complex(0.125, 2.0), complex(0.125, -2.0)),
+    CharacteristicRoots(RootCase.COMPLEX_CONJUGATE, 1j, -1j),
+    CharacteristicRoots(RootCase.DISTINCT_REAL, complex(0.5), complex(-1.0)),
+    CharacteristicRoots(RootCase.REPEATED_REAL, complex(-2.0), complex(-2.0)),
+    CharacteristicRoots(RootCase.REPEATED_REAL, 0j, 0j),
+]
+
+
+@pytest.mark.parametrize("roots", _DYADIC_ROOTS, ids=lambda r: f"{r.case.value}-{r.root1}")
+@pytest.mark.parametrize("coef1,coef2", [(0.5, 0.5), (0.7, -0.3), (0.3 + 0.4j, -1.1 + 0.25j),
+                                         (-0.5j, 0.5j)], ids=["equal", "real", "complex", "sine"])
+def test_exponential_solution_matches_mpmath(roots, coef1, coef2):
+    # |error| <= 4*eps*(|c1*e^{lam1*x}| + |c2*e^{lam2*x}|) on |x| <= 20, against
+    # the real part of the complex closed form at 40 digits.
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.concatenate([[-20.0, 0.0, 20.0], np.random.default_rng(8).uniform(-20, 20, 120)])
+    got = general_solution(roots, coef1, coef2)(xs)
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        c1, c2 = mpmath.mpc(coef1), mpmath.mpc(coef2)
+        lam1, lam2 = mpmath.mpc(roots.root1), mpmath.mpc(roots.root2)
+        for x, value in zip(xs.tolist(), got.tolist()):
+            term1 = c1 * mpmath.exp(lam1 * x)
+            term2 = c2 * mpmath.exp(lam2 * x)
+            if roots.case is RootCase.REPEATED_REAL:
+                term2 *= x
+            bound = 4 * eps * (abs(term1) + abs(term2))
+            assert abs(value - mpmath.re(term1 + term2)) <= bound, x
 
 
 def test_delta_gamma_exact_on_quadratic():

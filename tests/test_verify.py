@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,16 @@ def test_integrability_aborts_on_non_finite_sample():
     p = ModelParams(x0=100.0, r=0.0, sigma=1.0)
     with pytest.raises(NonFiniteSampleError, match="index"):
         integrability_check(poisoned, p, 1.0, 5_000, seed=3)
+
+
+def test_integrability_aborts_on_overflow_without_a_warning():
+    # e^{1.618*x} overflows near x = 3000: reported by index, with no numpy warning first.
+    v = _full_solution(*FULL_CASES["distinct"])
+    p = ModelParams(x0=3000.0, r=-0.02, sigma=0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteSampleError, match="index 0"):
+            integrability_check(v, p, 1.0, 5_000, seed=3)
 
 
 def test_integrability_validates_sample_count():
