@@ -9,6 +9,8 @@ equals the risk-free rate r; that is the default here.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,34 +147,83 @@ class PathSet:
         return self.values[i]
 
 
-def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base):
-    """Yield ``(start, block)`` with rows of ``base + cumsum(scale * Z)``.
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one, else all of them."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
-    The one sampler of the package. Block ``b`` covers rows
-    ``b*8192 .. b*8192 + 8191`` and draws its standard normals as one
-    ``(rows, scale.size)`` matrix from ``SeedStreams(seed).generator(b)``, so
-    row ``i`` reads offset ``(i % 8192)*scale.size`` of stream ``i // 8192``
-    and does not depend on ``n_rows``. ``block`` is one reused buffer,
-    overwritten by the next block.
 
-    One generator serves every block: for block ``b`` its bit generator is
-    re-keyed in place to counter ``b << 128`` with an empty buffer, the state
-    ``generator(b)`` starts in, which costs a fraction of building a Philox.
+def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each) -> list:
+    """Return ``[each(start, block) for every block]`` in block order.
+
+    The one sampler of the package. ``block`` holds the rows ``start ..
+    start + len(block) - 1`` of ``base + cumsum(scale * Z)``. Block ``b``
+    covers rows ``b*8192 .. b*8192 + 8191`` and draws its standard normals
+    as one ``(rows, scale.size)`` matrix from ``SeedStreams(seed).generator(b)``,
+    so row ``i`` reads offset ``(i % 8192)*scale.size`` of stream ``i // 8192``
+    and does not depend on ``n_rows``, nor on how the blocks are scheduled.
+
+    The blocks run on up to one thread per usable CPU, worker ``k`` taking
+    blocks ``k, k+W, ...``; the caller runs worker 0 itself. ``each`` is
+    therefore called from several threads at once, each time with a block no
+    other call sees, and the block is a buffer that the worker's next block
+    overwrites: ``each`` copies what it keeps. A worker keeps one generator
+    and re-keys its bit generator in place to counter ``b << 128`` with an
+    empty buffer, the state ``generator(b)`` starts in, which costs a
+    fraction of building a Philox. numpy's ``errstate`` does not reach a new
+    thread, so ``each`` sets its own.
+
+    A worker stops at its first failing block; the exception of the lowest
+    failing block is raised, the one a serial loop would raise.
     """
-    gen = SeedStreams(seed).generator(0)
-    state = gen.bit_generator.state  # substream 0 before any draw
-    buf = np.empty((min(_BLOCK, n_rows), scale.size))
-    for b, start in enumerate(range(0, n_rows, _BLOCK)):
-        block = buf[: min(_BLOCK, n_rows - start)]
-        if b:
-            state["state"]["counter"] = np.array([0, 0, b, 0], dtype=np.uint64)
-            gen.bit_generator.state = state
-        gen.standard_normal(out=block)
-        block *= scale
-        if scale.size > 1:  # a one-column cumsum is the identity, yet costs a pass
-            np.cumsum(block, axis=1, out=block)
-        block += base
-        yield start, block
+    streams = SeedStreams(seed)
+    n_blocks = -(-n_rows // _BLOCK)
+    n_workers = min(n_blocks, _usable_cpus())
+    results = [None] * n_blocks
+    failures = []  # (block, exception), at most one per worker
+
+    def work(k):
+        b = k
+        try:
+            gen = streams.generator(0)
+            state = gen.bit_generator.state  # substream 0 before any draw
+            buf = np.empty((min(_BLOCK, n_rows), scale.size))
+            for b in range(k, n_blocks, n_workers):
+                start = b * _BLOCK
+                block = buf[: min(_BLOCK, n_rows - start)]
+                if b:
+                    state["state"]["counter"] = np.array([0, 0, b, 0], dtype=np.uint64)
+                    gen.bit_generator.state = state
+                gen.standard_normal(out=block)
+                with np.errstate(over="raise", invalid="raise"):
+                    try:
+                        block *= scale
+                        if scale.size > 1:  # a one-column cumsum is the identity, yet costs a pass
+                            np.cumsum(block, axis=1, out=block)
+                        block += base
+                    except FloatingPointError as exc:
+                        raise ValidationError(
+                            f"path values x0 + mu*t + sigma*W(t) must be finite: {exc}"
+                        ) from None
+                results[b] = each(start, block)
+        except Exception as exc:  # handed to the caller, which raises the lowest block's
+            failures.append((b, exc))
+
+    threads = []
+    try:
+        for k in range(1, n_workers):
+            thread = threading.Thread(target=work, args=(k,))
+            thread.start()
+            threads.append(thread)
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
 
 
 def _increments(p: ModelParams, grid: TimeGrid):
@@ -215,8 +266,11 @@ def simulate_paths(p: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> P
     check("n_paths * n_times", n_paths * grid.n_times, "count")  # the array's size, not each axis
     values = np.empty((n_paths, grid.n_times))
     values[:, 0] = p.x0
-    for start, block in _gaussian_blocks(seed, n_paths, *_increments(p, grid)):
+
+    def copy(start, block):
         values[start : start + len(block), 1:] = block
+
+    _gaussian_blocks(seed, n_paths, *_increments(p, grid), copy)
     return PathSet(grid=grid, values=values)
 
 
@@ -311,14 +365,15 @@ def hitting_frequency(
     """Fraction of simulated paths that reach ``level`` by the end of the grid.
 
     Path ``i`` is row ``i`` of ``simulate_paths`` with the same arguments;
-    paths are scanned one 8192-row block at a time to bound memory.
+    each worker thread scans one 8192-row block at a time to bound memory.
     """
     check("level", level)
     n_paths = check("n_paths", n_paths, "count", 1)
-    n_hits = 0
-    for _, block in _gaussian_blocks(seed, n_paths, *_increments(p, grid)):
-        hit = _reached(block, p.x0, level).any(axis=1) | (p.x0 == level)
-        n_hits += int(hit.sum())
+
+    def count(_, block):
+        return int((_reached(block, p.x0, level).any(axis=1) | (p.x0 == level)).sum())
+
+    n_hits = sum(_gaussian_blocks(seed, n_paths, *_increments(p, grid), count))
     freq = n_hits / n_paths
     se = math.sqrt(freq * (1.0 - freq) / n_paths)
     return HitFrequency(n_paths=n_paths, n_hits=n_hits, frequency=freq, standard_error=se)

@@ -105,7 +105,8 @@ def drift_estimate(
     Parameters
     ----------
     v : callable
-        Payoff profile; must accept numpy arrays.
+        Payoff profile; must accept numpy arrays. It is called from several
+        threads at once, one per usable CPU, each call on its own array.
     p : ModelParams
         Supplies rate, volatility, and drift. ``p.x0`` is ignored; the probe
         state ``x0`` is explicit.
@@ -145,9 +146,13 @@ def drift_estimate(
             se = 0.0
         else:
             rates = np.empty(n_samples)
-            for start, x in _gaussian_blocks(seed, n_samples, np.array([step_scale]), step_mean):
-                dy = np.asarray(v(x[:, 0]), dtype=float) * w_next - y_now
-                rates[start : start + len(x)] = dy / dt
+
+            def rate(start, x):
+                with np.errstate(over="ignore", invalid="ignore"):  # not inherited by threads
+                    dy = np.asarray(v(x[:, 0]), dtype=float) * w_next - y_now
+                    rates[start : start + len(x)] = dy / dt
+
+            _gaussian_blocks(seed, n_samples, np.array([step_scale]), step_mean, rate)
             mean = float(rates.mean())
             se = float(rates.std(ddof=1)) / math.sqrt(n_samples)
     z_score = (mean - analytic) / se if se > 0 else math.nan
@@ -207,13 +212,17 @@ def integrability_check(
     """Estimate E|V(X(t))e^{sign*r*t}| and abort on any non-finite sample.
 
     For a bounded sine profile the analytic bound |A|*e^{|r|t} is attached
-    as well; it holds for every t regardless of the sample.
+    as well; it holds for every t regardless of the sample. The profile ``v``
+    must accept numpy arrays; it is called from several threads at once, one
+    per usable CPU, each call on its own array. The first non-finite sample
+    is reported by its index, whatever the thread count.
     """
     n_samples = check("n_samples", n_samples, "count", _MIN_SAMPLES)
     law = exact_marginal(p, t)
     weight = _time_weight(sign.factor, p.r, t)
     samples = np.empty(n_samples)
-    for start, x in _gaussian_blocks(seed, n_samples, np.array([law.std]), law.mean):
+
+    def absolute(start, x):
         with np.errstate(over="ignore", invalid="ignore"):  # reported below, by index
             y = np.abs(np.asarray(v(x[:, 0]), dtype=float) * weight)
         if not np.all(np.isfinite(y)):
@@ -223,6 +232,8 @@ def integrability_check(
                 f"{y[bad]!r} at X = {float(x[bad, 0])!r}"
             )
         samples[start : start + len(y)] = y
+
+    _gaussian_blocks(seed, n_samples, np.array([law.std]), law.mean, absolute)
     bound = None
     if isinstance(v, SineSolution):
         bound = abs(v.amplitude) * _time_weight(1.0, abs(p.r), t)

@@ -172,6 +172,11 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
         # e^{1.618*3000} overflows: the profile at the probe state is refused by name.
         (["drift-check", "--form", "full", "--rate", "-0.02", "--sigma", "0.2", "--x0=3000"],
          "payoff V(x0)"),
+        # sigma*sqrt(dt) is finite, but sampled increments or their running sum overflow.
+        (["simulate", "--x0", "0", "--rate", "0", "--sigma", "1e308", "--t-end", "1",
+          "--steps", "2", "--paths", "10"], "path values"),
+        (["hit", "--x0", "0", "--rate", "0", "--sigma", "1e308", "--level", "1", "--t", "1",
+          "--grid-step", "0.5", "--paths", "1000"], "path values"),
     ],
     ids=["grid-step-zero", "grid-step-negative", "grid-step-nan", "t-nan", "t-inf",
          "drift-check-overflow", "solve-rate-nan", "spectrum-sigma-inf", "surface-t-end-nan",
@@ -183,7 +188,8 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
          "drift-check-z-threshold-inf", "simulate-precision-negative", "solve-precision-too-big",
          "simulate-paths-too-many", "surface-x-points-too-many", "drift-check-samples-too-many",
          "hit-paths-too-many", "simulate-paths-times-steps-too-many",
-         "surface-x-points-times-t-points-too-many", "drift-check-payoff-overflow"],
+         "surface-x-points-times-t-points-too-many", "drift-check-payoff-overflow",
+         "simulate-path-overflow", "hit-path-overflow"],
 )
 def test_invalid_numeric_inputs_exit_two_with_one_line(argv, field, capsys):
     with warnings.catch_warnings(record=True) as caught:

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -9,12 +11,16 @@ from bachelier_lab import (
     SeedStreams,
     TimeGrid,
     ValidationError,
+    drift_estimate,
     exact_marginal,
     first_hitting_time,
     hitting_frequency,
     hitting_probability,
+    integrability_check,
     simulate_paths,
+    sine_solution,
 )
+from bachelier_lab import model
 from bachelier_lab.model import _gaussian_blocks
 
 # First-passage oracle values, frozen from 30-digit evaluation of the closed
@@ -140,12 +146,46 @@ def test_each_block_reads_its_substream_from_the_start():
     # fresh generator(b), across blocks 0-3 and a partial last block.
     seed, n = 31, 3 * 8192 + 5
     for width in (1, 3):
-        blocks = [(start, block.copy()) for start, block in
-                  _gaussian_blocks(seed, n, np.ones(width), np.zeros(width))]
+        blocks = _gaussian_blocks(seed, n, np.ones(width), np.zeros(width),
+                                  lambda start, block: (start, block.copy()))
         assert [start for start, _ in blocks] == [0, 8192, 2 * 8192, 3 * 8192]
         for b, (start, block) in enumerate(blocks):
             z = SeedStreams(seed).generator(b).standard_normal((min(8192, n - start), width))
             assert np.array_equal(block, np.cumsum(z, axis=1))
+
+
+def test_results_do_not_depend_on_the_worker_count(monkeypatch):
+    # More workers than blocks or cores, with thread switches forced as often as
+    # the interpreter allows: every result must match the one-worker bits, and
+    # every worker thread must be gone when the call returns.
+    p = ModelParams(x0=0.2, r=0.05, sigma=0.3)
+    grid = TimeGrid.regular(1.0, 3)
+    n = 3 * 8192 + 5
+    v = sine_solution(1.0, 0.05, 0.3)
+
+    def results():
+        return (
+            simulate_paths(p, grid, n, seed=9).values,
+            hitting_frequency(p, 0.5, grid, n, seed=9),
+            drift_estimate(v, p, 0.3, 0.5, 1e-3, n, seed=9),
+            integrability_check(v, p, 1.0, n, seed=9),
+        )
+
+    threads_before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = {}
+        for workers in (1, 2, 6):
+            monkeypatch.setattr(model, "_usable_cpus", lambda workers=workers: workers)
+            runs[workers] = results()
+            assert threading.active_count() == threads_before
+    finally:
+        sys.setswitchinterval(interval)
+    values, hits, drift, witness = runs[1]
+    for workers in (2, 6):
+        assert np.array_equal(runs[workers][0], values)
+        assert runs[workers][1:] == (hits, drift, witness)
 
 
 def test_initial_column_equals_x0():

@@ -21,6 +21,7 @@ from bachelier_lab import (
     quantized_rate,
     sine_solution,
 )
+from bachelier_lab import model
 
 R1 = quantized_rate(1, 0.2, 1.0)
 # r_1 * pi at 30-digit precision: the sine mode's drift at the origin, where
@@ -229,14 +230,44 @@ def test_integrability_aborts_on_non_finite_sample():
         integrability_check(poisoned, p, 1.0, 5_000, seed=3)
 
 
-def test_integrability_aborts_on_overflow_without_a_warning():
+def test_integrability_aborts_on_overflow_without_a_warning(monkeypatch):
     # e^{1.618*x} overflows near x = 3000: reported by index, with no numpy warning first.
     v = _full_solution(*FULL_CASES["distinct"])
     p = ModelParams(x0=3000.0, r=-0.02, sigma=0.2)
+    for workers in (1, 2):  # with 2, block 1 runs on a worker thread
+        monkeypatch.setattr(model, "_usable_cpus", lambda workers=workers: workers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteSampleError, match="index 0"):
+                integrability_check(v, p, 1.0, 2 * 8192, seed=3)
+
+
+def _inf_above_four(x):
+    # e^1000 overflows: inf where x > 4.0, after a numpy overflow a worker must silence.
+    return np.exp(np.where(x > 4.0, 1000.0, 0.0))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+def test_integrability_reports_the_lowest_failing_block(workers, monkeypatch):
+    # Samples above 4.0 first occur at index 111598, in block 13, which runs on
+    # a worker thread whenever there is more than one; later blocks fail too.
+    monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
+    p = ModelParams(x0=0.0, r=0.0, sigma=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteSampleError, match="index 0"):
-            integrability_check(v, p, 1.0, 5_000, seed=3)
+        with pytest.raises(NonFiniteSampleError, match="index 111598: "):
+            integrability_check(_inf_above_four, p, 1.0, 200_000, seed=7)
+
+
+def test_drift_estimate_overflow_on_a_worker_thread_emits_no_warning(monkeypatch):
+    # The overflowing samples fall in every block, so also on worker threads,
+    # which do not inherit the caller's numpy errstate.
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+    p = ModelParams(x0=0.0, r=0.0, sigma=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = drift_estimate(_inf_above_four, p, 3.7, 0.0, 1e-2, 4 * 8192, seed=7)
+    assert math.isinf(report.estimated_drift_rate)
 
 
 def test_integrability_validates_sample_count():
