@@ -165,7 +165,8 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each) -> l
     so row ``i`` reads offset ``(i % 8192)*scale.size`` of stream ``i // 8192``
     and does not depend on ``n_rows``, nor on how the blocks are scheduled.
 
-    The blocks run on up to one thread per usable CPU, worker ``k`` taking
+    The blocks run on up to one thread per usable CPU, and on no more
+    threads than ``n_rows / 8192`` rounded half up, worker ``k`` taking
     blocks ``k, k+W, ...``; the caller runs worker 0 itself. ``each`` is
     therefore called from several threads at once, each time with a block no
     other call sees, and the block is a buffer that the worker's next block
@@ -180,7 +181,8 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each) -> l
     """
     streams = SeedStreams(seed)
     n_blocks = -(-n_rows // _BLOCK)
-    n_workers = min(n_blocks, _usable_cpus())
+    # A short tail block is not worth the start and join of a thread.
+    n_workers = min(_usable_cpus(), max(1, (n_rows + _BLOCK // 2) // _BLOCK))
     results = [None] * n_blocks
     failures = []  # (block, exception), at most one per worker
 

@@ -31,6 +31,27 @@ _MAX_DT = 1e-2
 _H = 1e-3  # central-difference step of the analytic drift
 
 
+def _block_moments(y: np.ndarray) -> tuple:
+    """``(count, mean, M2)`` of one block, ``M2 = sum((y - mean)^2)``; overwrites ``y``."""
+    mean = y.mean()
+    y -= mean
+    return len(y), mean, np.square(y, out=y).sum()
+
+
+def _pooled(blocks: list) -> tuple:
+    """Sample mean and its standard error from per-block ``(count, mean, M2)``, in block order.
+
+    The pairwise update of Chan, Golub & LeVeque (Am. Stat. 37, 1983):
+    ``M2 = sum M2_b + sum n_b*(m_b - mean)^2``, so no per-sample array is
+    needed. An inf or NaN block mean propagates to the result.
+    """
+    counts, means, m2s = (np.array(column) for column in zip(*blocks))
+    n = counts.sum()
+    mean = (counts * means).sum() / n
+    m2 = m2s.sum() + (counts * (means - mean) ** 2).sum()
+    return float(mean), math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+
+
 @dataclass(frozen=True)
 class DriftReport:
     """One-step Monte Carlo drift estimate with its analytic counterpart."""
@@ -100,7 +121,10 @@ def drift_estimate(
     of step 1e-3) and the z-score of their difference. Deterministic for a
     fixed seed: sample ``i`` comes from the 8192-sample block ``i // 8192``,
     keyed by substream ``i // 8192`` of ``seed``, so the estimate does not
-    depend on worker count or execution order.
+    depend on worker count or execution order. Each block is reduced on its
+    worker thread to its count, mean and sum of squared deviations, and the
+    block moments are pooled in block order, so memory does not grow with
+    ``n_samples``.
 
     Parameters
     ----------
@@ -145,16 +169,13 @@ def drift_estimate(
             mean = (float(v(step_mean)) * w_next - y_now) / dt
             se = 0.0
         else:
-            rates = np.empty(n_samples)
-
-            def rate(start, x):
+            def rate(_, x):
                 with np.errstate(over="ignore", invalid="ignore"):  # not inherited by threads
                     dy = np.asarray(v(x[:, 0]), dtype=float) * w_next - y_now
-                    rates[start : start + len(x)] = dy / dt
+                    return _block_moments(dy / dt)
 
-            _gaussian_blocks(seed, n_samples, np.array([step_scale]), step_mean, rate)
-            mean = float(rates.mean())
-            se = float(rates.std(ddof=1)) / math.sqrt(n_samples)
+            mean, se = _pooled(
+                _gaussian_blocks(seed, n_samples, np.array([step_scale]), step_mean, rate))
     z_score = (mean - analytic) / se if se > 0 else math.nan
     return DriftReport(
         x0=x0,
@@ -215,12 +236,17 @@ def integrability_check(
     as well; it holds for every t regardless of the sample. The profile ``v``
     must accept numpy arrays; it is called from several threads at once, one
     per usable CPU, each call on its own array. The first non-finite sample
-    is reported by its index, whatever the thread count.
+    is reported by its index, whatever the thread count. Like
+    ``drift_estimate``, each 8192-sample block is reduced on its worker to
+    block moments that are pooled in block order; no per-sample array is
+    kept. A law whose mean or scale ``sigma*sqrt(t)`` leaves the float range
+    is refused by name before sampling.
     """
     n_samples = check("n_samples", n_samples, "count", _MIN_SAMPLES)
     law = exact_marginal(p, t)
+    check("x0 + mu*t", law.mean)
+    check("sigma*sqrt(t)", law.std)
     weight = _time_weight(sign.factor, p.r, t)
-    samples = np.empty(n_samples)
 
     def absolute(start, x):
         with np.errstate(over="ignore", invalid="ignore"):  # reported below, by index
@@ -231,14 +257,10 @@ def integrability_check(
                 f"non-finite |Y| sample at index {start + bad}: payoff evaluated to "
                 f"{y[bad]!r} at X = {float(x[bad, 0])!r}"
             )
-        samples[start : start + len(y)] = y
+        return _block_moments(y)
 
-    _gaussian_blocks(seed, n_samples, np.array([law.std]), law.mean, absolute)
+    mean, se = _pooled(_gaussian_blocks(seed, n_samples, np.array([law.std]), law.mean, absolute))
     bound = None
     if isinstance(v, SineSolution):
         bound = abs(v.amplitude) * _time_weight(1.0, abs(p.r), t)
-    return IntegrabilityWitness(
-        mean_abs=float(samples.mean()),
-        standard_error=float(samples.std(ddof=1)) / math.sqrt(n_samples),
-        analytic_bound=bound,
-    )
+    return IntegrabilityWitness(mean_abs=mean, standard_error=se, analytic_bound=bound)

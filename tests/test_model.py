@@ -188,6 +188,19 @@ def test_results_do_not_depend_on_the_worker_count(monkeypatch):
         assert runs[workers][1:] == (hits, drift, witness)
 
 
+@pytest.mark.parametrize("n_rows, started", [(10_000, 0), (16_383, 1)])
+def test_a_short_tail_block_starts_no_thread(n_rows, started, monkeypatch):
+    # 10,000 rows are 8192 + 1808: the caller runs both blocks. 16,383 rows
+    # round up to two blocks' worth and take the second CPU.
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+    starts = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: starts.append(start(self)))
+    blocks = _gaussian_blocks(3, n_rows, np.ones(1), np.zeros(1), lambda start, block: len(block))
+    assert sum(blocks) == n_rows
+    assert len(starts) == started
+
+
 def test_initial_column_equals_x0():
     p = ModelParams(x0=-3.5, r=0.1, sigma=0.5)
     paths = simulate_paths(p, TimeGrid.regular(1.0, 3), 20, seed=5)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,12 +17,15 @@ from bachelier_lab import (
     classify,
     delta_gamma,
     drift_estimate,
+    exact_marginal,
     general_solution,
     integrability_check,
     quantized_rate,
     sine_solution,
 )
 from bachelier_lab import model
+from bachelier_lab.model import _gaussian_blocks
+from bachelier_lab.verify import _block_moments, _pooled
 
 R1 = quantized_rate(1, 0.2, 1.0)
 # r_1 * pi at 30-digit precision: the sine mode's drift at the origin, where
@@ -268,6 +272,83 @@ def test_drift_estimate_overflow_on_a_worker_thread_emits_no_warning(monkeypatch
         warnings.simplefilter("error")
         report = drift_estimate(_inf_above_four, p, 3.7, 0.0, 1e-2, 4 * 8192, seed=7)
     assert math.isinf(report.estimated_drift_rate)
+
+
+@pytest.mark.parametrize("n", [1000, 8192, 8193, 3 * 8192 + 5])
+def test_pooled_block_moments_match_the_whole_array(n):
+    a = np.random.default_rng(n).normal(3.0, 2.0, n)
+    mean, se = _pooled([_block_moments(a[i : i + 8192].copy()) for i in range(0, n, 8192)])
+    want_se = a.std(ddof=1) / math.sqrt(n)
+    assert abs(mean - a.mean()) <= 1e-10 * want_se
+    assert abs(se - want_se) <= 1e-10 * want_se
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_estimators_match_the_moments_of_their_own_samples(workers, monkeypatch):
+    # The samples are drawn again through the sampler with a copying callback
+    # and reduced by numpy over the whole array.
+    monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
+    v = sine_solution(1.5, R1, 0.2)
+    p = ModelParams(x0=0.1, r=R1, sigma=0.2)
+    x0, t, dt, n, seed = 0.3, 0.4, 1e-3, 3 * 8192 + 5, 13
+
+    def drawn(scale, base):
+        blocks = _gaussian_blocks(seed, n, np.array([scale]), base, lambda _, x: x[:, 0].copy())
+        return np.concatenate(blocks)
+
+    x = drawn(0.2 * math.sqrt(dt), x0 + R1 * dt)
+    rates = (v(x) * math.exp(R1 * (t + dt)) - float(v(x0)) * math.exp(R1 * t)) / dt
+    report = drift_estimate(v, p, x0, t, dt, n, seed)
+    law = exact_marginal(p, t)
+    witness = integrability_check(v, p, t, n, seed)
+    absolute = np.abs(v(drawn(law.std, law.mean)) * math.exp(R1 * t))
+    for got, samples in [((report.estimated_drift_rate, report.standard_error), rates),
+                         ((witness.mean_abs, witness.standard_error), absolute)]:
+        want_se = samples.std(ddof=1) / math.sqrt(n)
+        assert abs(got[0] - samples.mean()) <= 1e-10 * want_se
+        assert abs(got[1] - want_se) <= 1e-10 * want_se
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_estimator_memory_does_not_grow_with_the_sample_count(workers, monkeypatch):
+    # 1e6 samples would be 8 MB as one float64 array; each block is reduced where it is drawn.
+    monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
+    v = sine_solution(1.0, R1, 0.2)
+    p = ModelParams(x0=0.0, r=R1, sigma=0.2)
+    for estimate in (lambda: drift_estimate(v, p, 0.3, 0.0, 1e-3, 1_000_000, seed=1),
+                     lambda: integrability_check(v, p, 1.0, 1_000_000, seed=1)):
+        tracemalloc.start()
+        try:
+            estimate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_overflowing_profile_gives_a_drift_classify_refuses(workers, monkeypatch):
+    # Samples above 4.0 overflow to inf in every block, while most stay finite.
+    monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
+    p = ModelParams(x0=0.0, r=0.0, sigma=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = drift_estimate(_inf_above_four, p, 3.7, 0.0, 1e-2, 4 * 8192, seed=7)
+        assert not (math.isfinite(report.estimated_drift_rate)
+                    and math.isfinite(report.standard_error))
+        with pytest.raises(NonFiniteSampleError, match="non-finite drift estimate"):
+            classify(report)
+
+
+@pytest.mark.parametrize("params, name", [
+    (ModelParams(x0=1.79e308, r=0.0, sigma=1e306), r"sigma\*sqrt\(t\)"),
+    (ModelParams(x0=1.79e308, r=0.0, sigma=1.0, drift=1e308, exploratory_drift=True),
+     r"x0 \+ mu\*t"),
+], ids=["scale", "mean"])
+def test_integrability_names_a_law_that_leaves_the_float_range(params, name):
+    # The samples would be inf + Z: without the check the payoff would be blamed at X = inf.
+    with pytest.raises(ValidationError, match=name):
+        integrability_check(sine_solution(1, 0.2, 0.2), params, 1.0, 2000, 1)
 
 
 def test_integrability_validates_sample_count():
