@@ -46,7 +46,7 @@ print(f"ladder mode: integral {res.integral:.12f}, amplitude {res.amplitude:.12f
       f"(= sqrt(2/K)), cross-check error {quad.estimated_error:.1e}")
 off = normalization_constant(0.1, sigma, strike)
 print(f"off-ladder r=0.1: integral {off.integral:.6f}, amplitude {off.amplitude:.6f}")
-print("(closed-form antiderivative, cross-checked by adaptive quadrature)")
+print("(closed-form antiderivative, cross-checked by composite Gauss-Legendre quadrature)")
 
 print()
 print("== the weighted payoff surface Y(x, t) ==")

@@ -6,7 +6,7 @@ with closed-form solutions, the quantized at-the-money rate ladder with its
 normalization, and a Monte Carlo drift laboratory for martingale checks.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .errors import NonFiniteSampleError, ValidationError
 from .model import (

@@ -202,7 +202,10 @@ def _cmd_drift_check(args) -> _Report:
 
 _FLOAT = {"type": float, "required": True}
 _INT = {"type": int, "required": True}
-_SIGN = {"type": DiscountSign, "choices": list(DiscountSign), "default": DiscountSign.PLUS}
+# Choices are the value strings, so --help lists {plus,minus}; each str enum
+# member that ``type`` returns still compares equal to its value.
+_SIGN = {"type": DiscountSign, "choices": [s.value for s in DiscountSign],
+         "default": DiscountSign.PLUS}
 
 # Each subcommand once: (handler, help line, {flag: argparse keywords}). The
 # parser, the dispatch in ``run`` and provenance all read this table, so the
@@ -242,7 +245,7 @@ _COMMANDS = {
         "--strike": _FLOAT,
         "--method": {
             "type": IntegralMethod,
-            "choices": list(IntegralMethod),
+            "choices": [m.value for m in IntegralMethod],
             "default": IntegralMethod.CLOSED_FORM,
         },
     }),

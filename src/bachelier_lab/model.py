@@ -312,6 +312,11 @@ def first_hitting_time(path: np.ndarray, grid: TimeGrid, level: float) -> Hittin
     return HittingTime(value=float(grid.times[int(np.argmax(mask))]))
 
 
+def _normal_cdf(x: float) -> float:
+    """Standard normal CDF Phi(x), accurate in relative terms down to its underflow near -37."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def hitting_probability(p: ModelParams, level: float, t: float) -> float:
     """Exact P(tau <= t) for the first passage of the additive model to ``level``.
 
@@ -334,18 +339,26 @@ def hitting_probability(p: ModelParams, level: float, t: float) -> float:
             return 0.0
         crossing = (level - p.x0) / mu
         return 1.0 if 0.0 < crossing <= t else 0.0
-    from scipy.special import log_ndtr, ndtr  # deferred: the slowest import, used only here
     d = abs(level - p.x0)
     drift = mu if level > p.x0 else -mu
     sig_sqrt_t = p.sigma * math.sqrt(t)
+    a = (-d + drift * t) / sig_sqrt_t
+    b = (-d - drift * t) / sig_sqrt_t
+    exponent = 2.0 * drift * d / (p.sigma * p.sigma)
     # exp * cdf evaluated in log space: the exponential factor alone can
     # overflow for strong drift even though the product is a probability.
-    # When the exponent overflows too, the log sum is inf - inf = NaN.
-    term1 = ndtr((-d + drift * t) / sig_sqrt_t)
-    with np.errstate(invalid="ignore"):
-        log_term2 = 2.0 * drift * d / (p.sigma * p.sigma) + log_ndtr(
-            (-d - drift * t) / sig_sqrt_t
-        )
+    # Below b = -20, Phi(b) = e^(-b^2/2)/(-b*sqrt(2*pi)) * series, the Mills-ratio
+    # series of Abramowitz & Stegun 26.2.12 (at -20 the first term left out is
+    # 2e-20), and exponent - b^2/2 = -a^2/2 exactly, so the large terms cancel
+    # in closed form. An overflowed exponent leaves the term undefined.
+    if b > -20.0:
+        log_term2 = exponent + math.log(_normal_cdf(b))
+    elif exponent < math.inf:
+        series = sum((-1) ** k * math.prod(range(1, 2 * k, 2)) * (b * b) ** -k for k in range(12))
+        log_term2 = -0.5 * a * a - (math.log(-b) + 0.5 * math.log(2 * math.pi) - math.log(series))
+    else:
+        log_term2 = math.nan
+    term1 = _normal_cdf(a)
     term2 = check("first-passage term e^(2*mu*d/sigma^2)*Phi(.)", math.exp(log_term2))
     prob = term1 + term2
     return min(max(prob, 0.0), 1.0)

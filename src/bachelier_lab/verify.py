@@ -32,10 +32,15 @@ _H = 1e-3  # central-difference step of the analytic drift
 
 
 def _block_moments(y: np.ndarray) -> tuple:
-    """``(count, mean, M2)`` of one block, ``M2 = sum((y - mean)^2)``; overwrites ``y``."""
-    mean = y.mean()
-    y -= mean
-    return len(y), mean, np.square(y, out=y).sum()
+    """``(count, mean, M2)`` of one block, ``M2 = sum((y - mean)^2)``; overwrites ``y``.
+
+    Finite values whose sum leaves the float range give an inf or NaN moment,
+    without a numpy warning: the caller reports it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # on a worker thread, set here
+        mean = y.mean()
+        y -= mean
+        return len(y), mean, np.square(y, out=y).sum()
 
 
 def _pooled(blocks: list) -> tuple:
@@ -43,12 +48,14 @@ def _pooled(blocks: list) -> tuple:
 
     The pairwise update of Chan, Golub & LeVeque (Am. Stat. 37, 1983):
     ``M2 = sum M2_b + sum n_b*(m_b - mean)^2``, so no per-sample array is
-    needed. An inf or NaN block mean propagates to the result.
+    needed. An inf or NaN block moment, or a sum past the float range,
+    propagates to the result without a numpy warning.
     """
     counts, means, m2s = (np.array(column) for column in zip(*blocks))
     n = counts.sum()
-    mean = (counts * means).sum() / n
-    m2 = m2s.sum() + (counts * (means - mean) ** 2).sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = (counts * means).sum() / n
+        m2 = m2s.sum() + (counts * (means - mean) ** 2).sum()
     return float(mean), math.sqrt(m2 / (n - 1)) / math.sqrt(n)
 
 
@@ -240,7 +247,8 @@ def integrability_check(
     ``drift_estimate``, each 8192-sample block is reduced on its worker to
     block moments that are pooled in block order; no per-sample array is
     kept. A law whose mean or scale ``sigma*sqrt(t)`` leaves the float range
-    is refused by name before sampling.
+    is refused by name before sampling, and finite samples whose pooled mean
+    or standard error overflows are refused after it.
     """
     n_samples = check("n_samples", n_samples, "count", _MIN_SAMPLES)
     law = exact_marginal(p, t)
@@ -260,6 +268,10 @@ def integrability_check(
         return _block_moments(y)
 
     mean, se = _pooled(_gaussian_blocks(seed, n_samples, np.array([law.std]), law.mean, absolute))
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise NonFiniteSampleError(
+            f"non-finite pooled |Y| statistics: mean_abs={mean!r}, standard_error={se!r}"
+        )
     bound = None
     if isinstance(v, SineSolution):
         bound = abs(v.amplitude) * _time_weight(1.0, abs(p.r), t)

@@ -294,7 +294,7 @@ import contextlib, io, json, sys
 import bachelier_lab
 from bachelier_lab.cli import run
 def scipy_loaded():
-    return sorted(m for m in ("scipy", "scipy.special", "scipy.integrate") if m in sys.modules)
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 loaded = [scipy_loaded()]
 for argv in sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -304,8 +304,8 @@ print(json.dumps(loaded))
 """
 
 
-def test_scipy_loads_only_for_hit_and_quadrature():
-    # scipy.special is the slowest import of the package; only the hit oracle needs it.
+def test_no_command_loads_scipy():
+    # The runtime needs numpy alone; scipy is a test-only dependency.
     argvs = [
         "solve --rate 0.02 --sigma 0.2",
         "spectrum --sigma 0.2 --strike 1 --n-max 3",
@@ -319,11 +319,8 @@ def test_scipy_loads_only_for_hit_and_quadrature():
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     probe = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argvs], env=env,
                            capture_output=True, text=True, check=True)
-    # After the import, then after each argv in turn; modules stay loaded once imported.
-    assert json.loads(probe.stdout) == [[]] * 7 + [
-        ["scipy", "scipy.special"],
-        ["scipy", "scipy.integrate", "scipy.special"],
-    ]
+    # After the import, then after each argv in turn.
+    assert json.loads(probe.stdout) == [[]] * 9
 
 
 @pytest.mark.parametrize("argv", [
@@ -332,7 +329,6 @@ def test_scipy_loads_only_for_hit_and_quadrature():
        "--method", "quadrature"] for n in (512, 768)),
 ], ids=["spectrum-n-max-1000", "quadrature-mode-512", "quadrature-mode-768"])
 def test_exit_zero_emits_no_warning(argv, capsys):
-    # On modes 512 and 768 quad reaches its subdivision limit; the error column reports it.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(argv) == 0
@@ -352,6 +348,27 @@ def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert run(["spectrum", "--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command,listed", [
+    ("surface", "--discount-sign {plus,minus}"),
+    ("drift-check", "--discount-sign {plus,minus}"),
+    ("normalize", "--method {closed_form,quadrature}"),
+])
+def test_help_lists_enum_choices_as_accepted_values(command, listed, capsys):
+    assert run([command, "--help"]) == 0
+    assert listed in capsys.readouterr().out
+
+
+def test_quadrature_past_its_panel_cap_exits_two(capsys):
+    # a = sqrt(r/D) = sqrt(1e10/0.02), so ceil(a*K/pi) = 225080 panels.
+    argv = ["normalize", "--rate", "1e10", "--sigma", "0.2", "--strike", "1",
+            "--method", "quadrature"]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "225080 panels" in err
+    assert run(argv[:-2]) == 0  # the closed form has no cap
 
 
 def test_normalize_json_record(capsys):

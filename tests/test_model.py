@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -315,6 +316,50 @@ def test_hitting_probability_rejects_an_undefined_reflection_term():
             hitting_probability(p, 1.89e16, 1.0)
         # log Phi alone at -inf is a zero term, not an error.
         assert hitting_probability(ModelParams(x0=0.0, r=1.0, sigma=1.0), 1e200, 1.0) == 0.0
+
+
+def _hitting_probability_mpmath(mpmath, mu, sigma, d, t):
+    """The closed form at 50 digits, for a level d above the start."""
+    with mpmath.workdps(50):
+        mu, sigma, d, t = map(mpmath.mpf, (mu, sigma, d, t))
+        s = sigma * mpmath.sqrt(t)
+        return (mpmath.ncdf((-d + mu * t) / s)
+                + mpmath.exp(2 * mu * d / sigma**2) * mpmath.ncdf((-d - mu * t) / s))
+
+
+# (mu, sigma, d, t): a product grid, then drift equal to the distance at unit
+# sigma and t, which puts the argument b = -(d + mu*t)/(sigma*sqrt(t)) of the
+# reflection term's Phi at -19.9, -20.1, -37.6, -100 and -177 while that term
+# still carries a share of P of order 1/|b|.
+_HIT_GRID = [
+    *itertools.product([-30.0, -5.0, -0.5, 0.0, 0.5, 5.0, 20.0], [0.02, 0.3, 1.0, 3.0],
+                       [0.01, 0.5, 1.0, 10.0, 50.0], [1e-3, 0.5, 1.0, 7.0]),
+    *((m, 1.0, m, 1.0) for m in (9.95, 10.05, 18.8, 50.0, 88.5)),
+]
+
+
+def test_hitting_probability_matches_mpmath_into_the_far_tail():
+    mpmath = pytest.importorskip("mpmath")
+    worst_likely = worst_rare = 0.0
+    arguments = []
+    for mu, sigma, d, t in _HIT_GRID:
+        exact = _hitting_probability_mpmath(mpmath, mu, sigma, d, t)
+        if exact < mpmath.mpf("1e-300"):
+            continue
+        arguments.append((-d - mu * t) / (sigma * math.sqrt(t)))
+        for sign in (1.0, -1.0):  # the level above the start, then its mirror image
+            got = hitting_probability(ModelParams(x0=0.0, r=sign * mu, sigma=sigma), sign * d, t)
+            rel = float(abs((got - exact) / exact))
+            if exact >= 1e-10:
+                worst_likely = max(worst_likely, rel)
+            else:
+                worst_rare = max(worst_rare, rel)
+    assert worst_likely <= 1e-13
+    assert worst_rare <= 1e-12
+    # Both branches of log Phi are exercised, far into the series one.
+    for b in (-19.9, -20.1, -37.6, -100.0, -177.0):
+        assert any(abs(arg - b) < 0.05 for arg in arguments)
+    assert max(arguments) > 0.0 and min(arguments) < -1000.0
 
 
 def test_hitting_probability_rejects_start_on_level():

@@ -179,6 +179,13 @@ def test_normalization_small_rate_matches_mpmath(r):
         assert abs((result.amplitude - exact ** -0.5) / exact ** -0.5) <= 1e-12
 
 
+def test_quadrature_stays_accurate_at_a_high_rate():
+    # 2251 panels: a rate where an adaptive rule with a subdivision limit falls short.
+    closed = normalization_constant(1e6, 0.2, 1.0)
+    quad = normalization_constant(1e6, 0.2, 1.0, IntegralMethod.QUADRATURE)
+    assert quad.estimated_error == abs(quad.integral - closed.integral) <= 1e-12 * closed.integral
+
+
 def test_normalized_profile_integrates_to_one():
     for r, sigma, strike in [(0.1, 0.2, 1.0), (quantized_rate(2, 0.3, 1.5), 0.3, 1.5)]:
         result = normalization_constant(r, sigma, strike)

@@ -246,6 +246,15 @@ def test_integrability_aborts_on_overflow_without_a_warning(monkeypatch):
                 integrability_check(v, p, 1.0, 2 * 8192, seed=3)
 
 
+def test_integrability_refuses_finite_samples_whose_mean_overflows():
+    # Every |Y| is 1e308, finite, but 2000 of them sum past the float range.
+    p = ModelParams(x0=0.0, r=0.0, sigma=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteSampleError, match=r"mean_abs=inf, standard_error=nan"):
+            integrability_check(lambda x: np.full_like(x, 1e308), p, 1.0, 2000, seed=0)
+
+
 def _inf_above_four(x):
     # e^1000 overflows: inf where x > 4.0, after a numpy overflow a worker must silence.
     return np.exp(np.where(x > 4.0, 1000.0, 0.0))
