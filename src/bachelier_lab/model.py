@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -20,6 +21,8 @@ from .errors import ValidationError, check
 
 _MAX_SEED = 1 << 64
 _BLOCK = 1 << 13  # rows per substream; part of the determinism contract
+_TILE = 1 << 16  # floats a sampler worker holds at once; bounds memory, moves no value
+_ROWS_PER_STEP = 32  # tiles at least this many rows per step are folded column by column
 RNG_SCHEME = "philox4x64-block8192"  # recorded in CLI provenance; bump when sampled values move
 
 
@@ -155,21 +158,51 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each) -> list:
-    """Return ``[each(start, block) for every block]`` in block order.
+def _fold_steps(op, tile: np.ndarray, accumulate: bool = False) -> np.ndarray:
+    """``op.accumulate(tile, axis=1, out=tile)`` if ``accumulate``, else ``op.reduce(tile, axis=1)``.
 
-    The one sampler of the package. ``block`` holds the rows ``start ..
-    start + len(block) - 1`` of ``base + cumsum(scale * Z)``. Block ``b``
+    The step axis of the sampler's tiles goes through here. numpy runs an
+    operation along axis 1 as one inner loop per row, about 40 ns a row
+    whatever the width, which dominates a narrow tile. A tile with at least
+    32 rows per step column is therefore folded one column at a time, one
+    call over all rows per step. ``op(tile[:, j-1], tile[:, j])`` combines
+    the same two values in the same order as numpy's row loop does, so the
+    bits are the same either way; the choice depends on the shape alone.
+    """
+    n_steps = tile.shape[1]
+    if len(tile) < _ROWS_PER_STEP * n_steps:
+        return op.accumulate(tile, axis=1, out=tile) if accumulate else op.reduce(tile, axis=1)
+    if accumulate:
+        for j in range(1, n_steps):
+            op(tile[:, j - 1], tile[:, j], out=tile[:, j])
+        return tile
+    folded = tile[:, 0].copy()
+    for j in range(1, n_steps):
+        op(folded, tile[:, j], out=folded)
+    return folded
+
+
+def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each) -> list:
+    """Return ``[each(start, tile) for every tile]`` in row order.
+
+    The one sampler of the package. ``tile`` holds the rows ``start ..
+    start + len(tile) - 1`` of ``base + cumsum(scale * Z)``. Block ``b``
     covers rows ``b*8192 .. b*8192 + 8191`` and draws its standard normals
-    as one ``(rows, scale.size)`` matrix from ``SeedStreams(seed).generator(b)``,
-    so row ``i`` reads offset ``(i % 8192)*scale.size`` of stream ``i // 8192``
-    and does not depend on ``n_rows``, nor on how the blocks are scheduled.
+    in row-major order from ``SeedStreams(seed).generator(b)``, so row ``i``
+    reads offset ``(i % 8192)*scale.size`` of stream ``i // 8192`` and does
+    not depend on ``n_rows``, nor on how the blocks are scheduled.
+
+    A block is drawn as consecutive tiles of ``max(1, min(8192, 2^16 //
+    scale.size))`` rows from its one generator, the last tile of a block
+    possibly shorter; the tiles hold exactly the normals of a whole-block
+    draw, and a worker holds one tile of at most 2^16 floats (512 KB) or
+    one row, whichever is larger. Up to 8 steps a tile is the whole block.
 
     The blocks run on up to one thread per usable CPU, and on no more
     threads than ``n_rows / 8192`` rounded half up, worker ``k`` taking
     blocks ``k, k+W, ...``; the caller runs worker 0 itself. ``each`` is
-    therefore called from several threads at once, each time with a block no
-    other call sees, and the block is a buffer that the worker's next block
+    therefore called from several threads at once, each time with a tile no
+    other call sees, and the tile is a buffer that the worker's next tile
     overwrites: ``each`` copies what it keeps. A worker keeps one generator
     and re-keys its bit generator in place to counter ``b << 128`` with an
     empty buffer, the state ``generator(b)`` starts in, which costs a
@@ -181,9 +214,10 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each) -> l
     """
     streams = SeedStreams(seed)
     n_blocks = -(-n_rows // _BLOCK)
+    tile_rows = max(1, min(_BLOCK, _TILE // scale.size))
     # A short tail block is not worth the start and join of a thread.
     n_workers = min(_usable_cpus(), max(1, (n_rows + _BLOCK // 2) // _BLOCK))
-    results = [None] * n_blocks
+    results = [()] * n_blocks  # per block, the results of its tiles
     failures = []  # (block, exception), at most one per worker
 
     def work(k):
@@ -191,25 +225,27 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each) -> l
         try:
             gen = streams.generator(0)
             state = gen.bit_generator.state  # substream 0 before any draw
-            buf = np.empty((min(_BLOCK, n_rows), scale.size))
+            buf = np.empty((min(tile_rows, n_rows), scale.size))
             for b in range(k, n_blocks, n_workers):
-                start = b * _BLOCK
-                block = buf[: min(_BLOCK, n_rows - start)]
                 if b:
                     state["state"]["counter"] = np.array([0, 0, b, 0], dtype=np.uint64)
                     gen.bit_generator.state = state
-                gen.standard_normal(out=block)
-                with np.errstate(over="raise", invalid="raise"):
-                    try:
-                        block *= scale
-                        if scale.size > 1:  # a one-column cumsum is the identity, yet costs a pass
-                            np.cumsum(block, axis=1, out=block)
-                        block += base
-                    except FloatingPointError as exc:
-                        raise ValidationError(
-                            f"path values x0 + mu*t + sigma*W(t) must be finite: {exc}"
-                        ) from None
-                results[b] = each(start, block)
+                end = min((b + 1) * _BLOCK, n_rows)
+                tiles = []
+                for start in range(b * _BLOCK, end, tile_rows):
+                    tile = buf[: min(tile_rows, end - start)]
+                    gen.standard_normal(out=tile)
+                    with np.errstate(over="raise", invalid="raise"):
+                        try:
+                            tile *= scale
+                            _fold_steps(np.add, tile, accumulate=True)
+                            tile += base
+                        except FloatingPointError as exc:
+                            raise ValidationError(
+                                f"path values x0 + mu*t + sigma*W(t) must be finite: {exc}"
+                            ) from None
+                    tiles.append(each(start, tile))
+                results[b] = tiles
         except Exception as exc:  # handed to the caller, which raises the lowest block's
             failures.append((b, exc))
 
@@ -225,7 +261,7 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each) -> l
             thread.join()
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    return results
+    return [result for tiles in results for result in tiles]
 
 
 def _increments(p: ModelParams, grid: TimeGrid):
@@ -317,6 +353,19 @@ def _normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
+def _ratio(x: float, y: float, u: float, v: float) -> float:
+    """``x*y / (u*v)``, or ``(x/u) * (y/v)`` where ``x*y`` overflows or ``u*v`` is not a normal float.
+
+    In the normal range this is one product over another, with their bits.
+    Outside it, a tiny sigma would underflow the divisor to 0 or to a few
+    digits, and an overflowed product would turn a finite ratio into inf.
+    """
+    xy, uv = x * y, u * v
+    if abs(xy) < math.inf and sys.float_info.min <= uv < math.inf:
+        return xy / uv
+    return (x / u) * (y / v)
+
+
 def hitting_probability(p: ModelParams, level: float, t: float) -> float:
     """Exact P(tau <= t) for the first passage of the additive model to ``level``.
 
@@ -341,23 +390,21 @@ def hitting_probability(p: ModelParams, level: float, t: float) -> float:
         return 1.0 if 0.0 < crossing <= t else 0.0
     d = abs(level - p.x0)
     drift = mu if level > p.x0 else -mu
-    sig_sqrt_t = p.sigma * math.sqrt(t)
-    a = (-d + drift * t) / sig_sqrt_t
-    b = (-d - drift * t) / sig_sqrt_t
-    exponent = 2.0 * drift * d / (p.sigma * p.sigma)
+    sqrt_t = math.sqrt(t)
+    a = _ratio(-d + drift * t, 1.0, p.sigma, sqrt_t)
+    b = _ratio(-d - drift * t, 1.0, p.sigma, sqrt_t)
     # exp * cdf evaluated in log space: the exponential factor alone can
     # overflow for strong drift even though the product is a probability.
     # Below b = -20, Phi(b) = e^(-b^2/2)/(-b*sqrt(2*pi)) * series, the Mills-ratio
     # series of Abramowitz & Stegun 26.2.12 (at -20 the first term left out is
     # 2e-20), and exponent - b^2/2 = -a^2/2 exactly, so the large terms cancel
-    # in closed form. An overflowed exponent leaves the term undefined.
+    # in closed form and the exponent is never formed. Above -20, d and |mu|*t
+    # are each below 20*sigma*sqrt(t), so a positive exponent is below 800.
     if b > -20.0:
-        log_term2 = exponent + math.log(_normal_cdf(b))
-    elif exponent < math.inf:
+        log_term2 = 2.0 * _ratio(drift, d, p.sigma, p.sigma) + math.log(_normal_cdf(b))
+    else:
         series = sum((-1) ** k * math.prod(range(1, 2 * k, 2)) * (b * b) ** -k for k in range(12))
         log_term2 = -0.5 * a * a - (math.log(-b) + 0.5 * math.log(2 * math.pi) - math.log(series))
-    else:
-        log_term2 = math.nan
     term1 = _normal_cdf(a)
     term2 = check("first-passage term e^(2*mu*d/sigma^2)*Phi(.)", math.exp(log_term2))
     prob = term1 + term2
@@ -379,14 +426,20 @@ def hitting_frequency(
 ) -> HitFrequency:
     """Fraction of simulated paths that reach ``level`` by the end of the grid.
 
-    Path ``i`` is row ``i`` of ``simulate_paths`` with the same arguments;
-    each worker thread scans one 8192-row block at a time to bound memory.
+    Path ``i`` is row ``i`` of ``simulate_paths`` with the same arguments.
+    Each worker thread scans one sampler tile at a time, at most 2^16
+    values or one path, so memory does not grow with the path count or, past
+    one path, the step count. A path hits when any of its values is at or
+    beyond the level; that scan goes along the steps the same way as the
+    sampler's cumulative sum, column by column on a tile with at least 32
+    rows per step and row by row otherwise.
     """
     check("level", level)
     n_paths = check("n_paths", n_paths, "count", 1)
 
-    def count(_, block):
-        return int((_reached(block, p.x0, level).any(axis=1) | (p.x0 == level)).sum())
+    def count(_, tile):
+        hit = _fold_steps(np.logical_or, _reached(tile, p.x0, level))
+        return int((hit | (p.x0 == level)).sum())
 
     n_hits = sum(_gaussian_blocks(seed, n_paths, *_increments(p, grid), count))
     freq = n_hits / n_paths

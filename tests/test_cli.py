@@ -141,8 +141,6 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
         (["solve", "--rate", "1e300", "--sigma", "1e-200"], "diffusion sigma^2/2"),
         (["solve", "--rate", "1", "--sigma", "1e-160"], "characteristic roots"),
         (["solve", "--rate", "1e300", "--sigma", "1"], "discriminant"),
-        (["hit", "--x0=-0.5", "--rate=1.08e296", "--sigma=0.5", "--level=1.89e16", "--t", "1",
-          "--grid-step", "0.5", "--paths", "2"], "first-passage term"),
         (["simulate", "--x0", "1", "--rate", "1", "--sigma", "0", "--drift", "1e300",
           "--t-end", "1e300", "--steps", "1", "--paths", "1"], "drift line"),
         (_HIT + ["--t", "1e300", "--grid-step", "1e-300"], "t/grid-step"),
@@ -182,7 +180,7 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
          "drift-check-overflow", "solve-rate-nan", "spectrum-sigma-inf", "surface-t-end-nan",
          "surface-amplitude-inf", "surface-weight-overflow", "surface-x-points-zero",
          "normalize-rate-inf", "normalize-wavenumber-overflow", "solve-sigma-underflow",
-         "solve-root-overflow", "solve-discriminant-overflow", "hit-reflection-term-nan",
+         "solve-root-overflow", "solve-discriminant-overflow",
          "simulate-drift-line-overflow",
          "hit-step-count-overflow", "hit-grid-too-long", "drift-check-rate-overflow",
          "drift-check-z-threshold-inf", "simulate-precision-negative", "solve-precision-too-big",
@@ -333,6 +331,24 @@ def test_exit_zero_emits_no_warning(argv, capsys):
         warnings.simplefilter("error")
         assert run(argv) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv, probability", [
+    # 2*mu*d/sigma^2 overflows; the drift carries every path past the level at once.
+    (["--x0=-0.5", "--rate=1.08e296", "--sigma=0.5", "--level=1.89e16", "--t", "1"], 1.0),
+    # sigma^2 underflows to 0; the drift line reaches the level exactly at t.
+    (["--x0", "0", "--rate", "1", "--sigma", "1e-170", "--level", "1", "--t", "1"], 0.5),
+    # sigma*sqrt(t) underflows to 0; the level is out of reach in so short a time.
+    (["--x0", "0", "--rate", "1", "--sigma", "1e-200", "--level", "1", "--t", "1e-300"], 0.0),
+], ids=["hit-reflection-exponent-overflow", "hit-sigma-squared-underflow",
+        "hit-sigma-sqrt-t-underflow"])
+def test_hit_closed_form_at_the_ends_of_its_domain(argv, probability, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["hit", *argv, "--grid-step", "0.5", "--paths", "2", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["results"][0]["closed_form_probability"] == probability
 
 
 def test_usage_errors_exit_one(capsys):

@@ -155,6 +155,74 @@ def test_each_block_reads_its_substream_from_the_start():
             assert np.array_equal(block, np.cumsum(z, axis=1))
 
 
+@pytest.mark.parametrize("width", [1, 2, 8, 45, 46, 64, 1000])
+def test_tiles_hold_the_rows_of_a_whole_block_draw(width):
+    # A worker draws a block as tiles of 2^16 // width rows (the whole block up
+    # to 8 steps). Their rows, folded along the steps column by column or row
+    # by row, must be those of one (rows, width) draw from generator(b) and its
+    # row cumsum, in row order, however the tile edges fall.
+    seed, n = 8, 8192 + 70
+    scale, base = np.linspace(0.5, 1.5, width), np.linspace(-1.0, 1.0, width)
+    tiles = _gaussian_blocks(seed, n, scale, base, lambda start, tile: (start, tile.copy()))
+    rows = max(1, min(8192, (1 << 16) // width))
+    starts = [*range(0, 8192, rows), *range(8192, n, rows)]
+    assert [start for start, _ in tiles] == starts
+    assert all(start + len(tile) in (*starts[1:], n) for start, tile in tiles)
+    got = np.concatenate([tile for _, tile in tiles])
+    for b in range(2):
+        z = SeedStreams(seed).generator(b).standard_normal((min(8192, n - 8192 * b), width))
+        expected = base + np.cumsum(scale * z, axis=1)
+        assert np.array_equal(got[8192 * b : 8192 * b + len(z)], expected)
+
+
+def test_wide_paths_match_a_direct_draw_at_tile_edges():
+    # 1000 steps: tiles of 65 rows, so rows 64 | 65 and 129 | 130 sit on tile
+    # edges, and the last tile of a block holds 8192 - 126*65 = 2 rows.
+    p = ModelParams(x0=1.0, r=0.05, sigma=0.3)
+    grid = TimeGrid.regular(1.0, 1000)
+    n, seed = 8192 + 66, 77
+    paths = simulate_paths(p, grid, n, seed)
+    for i in (0, 64, 65, 66, 129, 130, 8189, 8190, 8191, 8192, 8192 + 64, 8192 + 65):
+        z = SeedStreams(seed).generator(i // 8192).standard_normal((i % 8192 + 1, 1000))[-1]
+        expected = p.x0 + p.mu * grid.times[1:] + np.cumsum(p.sigma * np.sqrt(grid.steps) * z)
+        assert np.array_equal(paths.values[i, 1:], expected)
+
+
+@pytest.mark.parametrize("n_steps, n_paths, step_scale, fold", [
+    (2, 500, 4.4e307, "add"), (1000, 100, 3.6e306, "accumulate")])
+def test_an_overflow_along_the_steps_is_refused_by_name(n_steps, n_paths, step_scale, fold):
+    # Every scaled normal is finite; only the running sum along the steps
+    # overflows: column by column at 2 steps (numpy's add), row by row at 1000
+    # (its accumulate). Either way the named error comes back, with no warning.
+    grid = TimeGrid.regular(1.0, n_steps)
+    p = ModelParams(x0=0.0, r=0.0, sigma=step_scale * math.sqrt(n_steps))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"path values .* must be finite: .* in {fold}$"):
+            simulate_paths(p, grid, n_paths, seed=1)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 6])
+def test_a_wide_scan_holds_a_bounded_tile_per_worker(workers, monkeypatch):
+    # A tile is at most 2^16 floats (512 KB); with its mask, one worker stays
+    # under 1 MiB, whatever the path count. A whole 8192 x 1000 block would be
+    # 65.5 MB per worker. 3*8192 + 5 rows run on at most 3 workers.
+    import tracemalloc
+
+    monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
+    p = ModelParams(x0=0.0, r=0.0, sigma=1.0)
+    grid = TimeGrid.regular(1.0, 1000)
+    n = 3 * 8192 + 5
+    expected = hitting_frequency(p, 1.0, grid, n, seed=2)  # one-time allocations happen here
+    tracemalloc.start()
+    try:
+        assert hitting_frequency(p, 1.0, grid, n, seed=2) == expected
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < min(workers, 3) * (1 << 20)
+
+
 def test_results_do_not_depend_on_the_worker_count(monkeypatch):
     # More workers than blocks or cores, with thread switches forced as often as
     # the interpreter allows: every result must match the one-worker bits, and
@@ -307,15 +375,24 @@ def test_hitting_probability_degenerate_sigma():
     assert hitting_probability(wrong_way, -0.5, 1.0) == 1.0
 
 
-def test_hitting_probability_rejects_an_undefined_reflection_term():
+def test_hitting_probability_holds_where_the_reflection_exponent_overflows():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # 2*mu*d/sigma^2 overflows to inf and log Phi to -inf: their sum was NaN.
+        # 2*mu*d/sigma^2 overflows, yet the drift carries the path past the level at once.
         p = ModelParams(x0=-0.5, r=1.08e296, sigma=0.5)
-        with pytest.raises(ValidationError, match="first-passage term"):
-            hitting_probability(p, 1.89e16, 1.0)
+        assert hitting_probability(p, 1.89e16, 1.0) == 1.0
         # log Phi alone at -inf is a zero term, not an error.
         assert hitting_probability(ModelParams(x0=0.0, r=1.0, sigma=1.0), 1e200, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-155, 1e160])
+def test_hitting_probability_does_not_depend_on_the_unit_of_price(scale):
+    # Measuring x0, level, mu and sigma in another unit leaves the law alone, also
+    # where sigma^2 or sigma*sqrt(t) underflows (1e-170, 1e-155) or mu*d overflows (1e160).
+    for mu, d in [(9.0, 9.0), (-0.5, 2.0), (3.0, 0.01)]:
+        unit = hitting_probability(ModelParams(x0=0.0, r=mu, sigma=1.0), d, 1.0)
+        scaled = hitting_probability(ModelParams(x0=0.0, r=mu * scale, sigma=scale), d * scale, 1.0)
+        assert scaled == pytest.approx(unit, rel=1e-13)
 
 
 def _hitting_probability_mpmath(mpmath, mu, sigma, d, t):
