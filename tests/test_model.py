@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -207,8 +208,6 @@ def test_a_wide_scan_holds_a_bounded_tile_per_worker(workers, monkeypatch):
     # A tile is at most 2^16 floats (512 KB); with its mask, one worker stays
     # under 1 MiB, whatever the path count. A whole 8192 x 1000 block would be
     # 65.5 MB per worker. 3*8192 + 5 rows run on at most 3 workers.
-    import tracemalloc
-
     monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
     p = ModelParams(x0=0.0, r=0.0, sigma=1.0)
     grid = TimeGrid.regular(1.0, 1000)
@@ -388,7 +387,8 @@ def test_hitting_probability_holds_where_the_reflection_exponent_overflows():
 @pytest.mark.parametrize("scale", [1e-170, 1e-155, 1e160])
 def test_hitting_probability_does_not_depend_on_the_unit_of_price(scale):
     # Measuring x0, level, mu and sigma in another unit leaves the law alone, also
-    # where sigma^2 or sigma*sqrt(t) underflows (1e-170, 1e-155) or mu*d overflows (1e160).
+    # where sigma^2 underflows to 0 (1e-170) or to a subnormal (1e-155), or where
+    # mu*d overflows (1e160).
     for mu, d in [(9.0, 9.0), (-0.5, 2.0), (3.0, 0.01)]:
         unit = hitting_probability(ModelParams(x0=0.0, r=mu, sigma=1.0), d, 1.0)
         scaled = hitting_probability(ModelParams(x0=0.0, r=mu * scale, sigma=scale), d * scale, 1.0)
