@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -277,6 +278,13 @@ _COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent, so it took ``--rate -1e-3`` for
+        # two options. No option of this parser looks like a number.
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf(inity)?$", re.IGNORECASE)
+
     def error(self, message):  # usage errors exit 1, not argparse's default 2
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -310,8 +318,7 @@ def run(argv=None) -> int:
         for key, value in vars(args).items():
             if isinstance(value, (float, list)):
                 check(key.replace("_", "-"), value)
-        if not 0 <= args.precision <= 17:  # float64 round-trips at 17 significant digits
-            raise ValidationError(f"precision must be an integer in [0, 17], got {args.precision}")
+        check("precision", args.precision, "integer", 0, 17)  # float64 round-trips at 17 digits
         report = _COMMANDS[args.command][0](args)
         render = _render_csv if args.format == "csv" else _render_json
         text = render(_provenance(args), report, f"%.{args.precision}g")

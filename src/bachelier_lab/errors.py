@@ -21,27 +21,32 @@ _DOMAINS = {
 }
 
 
-def check(name: str, value, domain: str = "finite", least: int = 0):
+def check(name: str, value, domain: str = "finite", least: int = 0, most=None):
     """Return ``value`` if it lies in ``domain``; otherwise raise a ValidationError naming ``name``.
 
     Domains: ``"finite"``, ``"positive"`` (finite and > 0), ``"nonnegative"``
     (finite and >= 0), elementwise for arrays, with complex values allowed
     under ``"finite"``; ``"integer"``, an integer >= ``least``, returned
-    as an ``int`` (an integral float such as 4.0 is accepted); and
-    ``"count"``, an integer that sizes an array or a loop, so also below
-    ``MAX_COUNT``.
+    as an ``int`` (an integral float such as 4.0 is accepted, 2.5 or
+    ``'7'`` is not); and ``"count"``, an integer that sizes an array or a
+    loop, so also below ``MAX_COUNT``. ``most``, when given, is an
+    inclusive upper bound in any real domain.
     """
     if domain in ("integer", "count"):
         integral = isinstance(value, numbers.Integral) or (
             isinstance(value, float) and value.is_integer())
-        if not (integral and value >= least):
-            raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not (integral and value >= least and (most is None or value <= most)):
+            span = f">= {least}" if most is None else f"in [{least}, {most}]"
+            raise ValidationError(f"{name} must be an integer {span}, got {value!r}")
         if domain == "count" and value >= MAX_COUNT:
             raise ValidationError(f"{name} must be < {MAX_COUNT}: no float64 array is longer")
         return int(value)
     want, inside = _DOMAINS[domain]
     v = np.asarray(value)
     good = np.isfinite(v) & inside(v)
+    if most is not None:
+        want = f"{want} and <= {most!r}"
+        good &= v <= most
     if good.all():
         return value
     if v.ndim == 0:

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ValidationError, check
 
 
-_MAX_SEED = 1 << 64
+_MAX_SEED = (1 << 64) - 1
 _BLOCK = 1 << 13  # rows per substream; part of the determinism contract
 _TILE = 1 << 16  # floats a sampler worker holds at once; bounds memory, moves no value
 _ROWS_PER_STEP = 32  # tiles at least this many rows per step are folded column by column
@@ -126,9 +126,7 @@ class SeedStreams:
     """
 
     def __init__(self, seed: int):
-        if not (0 <= int(seed) < _MAX_SEED):
-            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-        self._seed = int(seed)
+        self._seed = check("seed", seed, "integer", 0, _MAX_SEED)
 
     def generator(self, index: int) -> np.random.Generator:
         """A fresh generator at the start of substream ``index`` (< 2^64)."""
@@ -207,18 +205,19 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each) -> l
     and re-keys its bit generator in place to counter ``b << 128`` with an
     empty buffer, the state ``generator(b)`` starts in, which costs a
     fraction of building a Philox. numpy's ``errstate`` does not reach a new
-    thread, so ``each`` sets its own.
+    thread, so every worker, the caller included, runs ``each`` under
+    ``errstate(over="ignore", invalid="ignore")``; ``each`` reports inf or NaN.
 
-    A worker stops at its first failing block; the exception of the lowest
-    failing block is raised, the one a serial loop would raise.
+    A worker stops at its first failing block and stores the exception in its
+    place. The first one in block order is raised, as a serial loop would: a
+    lower block that did not finish belongs to a worker that failed earlier.
     """
     streams = SeedStreams(seed)
     n_blocks = -(-n_rows // _BLOCK)
     tile_rows = max(1, min(_BLOCK, _TILE // scale.size))
     # A short tail block is not worth the start and join of a thread.
     n_workers = min(_usable_cpus(), max(1, (n_rows + _BLOCK // 2) // _BLOCK))
-    results = [()] * n_blocks  # per block, the results of its tiles
-    failures = []  # (block, exception), at most one per worker
+    results = [()] * n_blocks  # per block, the results of its tiles or the exception it raised
 
     def work(k):
         b = k
@@ -244,10 +243,11 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each) -> l
                             raise ValidationError(
                                 f"path values x0 + mu*t + sigma*W(t) must be finite: {exc}"
                             ) from None
-                    tiles.append(each(start, tile))
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        tiles.append(each(start, tile))
                 results[b] = tiles
-        except Exception as exc:  # handed to the caller, which raises the lowest block's
-            failures.append((b, exc))
+        except Exception as exc:  # raised by the caller, in block order
+            results[b] = exc
 
     threads = []
     try:
@@ -259,8 +259,9 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each) -> l
     finally:
         for thread in threads:
             thread.join()
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
     return [result for tiles in results for result in tiles]
 
 
@@ -391,8 +392,14 @@ def hitting_probability(p: ModelParams, level: float, t: float) -> float:
     d = abs(level - p.x0)
     drift = mu if level > p.x0 else -mu
     sqrt_t = math.sqrt(t)
-    a = _ratio(-d + drift * t, 1.0, p.sigma, sqrt_t)
-    b = _ratio(-d - drift * t, 1.0, p.sigma, sqrt_t)
+    if math.isfinite(d) and math.isfinite(drift * t):
+        a = _ratio(-d + drift * t, 1.0, p.sigma, sqrt_t)
+        b = _ratio(-d - drift * t, 1.0, p.sigma, sqrt_t)
+        half_exponent = _ratio(drift, d, p.sigma, p.sigma)
+    else:  # d or mu*t leaves the float range: measure both in units of sigma*sqrt(t)
+        d_s = abs(_ratio(level, 1.0, p.sigma, sqrt_t) - _ratio(p.x0, 1.0, p.sigma, sqrt_t))
+        mu_s = _ratio(drift, sqrt_t, p.sigma, 1.0)
+        a, b, half_exponent = -d_s + mu_s, -d_s - mu_s, d_s * mu_s
     # exp * cdf evaluated in log space: the exponential factor alone can
     # overflow for strong drift even though the product is a probability.
     # Below b = -20, Phi(b) = e^(-b^2/2)/(-b*sqrt(2*pi)) * series, the Mills-ratio
@@ -401,7 +408,7 @@ def hitting_probability(p: ModelParams, level: float, t: float) -> float:
     # in closed form and the exponent is never formed. Above -20, d and |mu|*t
     # are each below 20*sigma*sqrt(t), so a positive exponent is below 800.
     if b > -20.0:
-        log_term2 = 2.0 * _ratio(drift, d, p.sigma, p.sigma) + math.log(_normal_cdf(b))
+        log_term2 = 2.0 * half_exponent + math.log(_normal_cdf(b))
     else:
         series = sum((-1) ** k * math.prod(range(1, 2 * k, 2)) * (b * b) ** -k for k in range(12))
         log_term2 = -0.5 * a * a - (math.log(-b) + 0.5 * math.log(2 * math.pi) - math.log(series))

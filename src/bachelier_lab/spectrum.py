@@ -38,7 +38,9 @@ def quantized_rate(n: int, sigma: float, strike: float) -> float:
     if check("n", n, "integer", 0) == 0:
         warnings.warn("mode n=0 is degenerate: rate 0 and identically zero payoff")
         return 0.0
-    return (sigma * sigma / (2.0 * strike * strike)) * n * n * math.pi * math.pi
+    # 2*strike^2 is 0 or inf for a strike outside about [1e-162, 1e154].
+    denominator = check("2*strike^2", 2.0 * strike * strike, "positive")
+    return (sigma * sigma / denominator) * n * n * math.pi * math.pi
 
 
 @dataclass(frozen=True)

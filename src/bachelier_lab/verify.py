@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NonFiniteSampleError, ValidationError, check
+from .errors import NonFiniteSampleError, check
 from .model import ModelParams, _gaussian_blocks, exact_marginal
 from .ode import SineSolution, delta_gamma
 from .payoff import DiscountSign, _time_weight
@@ -35,12 +35,11 @@ def _block_moments(y: np.ndarray) -> tuple:
     """``(count, mean, M2)`` of one block, ``M2 = sum((y - mean)^2)``; overwrites ``y``.
 
     Finite values whose sum leaves the float range give an inf or NaN moment,
-    without a numpy warning: the caller reports it.
+    which the caller reports; the sampler keeps numpy from warning.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # on a worker thread, set here
-        mean = y.mean()
-        y -= mean
-        return len(y), mean, np.square(y, out=y).sum()
+    mean = y.mean()
+    y -= mean
+    return len(y), mean, np.square(y, out=y).sum()
 
 
 def _pooled(blocks: list) -> tuple:
@@ -125,19 +124,15 @@ def drift_estimate(
     Draws X(t+dt) = x0 + mu*dt + sigma*sqrt(dt)*Z exactly (Gaussian one-step
     law), averages the per-sample increment of Y divided by dt, and reports
     the standard error together with the analytic drift (central differences
-    of step 1e-3) and the z-score of their difference. Deterministic for a
-    fixed seed: sample ``i`` comes from the 8192-sample block ``i // 8192``,
-    keyed by substream ``i // 8192`` of ``seed``, so the estimate does not
-    depend on worker count or execution order. Each block is reduced on its
-    worker thread to its count, mean and sum of squared deviations, and the
-    block moments are pooled in block order, so memory does not grow with
-    ``n_samples``.
+    of step 1e-3) and the z-score of their difference. The samples come from
+    ``model._gaussian_blocks`` and their block moments are pooled by
+    ``_pooled``, so the estimate is a function of ``seed`` alone.
 
     Parameters
     ----------
     v : callable
-        Payoff profile; must accept numpy arrays. It is called from several
-        threads at once, one per usable CPU, each call on its own array.
+        Payoff profile; must accept numpy arrays, and is called from several
+        threads at once, each call on its own array.
     p : ModelParams
         Supplies rate, volatility, and drift. ``p.x0`` is ignored; the probe
         state ``x0`` is explicit.
@@ -156,8 +151,7 @@ def drift_estimate(
     sign : DiscountSign
         Exponential weight convention for Y.
     """
-    if check("dt", dt, "positive") > _MAX_DT:
-        raise ValidationError(f"dt must be in (0, {_MAX_DT}], got {dt!r}")
+    check("dt", dt, "positive", most=_MAX_DT)
     n_samples = check("n_samples", n_samples, "count", _MIN_SAMPLES)
     check("x0", x0)
     check("t", t, "nonnegative")
@@ -177,9 +171,8 @@ def drift_estimate(
             se = 0.0
         else:
             def rate(_, x):
-                with np.errstate(over="ignore", invalid="ignore"):  # not inherited by threads
-                    dy = np.asarray(v(x[:, 0]), dtype=float) * w_next - y_now
-                    return _block_moments(dy / dt)
+                dy = np.asarray(v(x[:, 0]), dtype=float) * w_next - y_now
+                return _block_moments(dy / dt)
 
             mean, se = _pooled(
                 _gaussian_blocks(seed, n_samples, np.array([step_scale]), step_mean, rate))
@@ -241,14 +234,11 @@ def integrability_check(
 
     For a bounded sine profile the analytic bound |A|*e^{|r|t} is attached
     as well; it holds for every t regardless of the sample. The profile ``v``
-    must accept numpy arrays; it is called from several threads at once, one
-    per usable CPU, each call on its own array. The first non-finite sample
-    is reported by its index, whatever the thread count. Like
-    ``drift_estimate``, each 8192-sample block is reduced on its worker to
-    block moments that are pooled in block order; no per-sample array is
-    kept. A law whose mean or scale ``sigma*sqrt(t)`` leaves the float range
-    is refused by name before sampling, and finite samples whose pooled mean
-    or standard error overflows are refused after it.
+    is called as in ``drift_estimate``. The first non-finite sample is
+    reported by its index, whatever the thread count. A law whose mean or
+    scale ``sigma*sqrt(t)`` leaves the float range is refused by name before
+    sampling, and finite samples whose pooled mean or standard error
+    overflows are refused after it.
     """
     n_samples = check("n_samples", n_samples, "count", _MIN_SAMPLES)
     law = exact_marginal(p, t)
@@ -257,8 +247,7 @@ def integrability_check(
     weight = _time_weight(sign.factor, p.r, t)
 
     def absolute(start, x):
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below, by index
-            y = np.abs(np.asarray(v(x[:, 0]), dtype=float) * weight)
+        y = np.abs(np.asarray(v(x[:, 0]), dtype=float) * weight)
         if not np.all(np.isfinite(y)):
             bad = int(np.flatnonzero(~np.isfinite(y))[0])
             raise NonFiniteSampleError(

@@ -175,6 +175,14 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
           "--steps", "2", "--paths", "10"], "path values"),
         (["hit", "--x0", "0", "--rate", "0", "--sigma", "1e308", "--level", "1", "--t", "1",
           "--grid-step", "0.5", "--paths", "1000"], "path values"),
+        # 2*strike^2 underflows to 0: the ladder rate's denominator, named.
+        (["spectrum", "--sigma", "1e-300", "--strike", "1e-300", "--n-max", "3"], "strike"),
+        (["surface", "--n", "1", "--sigma", "1e-300", "--strike", "1e-300"], "strike"),
+        # The closed form answers 1; the sampler's drift line x0 + mu*t overflows.
+        (["hit", "--x0=-1e308", "--rate", "1e300", "--sigma", "1", "--level", "1e308",
+          "--t", "1e10", "--grid-step", "5e9", "--paths", "10"], "drift line"),
+        # A negative infinity is an option value, refused as one.
+        (_HIT + ["--t", "1", "--x0", "-inf"], "x0 must"),
     ],
     ids=["grid-step-zero", "grid-step-negative", "grid-step-nan", "t-nan", "t-inf",
          "drift-check-overflow", "solve-rate-nan", "spectrum-sigma-inf", "surface-t-end-nan",
@@ -187,7 +195,9 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
          "simulate-paths-too-many", "surface-x-points-too-many", "drift-check-samples-too-many",
          "hit-paths-too-many", "simulate-paths-times-steps-too-many",
          "surface-x-points-times-t-points-too-many", "drift-check-payoff-overflow",
-         "simulate-path-overflow", "hit-path-overflow"],
+         "simulate-path-overflow", "hit-path-overflow", "spectrum-strike-squared-underflow",
+         "surface-strike-squared-underflow", "hit-drift-line-past-the-float-range",
+         "hit-x0-minus-inf"],
 )
 def test_invalid_numeric_inputs_exit_two_with_one_line(argv, field, capsys):
     with warnings.catch_warnings(record=True) as caught:
@@ -349,6 +359,22 @@ def test_hit_closed_form_at_the_ends_of_its_domain(argv, probability, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert json.loads(captured.out)["results"][0]["closed_form_probability"] == probability
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    (["solve", "--rate", "-1e-3", "--sigma", "0.2"], "rate", -1e-3),
+    (["solve", "--rate", "-0.001", "--sigma", "0.2"], "rate", -1e-3),
+    (["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0", "-2E+5"], "x0", [0.0, -2e5]),
+    (["hit", "--x0", "-1e-3", "--rate", "0.05", "--sigma", "0.3", "--level", "1", "--t", "1"],
+     "x0", -1e-3),
+    (["hit", "--x0", "-inf", "--rate", "0.05", "--sigma", "0.3", "--level", "1", "--t", "1"],
+     "x0", -math.inf),
+    (["simulate", "--x0", "0", "--rate", "0", "--sigma", "1", "--t-end", "1", "--steps", "1",
+      "--paths", "1", "--seed", "-1"], "seed", -1),
+], ids=["exponent", "decimal", "nargs-exponent", "hit-exponent", "minus-inf", "negative-int"])
+def test_negative_numbers_are_option_values(argv, option, value):
+    # argparse's own pattern (-1, -.5, -0.5) has no exponent, and reads "-1e-3" as an option.
+    assert getattr(cli.build_parser().parse_args(argv), option) == value
 
 
 def test_usage_errors_exit_one(capsys):

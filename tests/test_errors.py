@@ -6,6 +6,11 @@ import pytest
 from bachelier_lab.errors import MAX_COUNT, ValidationError, check
 
 
+def _limits(bounds):
+    """``least``, or ``(least, most)``, as the positional arguments of ``check``."""
+    return bounds if isinstance(bounds, tuple) else (bounds,)
+
+
 @pytest.mark.parametrize(
     "value,domain,least",
     [
@@ -14,17 +19,19 @@ from bachelier_lab.errors import MAX_COUNT, ValidationError, check
         (5e-324, "positive", 0),
         (0.0, "nonnegative", 0),
         (np.array([0.0, 2.0]), "nonnegative", 0),
+        (1e-2, "positive", (0, 1e-2)),  # the upper bound is inclusive
+        (np.array([-3.0, 2.0]), "finite", (0, 2.0)),
     ],
 )
 def test_check_returns_values_inside_the_domain(value, domain, least):
-    assert check("x", value, domain, least) is value
+    assert check("x", value, domain, *_limits(least)) is value
 
 
 @pytest.mark.parametrize("value,least", [(3, 3), (np.int64(0), 0), (4.0, 1), (np.float64(2.0), 2),
-                                         (MAX_COUNT - 1, 1)])
+                                         (MAX_COUNT - 1, 1), (17, (0, 17)), (17.0, (17, 17))])
 def test_check_returns_integral_counts_as_int(value, least):
     for domain in ("integer", "count"):
-        got = check("x", value, domain, least)
+        got = check("x", value, domain, *_limits(least))
         assert type(got) is int and got == value
 
 
@@ -49,9 +56,17 @@ def test_only_counts_have_a_ceiling():
         (0, "count", 1, "must be an integer >= 1, got 0"),
         (MAX_COUNT, "count", 1, f"must be < {MAX_COUNT}"),
         (2e18, "count", 1, f"must be < {MAX_COUNT}"),
+        (18, "integer", (0, 17), "must be an integer in [0, 17], got 18"),
+        (-1, "count", (0, 17), "must be an integer in [0, 17], got -1"),
+        (2.5, "integer", (0, 1 << 64), "got 2.5"),
+        (math.nan, "integer", (0, 1 << 64), "got nan"),
+        ("7", "integer", (0, 1 << 64), "got '7'"),
+        (0.02, "positive", (0, 1e-2), "must be finite and > 0 and <= 0.01, got 0.02"),
+        (math.nan, "positive", (0, 1e-2), "got nan"),
+        (np.array([1.0, 3.0]), "finite", (0, 2.0), "must be finite and <= 2.0, got 3.0 at index 1"),
     ],
 )
 def test_check_names_the_field_and_the_domain(value, domain, least, shown):
     with pytest.raises(ValidationError, match="^x ") as info:
-        check("x", value, domain, least)
+        check("x", value, domain, *_limits(least))
     assert shown in str(info.value)

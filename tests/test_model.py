@@ -189,6 +189,18 @@ def test_wide_paths_match_a_direct_draw_at_tile_edges():
         assert np.array_equal(paths.values[i, 1:], expected)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_callbacks_overflow_without_a_warning_on_every_worker(workers, monkeypatch):
+    # numpy's errstate does not reach a new thread; the sampler sets it around
+    # each callback, on the calling thread and on the worker alike.
+    monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _gaussian_blocks(0, 2 * 8192, np.ones(1), 0.0,
+                               lambda _, tile: float(np.exp(tile + 1000.0).max()))
+    assert got == [math.inf, math.inf]
+
+
 @pytest.mark.parametrize("n_steps, n_paths, step_scale, fold", [
     (2, 500, 4.4e307, "add"), (1000, 100, 3.6e306, "accumulate")])
 def test_an_overflow_along_the_steps_is_refused_by_name(n_steps, n_paths, step_scale, fold):
@@ -284,6 +296,15 @@ def test_simulate_rejects_zero_paths_and_bad_seed():
         simulate_paths(p, grid, 1, seed=-1)
     with pytest.raises(ValidationError, match="seed"):
         simulate_paths(p, grid, 1, seed=1 << 64)
+    # Not an integer: refused by name, never truncated or parsed.
+    for seed in (2.5, "7", math.nan):
+        with pytest.raises(ValidationError, match="^seed "):
+            simulate_paths(p, grid, 1, seed=seed)
+        with pytest.raises(ValidationError, match="^seed "):
+            SeedStreams(seed)
+    # An integral float is the integer it equals.
+    assert np.array_equal(simulate_paths(p, grid, 3, seed=2.0).values,
+                          simulate_paths(p, grid, 3, seed=2).values)
 
 
 @pytest.mark.parametrize(
@@ -382,6 +403,13 @@ def test_hitting_probability_holds_where_the_reflection_exponent_overflows():
         assert hitting_probability(p, 1.89e16, 1.0) == 1.0
         # log Phi alone at -inf is a zero term, not an error.
         assert hitting_probability(ModelParams(x0=0.0, r=1.0, sigma=1.0), 1e200, 1.0) == 0.0
+        # level - x0 and mu*t both overflow; the drift line crosses the level at t = 2e8.
+        p = ModelParams(x0=-1e308, r=1e300, sigma=1.0)
+        assert hitting_probability(p, 1e308, 1e10) == 1.0
+        # level - x0 overflows, yet is 0.02 in units of sigma*sqrt(t), with no drift.
+        p = ModelParams(x0=-1e308, r=0.0, sigma=1e300)
+        assert hitting_probability(p, 1e308, 1e20) == pytest.approx(2 * model._normal_cdf(-0.02),
+                                                                    rel=1e-13)
 
 
 @pytest.mark.parametrize("scale", [1e-170, 1e-155, 1e160])
