@@ -21,7 +21,7 @@ _DOMAINS = {
 }
 
 
-def check(name: str, value, domain: str = "finite", least: int = 0, most=None):
+def check(name: str, value, domain: str = "finite", least: int = 0, most: float | None = None):
     """Return ``value`` if it lies in ``domain``; otherwise raise a ValidationError naming ``name``.
 
     Domains: ``"finite"``, ``"positive"`` (finite and > 0), ``"nonnegative"``
