@@ -30,7 +30,6 @@ from .ode import (
     OdeForm,
     OdeProblem,
     RootCase,
-    SineSolution,
     characteristic_roots_full,
     characteristic_roots_hedged,
     delta_gamma,

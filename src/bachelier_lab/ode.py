@@ -131,25 +131,6 @@ def characteristic_roots_hedged(r: float, sigma: float) -> CharacteristicRoots:
 
 
 @dataclass(frozen=True)
-class SineSolution:
-    """V(x) = amplitude * sin(wavenumber * x); vanishes at x = 0."""
-
-    amplitude: float
-    wavenumber: float
-
-    def __call__(self, x):
-        return self.amplitude * np.sin(self.wavenumber * x)
-
-
-def sine_solution(amplitude: float, r: float, sigma: float) -> SineSolution:
-    """Oscillatory hedged-form solution with wavenumber sqrt(r/D), D = sigma^2/2."""
-    check("amplitude", amplitude)
-    check("r", r, "positive")
-    check("sigma", sigma, "positive")
-    return SineSolution(amplitude=amplitude, wavenumber=_wavenumber(r, sigma))
-
-
-@dataclass(frozen=True)
 class ExponentialSolution:
     """Two-parameter closed form over a characteristic root pair, evaluated in real arithmetic.
 
@@ -162,13 +143,19 @@ class ExponentialSolution:
     * distinct real lam1, lam2:  Re c1 * e^{lam1*x} + Re c2 * e^{lam2*x}
     * conjugate pair a +/- i*b:  e^{a*x} * ((Re c1 + Re c2)*cos(b*x) + (Im c2 - Im c1)*sin(b*x))
 
-    where ``root1`` = a + i*b. The sine term is skipped when its coefficient
-    is 0, as it is for real coefficients.
+    where ``root1`` = a + i*b. A term whose coefficient is 0 is skipped (the
+    sine term for real coefficients), and so is e^{a*x} for a = 0: the hedged
+    sine mode, coefficients (0, i*A), evaluates as A*sin(b*x).
     """
 
     roots: CharacteristicRoots
     coef1: complex
     coef2: complex
+
+    @property
+    def wavenumber(self) -> float:
+        """Im root1: b of a conjugate pair, sqrt(r/D) for the hedged form, 0 for real roots."""
+        return self.roots.root1.imag
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -178,10 +165,15 @@ class ExponentialSolution:
         elif self.roots.case is RootCase.DISTINCT_REAL:
             out = c1.real * np.exp(lam1.real * x) + c2.real * np.exp(self.roots.root2.real * x)
         else:
-            wave = (c1.real + c2.real) * np.cos(lam1.imag * x)
-            if c2.imag != c1.imag:
-                wave += (c2.imag - c1.imag) * np.sin(lam1.imag * x)
-            out = np.exp(lam1.real * x) * wave
+            cos_coef, sin_coef = c1.real + c2.real, c2.imag - c1.imag
+            if cos_coef == 0.0:
+                out = sin_coef * np.sin(lam1.imag * x)
+            else:
+                out = cos_coef * np.cos(lam1.imag * x)
+                if sin_coef != 0.0:
+                    out += sin_coef * np.sin(lam1.imag * x)
+            if lam1.real != 0.0:
+                out = np.exp(lam1.real * x) * out
         return float(out) if out.ndim == 0 else out
 
 
@@ -190,6 +182,13 @@ def general_solution(roots: CharacteristicRoots, coef1: complex, coef2: complex)
     check("coef1", coef1)
     check("coef2", coef2)
     return ExponentialSolution(roots=roots, coef1=complex(coef1), coef2=complex(coef2))
+
+
+def sine_solution(amplitude: float, r: float, sigma: float) -> ExponentialSolution:
+    """Hedged-form A*sin(sqrt(r/D)*x), D = sigma^2/2: coefficients (0, i*A), so A is not rounded."""
+    check("amplitude", amplitude)
+    check("r", r, "positive")
+    return general_solution(characteristic_roots_hedged(r, sigma), 0.0, complex(0.0, amplitude))
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ def quantized_rate(n: int, sigma: float, strike: float) -> float:
         return 0.0
     # 2*strike^2 is 0 or inf for a strike outside about [1e-162, 1e154].
     denominator = check("2*strike^2", 2.0 * strike * strike, "positive")
-    return (sigma * sigma / denominator) * n * n * math.pi * math.pi
+    return check("r_n", (sigma * sigma / denominator) * n * n * math.pi * math.pi)
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,9 @@ def mode_index(r: float, sigma: float, strike: float, rel_tol: float) -> tuple[i
     check("sigma", sigma, "positive")
     check("strike", strike, "positive")
     check("rel_tol", rel_tol, "positive")
-    n_exact = math.sqrt(2.0 * r * strike * strike / (sigma * sigma)) / math.pi
+    sigma_sq = check("sigma^2", sigma * sigma, "positive")
+    n_exact = check("mode index sqrt(2*r*K^2/sigma^2)/pi",
+                    math.sqrt(2.0 * r * strike * strike / sigma_sq) / math.pi)
     n_star = max(1, round(n_exact))
     admissible = abs(quantized_rate(n_star, sigma, strike) - r) <= rel_tol * r
     return n_star, admissible

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NonFiniteSampleError, check
 from .model import ModelParams, _gaussian_blocks, exact_marginal
-from .ode import SineSolution, delta_gamma
+from .ode import ExponentialSolution, delta_gamma
 from .payoff import DiscountSign, _time_weight
 
 
@@ -102,11 +102,10 @@ def analytic_drift(
     check("r", r)
     check("sigma", sigma, "nonnegative")
     check("t", t, "nonnegative")
+    diffusion = check("diffusion sigma^2/2", 0.5 * sigma * sigma)
     dg = delta_gamma(v, x, _H)
     s = sign.factor
-    return _time_weight(s, r, t) * (
-        s * r * float(v(x)) + r * dg.delta + 0.5 * sigma * sigma * dg.gamma
-    )
+    return _time_weight(s, r, t) * (s * r * float(v(x)) + r * dg.delta + diffusion * dg.gamma)
 
 
 def drift_estimate(
@@ -232,8 +231,9 @@ def integrability_check(
 ) -> IntegrabilityWitness:
     """Estimate E|V(X(t))e^{sign*r*t}| and abort on any non-finite sample.
 
-    For a bounded sine profile the analytic bound |A|*e^{|r|t} is attached
-    as well; it holds for every t regardless of the sample. The profile ``v``
+    For a purely oscillatory closed form (an ``ExponentialSolution`` over roots
+    +/- i*b, such as the sine mode) the bound (|coef1| + |coef2|)*e^{|r|t} is
+    attached as well; it holds for every t regardless of the sample. The profile ``v``
     is called as in ``drift_estimate``. The first non-finite sample is
     reported by its index, whatever the thread count. A law whose mean or
     scale ``sigma*sqrt(t)`` leaves the float range is refused by name before
@@ -262,6 +262,6 @@ def integrability_check(
             f"non-finite pooled |Y| statistics: mean_abs={mean!r}, standard_error={se!r}"
         )
     bound = None
-    if isinstance(v, SineSolution):
-        bound = abs(v.amplitude) * _time_weight(1.0, abs(p.r), t)
+    if isinstance(v, ExponentialSolution) and v.roots.root1.real == 0.0 and v.wavenumber != 0.0:
+        bound = (abs(v.coef1) + abs(v.coef2)) * _time_weight(1.0, abs(p.r), t)
     return IntegrabilityWitness(mean_abs=mean, standard_error=se, analytic_bound=bound)

@@ -178,6 +178,9 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
         # 2*strike^2 underflows to 0: the ladder rate's denominator, named.
         (["spectrum", "--sigma", "1e-300", "--strike", "1e-300", "--n-max", "3"], "strike"),
         (["surface", "--n", "1", "--sigma", "1e-300", "--strike", "1e-300"], "strike"),
+        # r_n overflows: refused as the rate, before its e^{r_n*t} weight can warn.
+        (["surface", "--n", "3", "--sigma", "1e154", "--strike", "1e-8", "--amplitude", "1"],
+         "r_n must be finite"),
         # The closed form answers 1; the sampler's drift line x0 + mu*t overflows.
         (["hit", "--x0=-1e308", "--rate", "1e300", "--sigma", "1", "--level", "1e308",
           "--t", "1e10", "--grid-step", "5e9", "--paths", "10"], "drift line"),
@@ -196,7 +199,8 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
          "hit-paths-too-many", "simulate-paths-times-steps-too-many",
          "surface-x-points-times-t-points-too-many", "drift-check-payoff-overflow",
          "simulate-path-overflow", "hit-path-overflow", "spectrum-strike-squared-underflow",
-         "surface-strike-squared-underflow", "hit-drift-line-past-the-float-range",
+         "surface-strike-squared-underflow", "surface-rate-overflow",
+         "hit-drift-line-past-the-float-range",
          "hit-x0-minus-inf"],
 )
 def test_invalid_numeric_inputs_exit_two_with_one_line(argv, field, capsys):

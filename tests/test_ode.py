@@ -166,7 +166,21 @@ def test_general_solution_reduces_to_sine_with_conjugate_coefficients():
     ge = general_solution(roots, complex(0.0, -0.5), complex(0.0, 0.5))
     sine = sine_solution(1.0, R1, 0.2)
     xs = np.linspace(0.0, 1.0, 1000)
-    assert np.max(np.abs(ge(xs) - sine(xs))) <= 1e-12
+    assert ge(xs).tobytes() == sine(xs).tobytes()
+
+
+@pytest.mark.parametrize("amplitude", [5e-324, -1.5e-323, 0.0, -0.0, 1e308,
+                                       -1.7976931348623157e308])
+def test_sine_solution_is_the_amplitude_times_the_sine_bit_for_bit(amplitude):
+    # Coefficients that halve the amplitude, (-iA/2, iA/2), would lose 5e-324
+    # and round 1.5e-323; i*A as 1j*A would lose the sign of -0.0.
+    v = sine_solution(amplitude, R1, 0.2)
+    k = characteristic_roots_hedged(R1, 0.2).root1.imag
+    assert v.wavenumber == k
+    xs = np.concatenate([np.linspace(-2.0, 2.0, 4001), [0.0, -0.0]])
+    assert v(xs).tobytes() == (amplitude * np.sin(k * xs)).tobytes()
+    for x in (0.0, -0.0):
+        assert np.float64(v(x)).tobytes() == np.float64(amplitude * np.sin(k * x)).tobytes()
 
 
 def test_general_solution_zero_coefficients():

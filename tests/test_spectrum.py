@@ -55,6 +55,11 @@ def test_integral_float_mode_numbers_are_accepted():
         quantized_rate(1.5, 0.2, 1.0)
 
 
+def test_quantized_rate_refuses_a_rate_past_the_float_range():
+    with pytest.raises(ValidationError, match="r_n must be finite, got inf"):
+        quantized_rate(3, 1e154, 1e-8)
+
+
 def test_quantized_rate_validates_inputs():
     with pytest.raises(ValidationError, match="sigma"):
         quantized_rate(1, 0.0, 1.0)
@@ -109,6 +114,18 @@ def test_mode_index_round_trip():
 def test_mode_index_rejects_non_positive_rate():
     with pytest.raises(ValidationError, match="r"):
         mode_index(0.0, 0.2, 1.0, 1e-6)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((0.1, 1e-170, 1.0, 1e-6), r"sigma\^2 must be finite and > 0, got 0\.0"),
+    ((1e300, 1e-300, 1e10, 1e-6), r"sigma\^2 must be finite and > 0, got 0\.0"),
+    ((0.1, 1.0, 1e200, 1e-6), r"mode index .* must be finite, got inf"),
+    ((1e300, 1e200, 1e10, 1e-6), r"sigma\^2 must be finite and > 0, got inf"),
+], ids=["sigma-squared-underflow", "sigma-squared-underflow-large-rate",
+        "mode-index-overflow", "sigma-squared-overflow"])
+def test_mode_index_names_a_quantity_outside_the_float_range(args, name):
+    with pytest.raises(ValidationError, match=name):
+        mode_index(*args)
 
 
 def test_boundary_residual_vanishes():

@@ -14,6 +14,7 @@ from bachelier_lab import (
     ValidationError,
     analytic_drift,
     characteristic_roots_full,
+    characteristic_roots_hedged,
     classify,
     delta_gamma,
     drift_estimate,
@@ -71,6 +72,12 @@ def test_analytic_drift_minus_convention_formula():
     diffusion = 0.5 * 0.2 * 0.2
     expected = math.exp(-R1 * t) * (-R1 * float(v(x)) + R1 * dg.delta + diffusion * dg.gamma)
     assert analytic_drift(v, R1, 0.2, x, t, DiscountSign.MINUS) == expected
+
+
+def test_analytic_drift_names_an_overflowing_diffusion():
+    # 0.5*sigma^2 is inf and gamma of sin at 0 is 0: unchecked, the drift was NaN.
+    with pytest.raises(ValidationError, match=r"diffusion sigma\^2/2 must be finite, got inf"):
+        analytic_drift(np.sin, 0.0, 1e200, 0.0, 0.0)
 
 
 def test_drift_estimate_full_form_is_drift_free():
@@ -205,13 +212,24 @@ def test_sign_convention_consistency_of_estimator_and_formula():
         assert abs(report.z_score) <= 3
 
 
-def test_integrability_sine_bound():
-    v = sine_solution(2.0, R1, 0.2)
-    p = ModelParams(x0=0.5, r=R1, sigma=0.2)
-    witness = integrability_check(v, p, 1.5, 5_000, seed=4)
-    assert witness.analytic_bound == pytest.approx(2.0 * math.exp(R1 * 1.5), rel=1e-14)
+@pytest.mark.parametrize("profile, r, bound", [
+    (lambda: sine_solution(2.0, R1, 0.2), R1, 2.0 * math.exp(R1 * 1.5)),
+    # Any coefficients over purely imaginary roots: |V| <= |c1| + |c2|.
+    (lambda: general_solution(characteristic_roots_hedged(R1, 0.2), 0.3 - 0.4j, 0.1 + 0.2j),
+     R1, (0.5 + abs(0.1 + 0.2j)) * math.exp(R1 * 1.5)),
+    # e^{a*x} with a != 0, and a + b*x at the repeated root 0: unbounded, no bound.
+    (lambda: _full_solution(*FULL_CASES["complex"]), FULL_CASES["complex"][0], None),
+    (lambda: general_solution(characteristic_roots_hedged(0.0, 0.2), 0.3, 0.2), 0.0, None),
+], ids=["sine", "hedged-complex-coefficients", "full-complex-pair", "hedged-r-zero"])
+def test_integrability_sine_bound(profile, r, bound):
+    p = ModelParams(x0=0.5, r=r, sigma=0.2)
+    witness = integrability_check(profile(), p, 1.5, 5_000, seed=4)
     assert math.isfinite(witness.mean_abs)
-    assert witness.mean_abs <= witness.analytic_bound
+    if bound is None:
+        assert witness.analytic_bound is None
+    else:
+        assert witness.analytic_bound == pytest.approx(bound, rel=1e-14)
+        assert witness.mean_abs <= witness.analytic_bound
 
 
 def test_integrability_linear_payoff():
