@@ -143,9 +143,9 @@ class ExponentialSolution:
     * distinct real lam1, lam2:  Re c1 * e^{lam1*x} + Re c2 * e^{lam2*x}
     * conjugate pair a +/- i*b:  e^{a*x} * ((Re c1 + Re c2)*cos(b*x) + (Im c2 - Im c1)*sin(b*x))
 
-    where ``root1`` = a + i*b. A term whose coefficient is 0 is skipped (the
-    sine term for real coefficients), and so is e^{a*x} for a = 0: the hedged
-    sine mode, coefficients (0, i*A), evaluates as A*sin(b*x).
+    where ``root1`` = a + i*b. A zero cosine coefficient drops the cosine term,
+    else a zero sine coefficient (real coefficients) the sine term, and a = 0
+    drops e^{a*x}: the hedged sine mode, coefficients (0, i*A), is A*sin(b*x).
     """
 
     roots: CharacteristicRoots

@@ -231,13 +231,13 @@ def integrability_check(
 ) -> IntegrabilityWitness:
     """Estimate E|V(X(t))e^{sign*r*t}| and abort on any non-finite sample.
 
-    For a purely oscillatory closed form (an ``ExponentialSolution`` over roots
-    +/- i*b, such as the sine mode) the bound (|coef1| + |coef2|)*e^{|r|t} is
-    attached as well; it holds for every t regardless of the sample. The profile ``v``
-    is called as in ``drift_estimate``. The first non-finite sample is
-    reported by its index, whatever the thread count. A law whose mean or
-    scale ``sigma*sqrt(t)`` leaves the float range is refused by name before
-    sampling, and finite samples whose pooled mean or standard error
+    For a purely oscillatory closed form, an ``ExponentialSolution`` over
+    roots +/- i*b such as the sine mode, the bound (|coef1| + |coef2|)*e^{|r|t}
+    is attached as well; it holds for every t regardless of the sample. The
+    profile ``v`` is called as in ``drift_estimate``. The first non-finite
+    sample is reported by its index, whatever the thread count. A law whose
+    mean or scale ``sigma*sqrt(t)`` leaves the float range is refused by name
+    before sampling, and finite samples whose pooled mean or standard error
     overflows are refused after it.
     """
     n_samples = check("n_samples", n_samples, "count", _MIN_SAMPLES)
