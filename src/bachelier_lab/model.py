@@ -104,7 +104,8 @@ class TimeGrid:
     @classmethod
     def regular(cls, t_end: float, n_steps: int) -> "TimeGrid":
         """Uniform grid of ``n_steps`` steps on [0, t_end]."""
-        return cls(np.linspace(0.0, float(t_end), check("n_steps", n_steps, "count", 1) + 1))
+        t_end = float(check("t_end", t_end, "positive"))
+        return cls(np.linspace(0.0, t_end, check("n_steps", n_steps, "count", 1) + 1))
 
     @property
     def n_times(self) -> int:

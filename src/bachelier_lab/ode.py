@@ -72,7 +72,7 @@ class CharacteristicRoots:
         check("characteristic roots", (self.root1, self.root2))
         r1, r2 = self.root1, self.root2
         if self.case is RootCase.COMPLEX_CONJUGATE:
-            tagged = r2 == r1.conjugate()
+            tagged = r2 == r1.conjugate() and r1.imag > 0.0
         elif self.case is RootCase.REPEATED_REAL:
             tagged = r1 == r2 and r1.imag == 0.0
         else:
@@ -175,6 +175,48 @@ class ExponentialSolution:
             if lam1.real != 0.0:
                 out = np.exp(lam1.real * x) * out
         return float(out) if out.ndim == 0 else out
+
+    def _mean_square(self, m: float, s: float) -> float | None:
+        """E[V(X)^2] for X ~ N(m, s^2) in closed form; None where it leaves the float range.
+
+        Each case applies E[e^{kX}] = e^{k*m + k^2*s^2/2}, k complex, to V^2,
+        in an arrangement whose terms share one sign, except where P*Q > 0
+        below; there the subtracted term is at most half the first:
+
+        * repeated lam:  e^{2*lam*(m + lam*s^2)} * ((Re c1 + Re c2*(m + 2*lam*s^2))^2
+          + (Re c2*s)^2)
+        * distinct p, q:  (P + Q)^2 + 2*P*Q*(e^{-(p-q)^2*s^2/2} - 1) with
+          P = Re c1*e^{p*(m + p*s^2)} and Q = Re c2*e^{q*(m + q*s^2)}
+        * pair a +/- i*b:  e^{2*a*(m + a*s^2)} * ((C^2 + S^2)*(1 - e^{-u})/2 + e^{-u}*W^2)
+          with u = 2*b^2*s^2 and W = C*cos(b*m') + S*sin(b*m'), m' = m + 2*a*s^2
+
+        where C and S are the cosine and sine coefficients of ``__call__``. The
+        last is (|g|^2*e^{2*a*m + 2*a^2*s^2} + Re[g^2*e^{2*lam*m + 2*lam^2*s^2}])/2
+        for V = Re[g*e^{lam*x}], g = C - i*S and lam = a + i*b, with the
+        e^{-u} part of |g|^2 folded into W^2.
+        """
+        c1, c2, lam1 = self.coef1, self.coef2, self.roots.root1
+        s2 = s * s
+        with np.errstate(all="ignore"):
+            if self.roots.case is RootCase.REPEATED_REAL:
+                lam = lam1.real
+                level, slope = c1.real + c2.real * (m + 2.0 * lam * s2), c2.real * s
+                value = np.exp(2.0 * lam * (m + lam * s2)) * (level * level + slope * slope)
+            elif self.roots.case is RootCase.DISTINCT_REAL:
+                p, q = lam1.real, self.roots.root2.real
+                big_p = c1.real * np.exp(p * (m + p * s2))
+                big_q = c2.real * np.exp(q * (m + q * s2))
+                total, gap = big_p + big_q, (p - q) * s
+                value = total * total + 2.0 * big_p * big_q * np.expm1(-0.5 * gap * gap)
+            else:
+                a, b = lam1.real, lam1.imag
+                cos_coef, sin_coef = c1.real + c2.real, c2.imag - c1.imag
+                u, phase = 2.0 * b * b * s2, b * (m + 2.0 * a * s2)
+                wave = cos_coef * np.cos(phase) + sin_coef * np.sin(phase)
+                spread = -0.5 * (cos_coef * cos_coef + sin_coef * sin_coef) * np.expm1(-u)
+                value = np.exp(2.0 * a * (m + a * s2)) * (spread + np.exp(-u) * wave * wave)
+        value = float(value)
+        return value if math.isfinite(value) else None
 
 
 def general_solution(roots: CharacteristicRoots, coef1: complex, coef2: complex) -> ExponentialSolution:

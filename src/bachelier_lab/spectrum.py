@@ -206,7 +206,8 @@ def payoff_surface(
     check("amplitude", amplitude, "positive")
     x = check("x grid", np.atleast_1d(np.asarray(x_grid, dtype=float)))
     t = check("t grid", np.atleast_1d(np.asarray(t_grid, dtype=float)), "nonnegative")
-    profile = amplitude * np.sin(mode.wavenumber * x)
+    rate = mode.rate  # refuses a strike whose ladder leaves the float range, before any sine
     with np.errstate(over="ignore"):
-        weight = check("time weight e^{sign*r_n*t}", np.exp(sign.factor * mode.rate * t))
+        profile = amplitude * np.sin(check("phase n*pi*x/K", mode.wavenumber * x))
+        weight = check("time weight e^{sign*r_n*t}", np.exp(sign.factor * rate * t))
     return PayoffSurface(x=x, t=t, values=profile[:, None] * weight[None, :])

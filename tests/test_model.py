@@ -99,6 +99,15 @@ def test_time_grid_validation():
         TimeGrid.regular(2.0, 2.5)
 
 
+@pytest.mark.parametrize("t_end", [math.inf, math.nan, 0.0, -1.0])
+def test_regular_grid_names_a_bad_end_time_without_a_warning(t_end):
+    # linspace over [0, inf] warned before the grid was refused as "times ... nan".
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"^t_end must be finite and > 0"):
+            TimeGrid.regular(t_end, 3)
+
+
 def test_sigma_zero_paths_are_exactly_linear():
     grid = TimeGrid(np.array([0.0, 0.5, 1.0]))
     paths = simulate_paths(ModelParams(x0=0.0, r=1.0, sigma=0.0), grid, 4, seed=0)

@@ -89,8 +89,11 @@ def test_roots_reject_a_diffusion_or_root_outside_the_float_range():
     (RootCase.REPEATED_REAL, complex(0.0, 1.0), complex(0.0, 1.0)),
     (RootCase.DISTINCT_REAL, complex(1.0), complex(-1.0, 0.5)),
     (RootCase.DISTINCT_REAL, complex(0.0, 1.0), complex(0.0, -1.0)),
+    (RootCase.COMPLEX_CONJUGATE, complex(0.5), complex(0.5)),
+    (RootCase.COMPLEX_CONJUGATE, complex(-0.5, -0.8), complex(-0.5, 0.8)),
 ], ids=["complex-not-conjugate", "complex-real-parts-differ", "repeated-unequal",
-        "repeated-not-real", "distinct-root2-not-real", "distinct-conjugate-pair"])
+        "repeated-not-real", "distinct-root2-not-real", "distinct-conjugate-pair",
+        "complex-real-roots", "complex-root1-negative-imaginary"])
 def test_roots_must_fit_their_case(case, root1, root2):
     with pytest.raises(ValidationError, match=case.value):
         CharacteristicRoots(case, root1, root2)
@@ -208,6 +211,45 @@ def test_general_solution_rejects_non_finite_coefficients():
     roots = characteristic_roots_full(0.02, 0.2)
     with pytest.raises(ValidationError, match="coef"):
         general_solution(roots, math.nan, 0.0)
+
+
+def _mp_mean_square(v, m, s):
+    """E[V(X)^2], X ~ N(m, s^2), by mpmath quadrature of the complex-exponential form."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        c1, c2, lam1, lam2 = (mpmath.mpc(z.real, z.imag)
+                              for z in (v.coef1, v.coef2, v.roots.root1, v.roots.root2))
+        if v.roots.case is RootCase.REPEATED_REAL:
+            value = lambda x: mpmath.re((c1 + c2 * x) * mpmath.exp(lam1 * x))
+        else:
+            value = lambda x: mpmath.re(c1 * mpmath.exp(lam1 * x) + c2 * mpmath.exp(lam2 * x))
+        return float(mpmath.quad(lambda x: value(x) ** 2 * mpmath.npdf(x, m, s),
+                                 [-mpmath.inf, m - 10 * s, m, m + 10 * s, mpmath.inf]))
+
+
+@pytest.mark.parametrize("v", [
+    general_solution(characteristic_roots_full(0.02, 0.2), 0.5, 0.5),
+    general_solution(characteristic_roots_full(0.02, 0.2), 0.3 - 0.4j, 0.1 + 0.2j),
+    sine_solution(1.0, quantized_rate(2, 0.2, 1.0), 0.2),
+    general_solution(characteristic_roots_full(0.08, 0.2), 0.5, 0.5),
+    general_solution(characteristic_roots_hedged(0.0, 0.2), 0.3, 0.2),
+    general_solution(characteristic_roots_full(-0.02, 0.2), 0.5, 0.5),
+    general_solution(characteristic_roots_full(-0.02, 0.2), 0.5, -0.7),
+], ids=["complex", "complex-complex-coefficients", "sine", "repeated", "repeated-at-zero",
+        "distinct", "distinct-opposite-signs"])
+@pytest.mark.parametrize("m, s", [(0.52, 0.2), (0.3, 0.9), (0.0, 1e-4)])
+def test_mean_square_matches_quadrature(v, m, s):
+    # At m = 0, s = 1e-4 the sine's E[V^2] is 3.9e-7, a difference of two terms
+    # near 1/2 in the unsplit form (|g|^2*e^{...} + Re[g^2*e^{...}])/2, which
+    # loses about 6 digits there.
+    assert v._mean_square(m, s) == pytest.approx(_mp_mean_square(v, m, s), rel=1e-13)
+
+
+def test_mean_square_outside_the_float_range_is_none():
+    # e^{2*p*(m + p*s^2)} with p = 1.618 and s = 12 is e^{754}.
+    v = general_solution(characteristic_roots_full(-0.02, 0.2), 0.5, 0.5)
+    assert v._mean_square(0.5, 12.0) is None
+    assert v._mean_square(0.5, 11.0) is not None
 
 
 # Dyadic roots make every product root*x exact, so the bound measures the

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -280,3 +281,15 @@ def test_payoff_surface_validation():
         payoff_surface(mode, 0.0, [0.5], [0.0])
     with pytest.raises(ValidationError, match="t"):
         payoff_surface(mode, 1.0, [0.5], [-1.0])
+
+
+@pytest.mark.parametrize("mode, x, name", [
+    (ModeSpec(1, 0.2, 5e-324), [0.0, 0.5], r"2\*strike\^2"),
+    (ModeSpec(1, 0.2, 1e-150), [0.0, 1e300], r"phase n\*pi\*x/K must be finite, got inf at index 1"),
+], ids=["subnormal-strike", "phase-overflow"])
+def test_payoff_surface_refuses_without_a_warning(mode, x, name):
+    # The sine of an infinite phase warned "invalid value encountered in sin" first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=name):
+            payoff_surface(mode, 1.0, x, [0.0, 1.0])

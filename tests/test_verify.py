@@ -9,6 +9,7 @@ from bachelier_lab import (
     DiscountSign,
     DriftClass,
     DriftReport,
+    ExponentialSolution,
     ModelParams,
     NonFiniteSampleError,
     ValidationError,
@@ -232,6 +233,110 @@ def test_integrability_sine_bound(profile, r, bound):
         assert witness.mean_abs <= witness.analytic_bound
 
 
+def _mean_abs_sine(k, m, s):
+    """E|sin(kX)|, X ~ N(m, s^2), from |sin u| = 2/pi - (4/pi)*sum_j cos(2ju)/(4j^2 - 1)."""
+    terms = (math.cos(2 * j * k * m) * math.exp(-2 * j * j * k * k * s * s) / (4 * j * j - 1)
+             for j in range(1, 200))
+    return 2 / math.pi - 4 / math.pi * math.fsum(terms)
+
+
+def test_integrability_control_variate_is_unbiased_for_the_sine_modes():
+    # 120 witnesses at 20,000 samples against the exact E|Y|: fitting beta on
+    # the samples leaves an O(1/n) bias, so the z-scores must look standard normal.
+    z = []
+    for n in (1, 2, 3):
+        r = quantized_rate(n, 0.2, 1.0)
+        v = sine_solution(1.0, r, 0.2)
+        p = ModelParams(x0=0.5, r=r, sigma=0.2)
+        law = exact_marginal(p, 1.0)
+        exact = math.exp(r) * _mean_abs_sine(v.wavenumber, law.mean, law.std)
+        for seed in range(40):
+            witness = integrability_check(v, p, 1.0, 20_000, seed)
+            z.append((witness.mean_abs - exact) / witness.standard_error)
+    assert abs(np.mean(z)) <= 0.3
+    assert 0.8 <= np.std(z, ddof=1) <= 1.2
+
+
+@pytest.mark.parametrize("name", sorted(FULL_CASES))
+def test_integrability_control_variate_agrees_with_the_plain_mean(name):
+    # Independent seeds, so the two standard errors add in quadrature.
+    r, sigma = FULL_CASES[name]
+    v = _full_solution(r, sigma)
+    p = ModelParams(x0=0.5, r=r, sigma=sigma)
+    controlled = integrability_check(v, p, 1.0, 1_000_000, seed=31)
+    plain = integrability_check(lambda x: v(x), p, 1.0, 1_000_000, seed=32)
+    assert controlled.standard_error ** 2 < plain.standard_error ** 2 / 20
+    gap = controlled.mean_abs - plain.mean_abs
+    assert abs(gap) <= 4 * math.hypot(controlled.standard_error, plain.standard_error)
+
+
+def test_integrability_control_variate_does_not_depend_on_the_worker_count(monkeypatch):
+    v = _full_solution(*FULL_CASES["complex"])
+    p = ModelParams(x0=0.5, r=0.02, sigma=0.2)
+    witnesses = []
+    for workers in (1, 2, 3, 5):
+        monkeypatch.setattr(model, "_usable_cpus", lambda workers=workers: workers)
+        witnesses.append(integrability_check(v, p, 1.0, 5 * 8192 + 77, seed=8))
+    assert all(repr(w) == repr(witnesses[0]) for w in witnesses)
+
+
+def test_integrability_of_a_plain_callable_keeps_its_bits():
+    # Frozen from the plain estimator before the control variate existed.
+    v = sine_solution(1.5, R1, 0.2)
+    witness = integrability_check(lambda x: v(x), ModelParams(x0=0.1, r=R1, sigma=0.2), 0.4,
+                                  3 * 8192 + 5, 13)
+    assert (witness.mean_abs, witness.standard_error) == (0.8434572753922874,
+                                                          0.0027858311683144252)
+    full = _full_solution(*FULL_CASES["complex"])
+    witness = integrability_check(lambda x: full(x), ModelParams(x0=0.5, r=0.02, sigma=0.2), 1.0,
+                                  100_000, 3)
+    assert (witness.mean_abs, witness.standard_error) == (0.7065999630832608,
+                                                          0.00040328580771292245)
+
+
+def test_integrability_falls_back_to_the_plain_mean_where_the_control_mean_overflows():
+    # E[V^2] holds e^{2*p*(m + p*s^2)} = e^{754} for p = 1.618 and s = 12, while
+    # the samples stay near e^{80}: the witness is the plain one, bit for bit.
+    v = _full_solution(*FULL_CASES["distinct"])
+    p = ModelParams(x0=0.5, r=-0.02, sigma=12.0)
+    assert v._mean_square(exact_marginal(p, 1.0).mean, 12.0) is None
+    witness = integrability_check(v, p, 1.0, 5_000, seed=2)
+    assert witness == integrability_check(lambda x: v(x), p, 1.0, 5_000, seed=2)
+
+
+class _NanAboveOneAndAHalf(ExponentialSolution):
+    def __call__(self, x):
+        return np.where(np.asarray(x) > 1.5, np.nan, super().__call__(x))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_integrability_names_a_non_finite_closed_form_sample_as_the_plain_path_does(
+        workers, monkeypatch):
+    # The control path scans a block only when its sum is not finite; the
+    # message must be the one the plain path gives for the same profile. The
+    # first NaN, at index 22628, is in block 2, which worker 2 of 3 draws.
+    monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
+    full = _full_solution(*FULL_CASES["complex"])
+    v = _NanAboveOneAndAHalf(full.roots, full.coef1, full.coef2)
+    p = ModelParams(x0=0.0, r=0.02, sigma=0.4)
+    messages = []
+    for profile in (v, lambda x: v(x)):
+        with pytest.raises(NonFiniteSampleError, match="index 22628: ") as caught:
+            integrability_check(profile, p, 1.0, 4 * 8192, seed=6)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+
+
+def test_integrability_of_a_law_without_spread_reports_the_one_value():
+    # Identical samples leave S_cc, S_yc and S_yy to rounding; the witness must
+    # still be the one value, with no spread.
+    v = _full_solution(*FULL_CASES["complex"])
+    p = ModelParams(x0=0.3, r=0.02, sigma=0.2)
+    witness = integrability_check(v, p, 0.0, 20_000, seed=1)
+    assert witness.mean_abs == pytest.approx(abs(v(0.3)), rel=1e-15)
+    assert witness.standard_error <= 1e-15
+
+
 def test_integrability_linear_payoff():
     identity = lambda x: np.asarray(x)
     p = ModelParams(x0=100.0, r=0.05, sigma=0.2)
@@ -313,7 +418,9 @@ def test_pooled_block_moments_match_the_whole_array(n):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_estimators_match_the_moments_of_their_own_samples(workers, monkeypatch):
     # The samples are drawn again through the sampler with a copying callback
-    # and reduced by numpy over the whole array.
+    # and reduced by numpy over the whole array. A lambda gets the plain
+    # integrability mean; the closed form itself gets the control c = |Y|^2,
+    # whose estimate is a regression of |Y| on c with the exact E c.
     monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
     v = sine_solution(1.5, R1, 0.2)
     p = ModelParams(x0=0.1, r=R1, sigma=0.2)
@@ -327,13 +434,27 @@ def test_estimators_match_the_moments_of_their_own_samples(workers, monkeypatch)
     rates = (v(x) * math.exp(R1 * (t + dt)) - float(v(x0)) * math.exp(R1 * t)) / dt
     report = drift_estimate(v, p, x0, t, dt, n, seed)
     law = exact_marginal(p, t)
-    witness = integrability_check(v, p, t, n, seed)
+    witness = integrability_check(lambda x: v(x), p, t, n, seed)
     absolute = np.abs(v(drawn(law.std, law.mean)) * math.exp(R1 * t))
     for got, samples in [((report.estimated_drift_rate, report.standard_error), rates),
                          ((witness.mean_abs, witness.standard_error), absolute)]:
         want_se = samples.std(ddof=1) / math.sqrt(n)
         assert abs(got[0] - samples.mean()) <= 1e-10 * want_se
         assert abs(got[1] - want_se) <= 1e-10 * want_se
+
+    # E[sin(kX)^2] = (1 - cos(2km)e^{-2k^2s^2})/2, written out independently of ode.
+    k = v.wavenumber
+    control = absolute * absolute
+    control_mean = (1.5 * math.exp(R1 * t)) ** 2 * 0.5 * (
+        1.0 - math.cos(2 * k * law.mean) * math.exp(-2 * k * k * law.variance))
+    dy, dc = absolute - absolute.mean(), control - control.mean()
+    beta = (dy * dc).sum() / (dc * dc).sum()
+    residual = dy - beta * dc
+    want = absolute.mean() - beta * (control.mean() - control_mean)
+    want_se = math.sqrt((residual * residual).sum() / (n - 2) / n)
+    controlled = integrability_check(v, p, t, n, seed)
+    assert abs(controlled.mean_abs - want) <= 1e-10 * want_se
+    assert abs(controlled.standard_error - want_se) <= 1e-10 * want_se
 
 
 @pytest.mark.parametrize("workers", [1, 2])
