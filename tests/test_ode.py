@@ -234,15 +234,16 @@ def _mp_mean_square(v, m, s):
     general_solution(characteristic_roots_full(0.08, 0.2), 0.5, 0.5),
     general_solution(characteristic_roots_hedged(0.0, 0.2), 0.3, 0.2),
     general_solution(characteristic_roots_full(-0.02, 0.2), 0.5, 0.5),
-    general_solution(characteristic_roots_full(-0.02, 0.2), 0.5, -0.7),
+    general_solution(characteristic_roots_full(-0.02, 0.2), 0.5, -0.5),
 ], ids=["complex", "complex-complex-coefficients", "sine", "repeated", "repeated-at-zero",
         "distinct", "distinct-opposite-signs"])
 @pytest.mark.parametrize("m, s", [(0.52, 0.2), (0.3, 0.9), (0.0, 1e-4)])
 def test_mean_square_matches_quadrature(v, m, s):
-    # At m = 0, s = 1e-4 the sine's E[V^2] is 3.9e-7, a difference of two terms
-    # near 1/2 in the unsplit form (|g|^2*e^{...} + Re[g^2*e^{...}])/2, which
-    # loses about 6 digits there.
-    assert v._mean_square(m, s) == pytest.approx(_mp_mean_square(v, m, s), rel=1e-13)
+    # At m = 0, s = 1e-4 two cases cancel in their textbook forms: the sine's
+    # E[V^2] is 3.9e-7, a difference of terms near 1/2 in (|g|^2*e^{...} +
+    # Re[g^2*e^{...}])/2, and e^{px} - e^{qx} leaves the cross term alone, as
+    # e^{-(p-q)^2*s^2/2} - 1 = -2.5e-8.
+    assert v._mean_square(m, s) == pytest.approx(_mp_mean_square(v, m, s), rel=1e-13, abs=0)
 
 
 def test_mean_square_outside_the_float_range_is_none():

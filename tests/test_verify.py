@@ -327,13 +327,30 @@ def test_integrability_names_a_non_finite_closed_form_sample_as_the_plain_path_d
     assert messages[0] == messages[1]
 
 
+class _MisstatedMeanSquare(ExponentialSolution):
+    def _mean_square(self, m, s):
+        return 4.0 * super()._mean_square(m, s)
+
+
+def test_integrability_drops_a_control_whose_mean_is_far_off():
+    # With E c stated 4-fold, cbar misses it by about 3 E c, far beyond the sample
+    # deviation of c: beta must fall to 0, leaving the plain mean and its SE.
+    full = _full_solution(*FULL_CASES["complex"])
+    v = _MisstatedMeanSquare(full.roots, full.coef1, full.coef2)
+    p = ModelParams(x0=0.5, r=0.02, sigma=0.2)
+    witness = integrability_check(v, p, 1.0, 20_000, seed=9)
+    plain = integrability_check(lambda x: v(x), p, 1.0, 20_000, seed=9)
+    assert witness.mean_abs == pytest.approx(plain.mean_abs, rel=1e-13, abs=0)
+    assert witness.standard_error == pytest.approx(plain.standard_error, rel=1e-13, abs=0)
+
+
 def test_integrability_of_a_law_without_spread_reports_the_one_value():
     # Identical samples leave S_cc, S_yc and S_yy to rounding; the witness must
     # still be the one value, with no spread.
     v = _full_solution(*FULL_CASES["complex"])
     p = ModelParams(x0=0.3, r=0.02, sigma=0.2)
     witness = integrability_check(v, p, 0.0, 20_000, seed=1)
-    assert witness.mean_abs == pytest.approx(abs(v(0.3)), rel=1e-15)
+    assert witness.mean_abs == pytest.approx(abs(v(0.3)), rel=1e-15, abs=0)
     assert witness.standard_error <= 1e-15
 
 
