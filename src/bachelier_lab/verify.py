@@ -29,6 +29,11 @@ from .payoff import DiscountSign, _time_weight
 _MIN_SAMPLES = 1000
 _MAX_DT = 1e-2
 _H = 1e-3  # central-difference step of the analytic drift
+# The control c = Y^2 of a closed form grows like e^{2aX}, a the largest |Re lambda|,
+# whose relative variance is e^{4a^2s^2} - 1. Past 1, that is (a*s)^2 > ln(2)/4, the
+# fitted beta is biased by the samples' missing tail: at a*s = 0.5 and 1000 samples
+# the witnesses of a full form sat +0.7 standard errors off on average.
+_LIGHT_TAIL = math.log(2.0) / 4.0
 
 
 def _block_moments(y: np.ndarray) -> tuple:
@@ -72,7 +77,7 @@ def _shifted_power_sums(y: np.ndarray, shift: float) -> tuple:
             np.square(square, out=square).sum())
 
 
-def _controlled(sums: list, shift: float) -> tuple:
+def _controlled(sums: list, shift: float) -> tuple | None:
     """Mean of ``y >= 0`` and its standard error, with the control ``c = y^2`` of mean ``shift^2``.
 
     ``sums`` holds each block's ``_shifted_power_sums``, which add up over the
@@ -83,24 +88,32 @@ def _controlled(sums: list, shift: float) -> tuple:
     ``sqrt((S_yy - beta*S_yc)/(n - 2)/n)`` (Glasserman, *Monte Carlo Methods
     in Financial Engineering*, 2004, 4.1). No centring pass is needed: as
     ``a >= -shift``, the power sums in ``sum a*d`` and ``sum d^2`` cancel by
-    at most factors 3 and 9, and as ``shift`` is near the root mean square of
-    ``y``, ``n*abar^2`` is about ``S_yy`` at most.
+    at most factors 3 and 9, and while ``cbar`` is near ``shift^2``,
+    ``n*abar^2`` is about ``S_yy`` at most.
 
-    ``beta`` is 0, and the plain mean and ``sqrt(S_yy/(n - 1)/n)`` are
-    returned, where ``S_yc`` or ``S_cc`` is not finite or ``S_cc <= sum
-    d^2/2``. The last means that ``cbar`` misses ``E c`` by at least the
-    sample deviation of ``c``, which is sqrt(n) standard errors; identical
-    samples, whose ``S_cc`` is rounding, give it.
+    None, for the caller to take the plain mean, where the sums give no
+    usable beta: where a block sum, their total, ``S_yc``, ``S_cc`` or the
+    result is not finite, or ``S_cc <= sum d^2/2``. The last means that
+    ``cbar`` misses ``shift^2`` by at least the sample deviation of ``c``,
+    which is sqrt(n) standard errors; identical samples, whose ``S_cc`` is
+    rounding, give it.
     """
-    n, s1, s2, s3, s4 = (math.fsum(column) for column in zip(*sums))
+    columns = list(zip(*sums))
+    if not all(math.isfinite(total) for column in columns[1:] for total in column):
+        return None
+    try:
+        n, s1, s2, s3, s4 = (math.fsum(column) for column in columns)
+    except OverflowError:  # finite block sums whose total leaves the float range
+        return None
     abar, dbar = s1 / n, (s2 + 2.0 * shift * s1) / n
     sum_d2 = s4 + 4.0 * shift * (s3 + shift * s2)
     s_yc, s_cc = s3 + 2.0 * shift * s2 - s1 * dbar, sum_d2 - n * dbar * dbar
-    beta, dof = 0.0, n - 1
-    if math.isfinite(s_yc) and s_cc > 0.5 * sum_d2:
-        beta, dof = s_yc / s_cc, n - 2
+    if not (math.isfinite(s_yc) and s_cc > 0.5 * sum_d2):  # false for an inf or NaN S_cc
+        return None
+    beta = s_yc / s_cc
     residual = s2 - s1 * abar - beta * s_yc
-    return shift + (abar - beta * dbar), math.sqrt(max(residual, 0.0) / dof / n)
+    mean, se = shift + (abar - beta * dbar), math.sqrt(max(residual, 0.0) / (n - 2) / n)
+    return (mean, se) if math.isfinite(mean) and math.isfinite(se) else None
 
 
 @dataclass(frozen=True)
@@ -285,26 +298,33 @@ def integrability_check(
     before sampling, and finite samples whose pooled mean or standard error
     overflows are refused after it.
 
-    For an ``ExponentialSolution`` whose E[Y^2] = w^2*E[V(X)^2], w =
-    e^{sign*r*t}, lies in the float range, the estimate uses the control
-    variate c = Y^2, with that exact mean: it is ``|Y|bar - beta*(cbar -
-    E c)`` with ``beta = S_yc/S_cc`` fitted on the same samples, and its
-    standard error is ``sqrt((S_yy - beta*S_yc)/(n - 2)/n)``. Fitting beta
-    leaves a bias of O(1/n), against a standard error of O(1/sqrt(n)). At
-    1e6 samples the variance falls about 20-fold on the sine modes and 30-
-    to 70-fold on the full forms of ``drift_lab``. Any other callable, or an
-    E[Y^2] out of range, gets the plain sample mean. Where the pooled sums
-    give no usable beta (see ``_controlled``), beta is 0 and the plain mean
-    and standard error are computed from the same sums.
+    For an ``ExponentialSolution`` with light tails, the estimate uses the
+    control variate c = Y^2, whose mean w^2*E[V(X)^2], w = e^{sign*r*t}, is
+    exact: it is ``|Y|bar - beta*(cbar - E c)`` with ``beta = S_yc/S_cc``
+    fitted on the same samples, and its standard error is ``sqrt((S_yy -
+    beta*S_yc)/(n - 2)/n)``. Fitting beta leaves a bias of O(1/n), against a
+    standard error of O(1/sqrt(n)). At 1e6 samples the variance falls about
+    20-fold on the sine modes and 30- to 70-fold on the full forms of
+    ``drift_lab``. Light tails means ``(a*s)^2 <= ln(2)/4`` for ``a`` the
+    largest |Re| of the roots and ``s = sigma*sqrt(t)``: the envelope
+    e^{2aX} of c then has a relative variance of at most 1. Heavier tails
+    leave too few large samples to fit beta on, and bias it.
+
+    Any other callable, a heavier tail, or an E[Y^2] out of the float range
+    gets the plain sample mean. So does a closed form whose pooled sums give
+    no usable beta (see ``_controlled``): its samples are drawn again from
+    the same seed, so its witness is the plain one bit for bit, at twice the
+    cost.
     """
     n_samples = check("n_samples", n_samples, "count", _MIN_SAMPLES)
     law = exact_marginal(p, t)
     check("x0 + mu*t", law.mean)
     check("sigma*sqrt(t)", law.std)
     weight = _time_weight(sign.factor, p.r, t)
-    shift = None  # sqrt(E[Y^2]), where a closed form gives it within the float range
+    shift = None  # sqrt(E[Y^2]) of a light-tailed closed form, where it is in the float range
     if isinstance(v, ExponentialSolution):
-        mean_square = v._mean_square(law.mean, law.std)
+        growth = max(abs(v.roots.root1.real), abs(v.roots.root2.real)) * law.std
+        mean_square = v._mean_square(law.mean, law.std) if growth * growth <= _LIGHT_TAIL else None
         if mean_square is not None and math.isfinite((weight * weight) * mean_square):
             shift = weight * math.sqrt(mean_square)
 
@@ -316,18 +336,26 @@ def integrability_check(
                 f"{y[bad]!r} at X = {float(x[bad, 0])!r}"
             )
 
-    def absolute(start, x):
-        y = np.abs(np.asarray(v(x[:, 0]), dtype=float) * weight)
-        if shift is None:
-            refuse_non_finite(start, x, y)
-            return _block_moments(y)
+    def absolute(x):
+        return np.abs(np.asarray(v(x[:, 0]), dtype=float) * weight)
+
+    def moments(start, x):
+        y = absolute(x)
+        refuse_non_finite(start, x, y)
+        return _block_moments(y)
+
+    def power_sums(start, x):
+        y = absolute(x)
         sums = _shifted_power_sums(y, shift)
         if not math.isfinite(sums[1]):  # an inf or NaN sample, or finite ones whose sum overflows
             refuse_non_finite(start, x, y)
         return sums
 
-    blocks = _gaussian_blocks(seed, n_samples, np.array([law.std]), law.mean, absolute)
-    mean, se = _pooled(blocks) if shift is None else _controlled(blocks, shift)
+    def blocks(reduce):
+        return _gaussian_blocks(seed, n_samples, np.array([law.std]), law.mean, reduce)
+
+    controlled = None if shift is None else _controlled(blocks(power_sums), shift)
+    mean, se = _pooled(blocks(moments)) if controlled is None else controlled
     if not (math.isfinite(mean) and math.isfinite(se)):
         raise NonFiniteSampleError(
             f"non-finite pooled |Y| statistics: mean_abs={mean!r}, standard_error={se!r}"

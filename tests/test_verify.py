@@ -27,7 +27,7 @@ from bachelier_lab import (
 )
 from bachelier_lab import model
 from bachelier_lab.model import _gaussian_blocks
-from bachelier_lab.verify import _block_moments, _pooled
+from bachelier_lab.verify import _block_moments, _controlled, _pooled
 
 R1 = quantized_rate(1, 0.2, 1.0)
 # r_1 * pi at 30-digit precision: the sine mode's drift at the origin, where
@@ -302,6 +302,56 @@ def test_integrability_falls_back_to_the_plain_mean_where_the_control_mean_overf
     assert v._mean_square(exact_marginal(p, 1.0).mean, 12.0) is None
     witness = integrability_check(v, p, 1.0, 5_000, seed=2)
     assert witness == integrability_check(lambda x: v(x), p, 1.0, 5_000, seed=2)
+    # A light-tailed sine at its crest: E[V^2] = 4e308 overflows, while the
+    # samples lie within 1e-5 of one another, so the plain witness is finite.
+    v = sine_solution(2e154, R1, 0.2)
+    p = ModelParams(x0=0.5 - R1 * 1e-4, r=R1, sigma=0.2)
+    assert v._mean_square(0.5, 0.002) is None
+    witness = integrability_check(v, p, 1e-4, 5_000, seed=2)
+    plain = integrability_check(lambda x: v(x), p, 1e-4, 5_000, seed=2)
+    assert (witness.mean_abs, witness.standard_error) == (plain.mean_abs, plain.standard_error)
+
+
+@pytest.mark.parametrize("name, sigma", [("distinct", 0.5), ("distinct", 2.0), ("distinct", 8.0),
+                                         ("distinct", 10.0), ("complex", 1.0), ("repeated", 0.25)])
+def test_integrability_of_a_heavy_tailed_closed_form_is_the_plain_one(name, sigma):
+    # With a the largest |Re| of the roots, a*s is 0.81 to 16.2 here, past the
+    # light-tail bound sqrt(ln(2)/4) = 0.42. Fitted on these samples, beta
+    # biased the control witness upward: at sigma = 2, 100,000 samples, 6 to
+    # 15 times the exact E|Y| of 201. At sigma = 8 to 10, sqrt(E[Y^2]) is
+    # 1e72 to 1e113, far above every sample, so each |Y| - sqrt(E[Y^2]) rounded
+    # to the shift itself, and the shifted sums gave rounding, an overflow in
+    # math.fsum or an inf.
+    r = FULL_CASES[name][0]
+    v = _full_solution(r, 0.2)
+    p = ModelParams(x0=0.5, r=r, sigma=sigma)
+    witness = integrability_check(v, p, 1.0, 20_000, seed=2)
+    assert witness == integrability_check(lambda x: v(x), p, 1.0, 20_000, seed=2)
+
+
+def test_integrability_control_variate_is_unbiased_at_the_light_tail_bound():
+    # a*s = 0.4, just inside the bound: the repeated root of drift_lab and the
+    # distinct pair at s = 0.4/1.618. Both profiles are positive (the repeated
+    # one changes sign 7.5 s below the mean), so E|V| = E V in closed form.
+    z = []
+    for name, sigma in (("repeated", 0.2), ("distinct", 0.4 / 1.618033988749895)):
+        r = FULL_CASES[name][0]
+        v = _full_solution(r, 0.2)
+        p = ModelParams(x0=0.5, r=r, sigma=sigma)
+        law = exact_marginal(p, 1.0)
+        m, s2 = law.mean, law.variance
+        if name == "repeated":
+            lam = v.roots.root1.real
+            exact = math.exp(lam * m + 0.5 * lam * lam * s2) * 0.5 * (1 + m + lam * s2)
+        else:
+            exact = 0.5 * sum(math.exp(k * m + 0.5 * k * k * s2)
+                              for k in (v.roots.root1.real, v.roots.root2.real))
+        exact *= math.exp(r)
+        for seed in range(40):
+            witness = integrability_check(v, p, 1.0, 20_000, seed)
+            z.append((witness.mean_abs - exact) / witness.standard_error)
+    assert abs(np.mean(z)) <= 0.3
+    assert 0.8 <= np.std(z, ddof=1) <= 1.2
 
 
 class _NanAboveOneAndAHalf(ExponentialSolution):
@@ -334,14 +384,31 @@ class _MisstatedMeanSquare(ExponentialSolution):
 
 def test_integrability_drops_a_control_whose_mean_is_far_off():
     # With E c stated 4-fold, cbar misses it by about 3 E c, far beyond the sample
-    # deviation of c: beta must fall to 0, leaving the plain mean and its SE.
+    # deviation of c: the control must be dropped, leaving the plain witness.
     full = _full_solution(*FULL_CASES["complex"])
     v = _MisstatedMeanSquare(full.roots, full.coef1, full.coef2)
     p = ModelParams(x0=0.5, r=0.02, sigma=0.2)
     witness = integrability_check(v, p, 1.0, 20_000, seed=9)
-    plain = integrability_check(lambda x: v(x), p, 1.0, 20_000, seed=9)
-    assert witness.mean_abs == pytest.approx(plain.mean_abs, rel=1e-13, abs=0)
-    assert witness.standard_error == pytest.approx(plain.standard_error, rel=1e-13, abs=0)
+    assert witness == integrability_check(lambda x: v(x), p, 1.0, 20_000, seed=9)
+
+
+def test_integrability_drops_a_control_whose_power_sums_overflow():
+    # |Y| - sqrt(E[Y^2]) is about 1e100, so its fourth power, and the sum of
+    # each block's, is inf, while the plain sums of squares stay finite.
+    v = sine_solution(1e100, R1, 0.2)
+    p = ModelParams(x0=0.1, r=R1, sigma=0.2)
+    witness = integrability_check(v, p, 1.0, 3 * 8192, seed=2)
+    plain = integrability_check(lambda x: v(x), p, 1.0, 3 * 8192, seed=2)
+    assert (witness.mean_abs, witness.standard_error) == (plain.mean_abs, plain.standard_error)
+
+
+@pytest.mark.parametrize("sums", [
+    [(8192, 0.0, 1.0, 0.0, 1e308)] * 2,  # finite block sums whose total overflows
+    [(8192, 0.0, 1.0, 0.0, math.inf), (8192, 0.0, 1.0, 0.0, -math.inf)],
+    [(8192, 0.0, 1.0, math.nan, 1.0)] * 2,
+])
+def test_controlled_gives_no_estimate_for_sums_past_the_float_range(sums):
+    assert _controlled(sums, 1.0) is None
 
 
 def test_integrability_of_a_law_without_spread_reports_the_one_value():
