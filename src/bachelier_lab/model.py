@@ -103,9 +103,19 @@ class TimeGrid:
 
     @classmethod
     def regular(cls, t_end: float, n_steps: int) -> "TimeGrid":
-        """Uniform grid of ``n_steps`` steps on [0, t_end]."""
+        """Uniform grid of ``n_steps`` steps on [0, t_end].
+
+        ``linspace`` places time ``i < n_steps`` at ``i*step``, ``step =
+        t_end/n_steps``, and the last at ``t_end``; a step that rounds to 0, or
+        up so that ``(n_steps - 1)*step`` reaches ``t_end``, is refused by name.
+        """
         t_end = float(check("t_end", t_end, "positive"))
-        return cls(np.linspace(0.0, t_end, check("n_steps", n_steps, "count", 1) + 1))
+        n_steps = check("n_steps", n_steps, "count", 1)
+        step = t_end / n_steps
+        if not (step > 0.0 and (n_steps - 1) * step < t_end):
+            raise ValidationError(
+                f"t_end/n_steps must leave {n_steps + 1} distinct grid times, got {step!r}")
+        return cls(np.linspace(0.0, t_end, n_steps + 1))
 
     @property
     def n_times(self) -> int:

@@ -36,26 +36,32 @@ _H = 1e-3  # central-difference step of the analytic drift
 _LIGHT_TAIL = math.log(2.0) / 4.0
 
 
-def _block_moments(y: np.ndarray) -> tuple:
-    """``(count, mean, M2)`` of one block, ``M2 = sum((y - mean)^2)``; overwrites ``y``.
+def _block_moments(y: np.ndarray, c: np.ndarray | None = None) -> tuple:
+    """``(count, ybar, S_yy)`` of one block, ``S_yy = sum((y - ybar)^2)``; overwrites ``y``.
 
-    Finite values whose sum leaves the float range give an inf or NaN moment,
-    which the caller reports; the sampler keeps numpy from warning.
+    With a control column ``c``, also ``(cbar, S_yc, S_cc)``, each column
+    centred on its own mean; overwrites ``c`` too. A sum past the float range
+    gives an inf or NaN moment for the caller to report; the sampler silences numpy.
     """
     mean = y.mean()
     y -= mean
-    return len(y), mean, np.square(y, out=y).sum()
+    if c is None:
+        return len(y), mean, np.square(y, out=y).sum()
+    c_mean = c.mean()
+    c -= c_mean
+    s_yc = (y * c).sum()
+    return len(y), mean, np.square(y, out=y).sum(), c_mean, s_yc, np.square(c, out=c).sum()
 
 
 def _pooled(blocks: list) -> tuple:
-    """Sample mean and its standard error from per-block ``(count, mean, M2)``, in block order.
+    """Sample mean and its standard error from per-block ``_block_moments``, in block order.
 
     The pairwise update of Chan, Golub & LeVeque (Am. Stat. 37, 1983):
     ``M2 = sum M2_b + sum n_b*(m_b - mean)^2``, so no per-sample array is
-    needed. An inf or NaN block moment, or a sum past the float range,
-    propagates to the result without a numpy warning.
+    needed. A control column is ignored. An inf or NaN block moment, or a
+    sum past the float range, propagates to the result without a numpy warning.
     """
-    counts, means, m2s = (np.array(column) for column in zip(*blocks))
+    counts, means, m2s = (np.array(column) for column in list(zip(*blocks))[:3])
     n = counts.sum()
     with np.errstate(over="ignore", invalid="ignore"):
         mean = (counts * means).sum() / n
@@ -63,57 +69,34 @@ def _pooled(blocks: list) -> tuple:
     return float(mean), math.sqrt(m2 / (n - 1)) / math.sqrt(n)
 
 
-def _shifted_power_sums(y: np.ndarray, shift: float) -> tuple:
-    """``(count, sum a, sum a^2, sum a^3, sum a^4)`` of one block, ``a = y - shift``.
+def _controlled(blocks: list, e_c: float) -> tuple | None:
+    """Mean of ``y`` and its standard error, with a control ``c`` of exact mean ``e_c``.
 
-    Leaves ``a`` in ``y``. For ``y >= 0`` and a finite ``shift >= 0``, ``a``
-    is finite where ``y`` is and equals it where it is inf or NaN; the sum of
-    ``a`` is finite only if every ``a`` is. An inf or NaN sum is left to the
-    caller, as in ``_block_moments``.
+    ``blocks`` holds two-column ``_block_moments``, pooled by the rule of
+    ``_pooled``, ``S_ab = sum S_ab_b + sum n_b*(a_b - abar)*(b_b - bbar)``.
+    The estimate is ``ybar - beta*(cbar - e_c)``, ``beta = S_yc/S_cc``, with
+    the standard error ``sqrt((S_yy - beta*S_yc)/(n - 2)/n)`` (Glasserman,
+    *Monte Carlo Methods in Financial Engineering*, 2004, 4.1).
+
+    None, for the caller to take the plain mean, where a pooled value or the
+    result is not finite, or ``S_cc <= n*(cbar - e_c)^2``: ``cbar`` then
+    misses ``e_c`` by sqrt(n) standard errors or more, as it does for
+    identical samples, whose ``S_cc`` is rounding.
     """
-    y -= shift
-    square = y * y
-    return (len(y), y.sum(), square.sum(), (square * y).sum(),
-            np.square(square, out=square).sum())
-
-
-def _controlled(sums: list, shift: float) -> tuple | None:
-    """Mean of ``y >= 0`` and its standard error, with the control ``c = y^2`` of mean ``shift^2``.
-
-    ``sums`` holds each block's ``_shifted_power_sums``, which add up over the
-    blocks. With ``a = y - shift`` and ``d = c - shift^2 = a^2 + 2*shift*a``,
-    the centred sums are ``S_yy = sum a^2 - n*abar^2``, ``S_yc = sum a*d -
-    n*abar*dbar`` and ``S_cc = sum d^2 - n*dbar^2``. The estimate is ``ybar -
-    beta*dbar`` with ``beta = S_yc/S_cc``, and its standard error is
-    ``sqrt((S_yy - beta*S_yc)/(n - 2)/n)`` (Glasserman, *Monte Carlo Methods
-    in Financial Engineering*, 2004, 4.1). No centring pass is needed: as
-    ``a >= -shift``, the power sums in ``sum a*d`` and ``sum d^2`` cancel by
-    at most factors 3 and 9, and while ``cbar`` is near ``shift^2``,
-    ``n*abar^2`` is about ``S_yy`` at most.
-
-    None, for the caller to take the plain mean, where the sums give no
-    usable beta: where a block sum, their total, ``S_yc``, ``S_cc`` or the
-    result is not finite, or ``S_cc <= sum d^2/2``. The last means that
-    ``cbar`` misses ``shift^2`` by at least the sample deviation of ``c``,
-    which is sqrt(n) standard errors; identical samples, whose ``S_cc`` is
-    rounding, give it.
-    """
-    columns = list(zip(*sums))
-    if not all(math.isfinite(total) for column in columns[1:] for total in column):
-        return None
-    try:
-        n, s1, s2, s3, s4 = (math.fsum(column) for column in columns)
-    except OverflowError:  # finite block sums whose total leaves the float range
-        return None
-    abar, dbar = s1 / n, (s2 + 2.0 * shift * s1) / n
-    sum_d2 = s4 + 4.0 * shift * (s3 + shift * s2)
-    s_yc, s_cc = s3 + 2.0 * shift * s2 - s1 * dbar, sum_d2 - n * dbar * dbar
-    if not (math.isfinite(s_yc) and s_cc > 0.5 * sum_d2):  # false for an inf or NaN S_cc
-        return None
-    beta = s_yc / s_cc
-    residual = s2 - s1 * abar - beta * s_yc
-    mean, se = shift + (abar - beta * dbar), math.sqrt(max(residual, 0.0) / (n - 2) / n)
-    return (mean, se) if math.isfinite(mean) and math.isfinite(se) else None
+    counts, y_means, s_yy, c_means, s_yc, s_cc = (np.array(column) for column in zip(*blocks))
+    n = counts.sum()
+    with np.errstate(all="ignore"):
+        y_bar, c_bar = (counts * y_means).sum() / n, (counts * c_means).sum() / n
+        dy, dc = y_means - y_bar, c_means - c_bar
+        s_yy = s_yy.sum() + (counts * (dy * dy)).sum()
+        s_yc = s_yc.sum() + (counts * (dy * dc)).sum()
+        s_cc = s_cc.sum() + (counts * (dc * dc)).sum()
+        gap = c_bar - e_c
+        beta = s_yc / s_cc
+        mean, se = y_bar - beta * gap, math.sqrt(max(s_yy - beta * s_yc, 0.0) / (n - 2) / n)
+        # An inf or NaN c_bar, or an S_cc of 0, fails the first test.
+        usable = s_cc > n * gap * gap and all(map(math.isfinite, (s_yy, s_yc, s_cc, mean, se)))
+    return (float(mean), se) if usable else None
 
 
 @dataclass(frozen=True)
@@ -298,64 +281,51 @@ def integrability_check(
     before sampling, and finite samples whose pooled mean or standard error
     overflows are refused after it.
 
-    For an ``ExponentialSolution`` with light tails, the estimate uses the
-    control variate c = Y^2, whose mean w^2*E[V(X)^2], w = e^{sign*r*t}, is
-    exact: it is ``|Y|bar - beta*(cbar - E c)`` with ``beta = S_yc/S_cc``
-    fitted on the same samples, and its standard error is ``sqrt((S_yy -
-    beta*S_yc)/(n - 2)/n)``. Fitting beta leaves a bias of O(1/n), against a
-    standard error of O(1/sqrt(n)). At 1e6 samples the variance falls about
-    20-fold on the sine modes and 30- to 70-fold on the full forms of
-    ``drift_lab``. Light tails means ``(a*s)^2 <= ln(2)/4`` for ``a`` the
-    largest |Re| of the roots and ``s = sigma*sqrt(t)``: the envelope
-    e^{2aX} of c then has a relative variance of at most 1. Heavier tails
-    leave too few large samples to fit beta on, and bias it.
+    For an ``ExponentialSolution`` with light tails, the estimate regresses
+    |Y| on the control c = Y^2, whose mean w^2*E[V(X)^2], w = e^{sign*r*t},
+    is exact (see ``_controlled``). Fitting beta on the same samples leaves a
+    bias of O(1/n), against a standard error of O(1/sqrt(n)). At 1e6 samples
+    the variance falls about 20-fold on the sine modes and 30- to 70-fold on
+    the full forms of ``drift_lab``. Light tails means ``(a*s)^2 <= ln(2)/4``
+    for ``a`` the largest |Re| of the roots and ``s = sigma*sqrt(t)``: the
+    envelope e^{2aX} of c then has a relative variance of at most 1. Heavier
+    tails leave too few large samples to fit beta on, and bias it.
 
-    Any other callable, a heavier tail, or an E[Y^2] out of the float range
-    gets the plain sample mean. So does a closed form whose pooled sums give
-    no usable beta (see ``_controlled``): its samples are drawn again from
-    the same seed, so its witness is the plain one bit for bit, at twice the
-    cost.
+    Any other callable, a heavier tail, an E[Y^2] out of the float range, or
+    pooled moments that give no usable beta get the plain sample mean, from
+    the blocks of the same single draw.
     """
     n_samples = check("n_samples", n_samples, "count", _MIN_SAMPLES)
     law = exact_marginal(p, t)
     check("x0 + mu*t", law.mean)
     check("sigma*sqrt(t)", law.std)
     weight = _time_weight(sign.factor, p.r, t)
-    shift = None  # sqrt(E[Y^2]) of a light-tailed closed form, where it is in the float range
+    e_c = None  # E[Y^2] of a light-tailed closed form, where it is in the float range
     if isinstance(v, ExponentialSolution):
         growth = max(abs(v.roots.root1.real), abs(v.roots.root2.real)) * law.std
         mean_square = v._mean_square(law.mean, law.std) if growth * growth <= _LIGHT_TAIL else None
         if mean_square is not None and math.isfinite((weight * weight) * mean_square):
-            shift = weight * math.sqrt(mean_square)
-
-    def refuse_non_finite(start, x, y):
-        if not np.all(np.isfinite(y)):
-            bad = int(np.flatnonzero(~np.isfinite(y))[0])
-            raise NonFiniteSampleError(
-                f"non-finite |Y| sample at index {start + bad}: payoff evaluated to "
-                f"{y[bad]!r} at X = {float(x[bad, 0])!r}"
-            )
+            e_c = (weight * weight) * mean_square
 
     def absolute(x):
         return np.abs(np.asarray(v(x[:, 0]), dtype=float) * weight)
 
     def moments(start, x):
         y = absolute(x)
-        refuse_non_finite(start, x, y)
-        return _block_moments(y)
+        block = _block_moments(y, None if e_c is None else y * y)
+        if not math.isfinite(block[1]):  # an inf or NaN |Y|, or finite ones whose sum overflows
+            y = absolute(x)
+            bad = np.flatnonzero(~np.isfinite(y))
+            if bad.size:
+                raise NonFiniteSampleError(
+                    f"non-finite |Y| sample at index {start + bad[0]}: payoff evaluated to "
+                    f"{y[bad[0]]!r} at X = {float(x[bad[0], 0])!r}"
+                )
+        return block
 
-    def power_sums(start, x):
-        y = absolute(x)
-        sums = _shifted_power_sums(y, shift)
-        if not math.isfinite(sums[1]):  # an inf or NaN sample, or finite ones whose sum overflows
-            refuse_non_finite(start, x, y)
-        return sums
-
-    def blocks(reduce):
-        return _gaussian_blocks(seed, n_samples, np.array([law.std]), law.mean, reduce)
-
-    controlled = None if shift is None else _controlled(blocks(power_sums), shift)
-    mean, se = _pooled(blocks(moments)) if controlled is None else controlled
+    blocks = _gaussian_blocks(seed, n_samples, np.array([law.std]), law.mean, moments)
+    controlled = None if e_c is None else _controlled(blocks, e_c)
+    mean, se = _pooled(blocks) if controlled is None else controlled
     if not (math.isfinite(mean) and math.isfinite(se)):
         raise NonFiniteSampleError(
             f"non-finite pooled |Y| statistics: mean_abs={mean!r}, standard_error={se!r}"

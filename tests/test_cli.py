@@ -133,6 +133,9 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
         (["solve", "--hedged", "--rate", "nan", "--sigma", "0.2"], "rate"),
         (["spectrum", "--sigma", "inf", "--strike", "1", "--n-max", "3"], "sigma"),
         (_SURFACE + ["--t-end", "nan"], "t-end"),
+        # The step 5e-324/3 underflows to 0, which would repeat a grid time.
+        (["simulate", "--x0", "0", "--rate", "0", "--sigma", "1", "--t-end", "5e-324",
+          "--steps", "3", "--paths", "2"], "t_end/n_steps"),
         (_SURFACE + ["--amplitude", "inf"], "amplitude"),
         (_SURFACE + ["--t-end", "1e10"], "time weight"),
         (_SURFACE + ["--x-points", "0"], "x-points"),
@@ -189,7 +192,8 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
     ],
     ids=["grid-step-zero", "grid-step-negative", "grid-step-nan", "t-nan", "t-inf",
          "drift-check-overflow", "solve-rate-nan", "spectrum-sigma-inf", "surface-t-end-nan",
-         "surface-amplitude-inf", "surface-weight-overflow", "surface-x-points-zero",
+         "simulate-step-underflow", "surface-amplitude-inf", "surface-weight-overflow",
+         "surface-x-points-zero",
          "normalize-rate-inf", "normalize-wavenumber-overflow", "solve-sigma-underflow",
          "solve-root-overflow", "solve-discriminant-overflow",
          "simulate-drift-line-overflow",

@@ -108,6 +108,19 @@ def test_regular_grid_names_a_bad_end_time_without_a_warning(t_end):
             TimeGrid.regular(t_end, 3)
 
 
+@pytest.mark.parametrize("t_end, n_steps", [(5e-324, 3), (1e-320, 10**6), (4e-323, 5)],
+                         ids=["underflow", "underflow-many-steps", "rounds-up"])
+def test_regular_grid_names_a_step_that_repeats_a_time(t_end, n_steps):
+    # 4e-323 is 8 subnormal units: t_end/5 rounds up to 2, and 4*2 reaches t_end.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"^t_end/n_steps must leave"):
+            TimeGrid.regular(t_end, n_steps)
+        # The grids just inside keep linspace's times.
+        for t, n in [(5e-324, 1), (4e-323, 4), (1e-322, 20), (2.0, 4)]:
+            assert np.array_equal(TimeGrid.regular(t, n).times, np.linspace(0.0, t, n + 1))
+
+
 def test_sigma_zero_paths_are_exactly_linear():
     grid = TimeGrid(np.array([0.0, 0.5, 1.0]))
     paths = simulate_paths(ModelParams(x0=0.0, r=1.0, sigma=0.0), grid, 4, seed=0)

@@ -25,7 +25,7 @@ from bachelier_lab import (
     quantized_rate,
     sine_solution,
 )
-from bachelier_lab import model
+from bachelier_lab import model, verify
 from bachelier_lab.model import _gaussian_blocks
 from bachelier_lab.verify import _block_moments, _controlled, _pooled
 
@@ -318,10 +318,8 @@ def test_integrability_of_a_heavy_tailed_closed_form_is_the_plain_one(name, sigm
     # With a the largest |Re| of the roots, a*s is 0.81 to 16.2 here, past the
     # light-tail bound sqrt(ln(2)/4) = 0.42. Fitted on these samples, beta
     # biased the control witness upward: at sigma = 2, 100,000 samples, 6 to
-    # 15 times the exact E|Y| of 201. At sigma = 8 to 10, sqrt(E[Y^2]) is
-    # 1e72 to 1e113, far above every sample, so each |Y| - sqrt(E[Y^2]) rounded
-    # to the shift itself, and the shifted sums gave rounding, an overflow in
-    # math.fsum or an inf.
+    # 15 times the exact E|Y| of 201. At sigma = 8 to 10, E[Y^2] is 1e144 to
+    # 1e226, far above every sample's Y^2.
     r = FULL_CASES[name][0]
     v = _full_solution(r, 0.2)
     p = ModelParams(x0=0.5, r=r, sigma=sigma)
@@ -362,8 +360,8 @@ class _NanAboveOneAndAHalf(ExponentialSolution):
 @pytest.mark.parametrize("workers", [1, 3])
 def test_integrability_names_a_non_finite_closed_form_sample_as_the_plain_path_does(
         workers, monkeypatch):
-    # The control path scans a block only when its sum is not finite; the
-    # message must be the one the plain path gives for the same profile. The
+    # A block is scanned only when its mean of |Y| is not finite; the control
+    # path must give the message the plain path gives for the same profile. The
     # first NaN, at index 22628, is in block 2, which worker 2 of 3 draws.
     monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
     full = _full_solution(*FULL_CASES["complex"])
@@ -393,8 +391,8 @@ def test_integrability_drops_a_control_whose_mean_is_far_off():
 
 
 def test_integrability_drops_a_control_whose_power_sums_overflow():
-    # |Y| - sqrt(E[Y^2]) is about 1e100, so its fourth power, and the sum of
-    # each block's, is inf, while the plain sums of squares stay finite.
+    # |Y| is about 1e100, so each block's S_cc, a sum of (Y^2 - mean Y^2)^2,
+    # is inf, while the plain sums of squares stay finite.
     v = sine_solution(1e100, R1, 0.2)
     p = ModelParams(x0=0.1, r=R1, sigma=0.2)
     witness = integrability_check(v, p, 1.0, 3 * 8192, seed=2)
@@ -403,12 +401,37 @@ def test_integrability_drops_a_control_whose_power_sums_overflow():
 
 
 @pytest.mark.parametrize("sums", [
-    [(8192, 0.0, 1.0, 0.0, 1e308)] * 2,  # finite block sums whose total overflows
-    [(8192, 0.0, 1.0, 0.0, math.inf), (8192, 0.0, 1.0, 0.0, -math.inf)],
-    [(8192, 0.0, 1.0, math.nan, 1.0)] * 2,
+    [(8192, 0.0, 1.0, 0.0, 0.0, 1e308)] * 2,  # finite block S_cc whose total overflows
+    [(8192, 0.0, 1.0, 0.0, math.inf, 1.0), (8192, 0.0, 1.0, 0.0, -math.inf, 1.0)],
+    [(8192, 0.0, 1.0, math.nan, 0.0, 1.0)] * 2,
 ])
 def test_controlled_gives_no_estimate_for_sums_past_the_float_range(sums):
+    # Blocks of (count, ybar, S_yy, cbar, S_yc, S_cc); with S_cc = 1e300 and
+    # finite values elsewhere, the same blocks give an estimate.
+    assert _controlled([(8192, 0.0, 1.0, 0.0, 0.0, 1e300)] * 2, 1.0) is not None
     assert _controlled(sums, 1.0) is None
+
+
+@pytest.mark.parametrize("case", ["control", "misstated", "overflow"])
+def test_integrability_draws_its_samples_once(case, monkeypatch):
+    # The control and its fallbacks to the plain mean, for a 4-fold E[Y^2] and
+    # for control products past the float range, share the blocks of one draw.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _gaussian_blocks(*args)
+
+    monkeypatch.setattr(verify, "_gaussian_blocks", counting)
+    full = _full_solution(*FULL_CASES["complex"])
+    params = ModelParams(x0=0.5, r=0.02, sigma=0.2)
+    v, p = {
+        "control": (full, params),
+        "misstated": (_MisstatedMeanSquare(full.roots, full.coef1, full.coef2), params),
+        "overflow": (sine_solution(1e100, R1, 0.2), ModelParams(x0=0.1, r=R1, sigma=0.2)),
+    }[case]
+    integrability_check(v, p, 1.0, 3 * 8192, seed=2)
+    assert len(calls) == 1
 
 
 def test_integrability_of_a_law_without_spread_reports_the_one_value():
@@ -496,6 +519,16 @@ def test_pooled_block_moments_match_the_whole_array(n):
     mean, se = _pooled([_block_moments(a[i : i + 8192].copy()) for i in range(0, n, 8192)])
     want_se = a.std(ddof=1) / math.sqrt(n)
     assert abs(mean - a.mean()) <= 1e-10 * want_se
+    assert abs(se - want_se) <= 1e-10 * want_se
+
+    # With the control c = a^2, of exact mean 3^2 + 2^2: a regression of a on c.
+    c = a * a
+    mean, se = _controlled([_block_moments(a[i : i + 8192].copy(), c[i : i + 8192].copy())
+                            for i in range(0, n, 8192)], 13.0)
+    da, dc = a - a.mean(), c - c.mean()
+    beta = (da * dc).sum() / (dc * dc).sum()
+    want_se = math.sqrt(((da - beta * dc) ** 2).sum() / (n - 2) / n)
+    assert abs(mean - (a.mean() - beta * (c.mean() - 13.0))) <= 1e-10 * want_se
     assert abs(se - want_se) <= 1e-10 * want_se
 
 
