@@ -80,9 +80,14 @@ class GaussianLaw:
 
 
 def exact_marginal(p: ModelParams, t: float) -> GaussianLaw:
-    """Exact law of X(t): Gaussian with mean x0 + mu*t and variance sigma^2*t."""
+    """Exact law of X(t): Gaussian with mean x0 + mu*t and variance sigma^2*t.
+
+    A mean ``x0 + mu*t`` or a scale ``sigma*sqrt(t)`` out of the float range is refused by name.
+    """
     check("t", t, "nonnegative")
-    return GaussianLaw(mean=p.x0 + p.mu * t, variance=p.sigma * p.sigma * t)
+    law = GaussianLaw(mean=check("x0 + mu*t", p.x0 + p.mu * t), variance=p.sigma * p.sigma * t)
+    check("sigma*sqrt(t)", law.std)
+    return law
 
 
 @dataclass(frozen=True)

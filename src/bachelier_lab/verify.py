@@ -53,50 +53,39 @@ def _block_moments(y: np.ndarray, c: np.ndarray | None = None) -> tuple:
     return len(y), mean, np.square(y, out=y).sum(), c_mean, s_yc, np.square(c, out=c).sum()
 
 
-def _pooled(blocks: list) -> tuple:
-    """Sample mean and its standard error from per-block ``_block_moments``, in block order.
+def _pooled(blocks: list, e_c: float | None = None) -> tuple:
+    """Mean of ``y`` and its standard error from per-block ``_block_moments``, in block order.
 
-    The pairwise update of Chan, Golub & LeVeque (Am. Stat. 37, 1983):
-    ``M2 = sum M2_b + sum n_b*(m_b - mean)^2``, so no per-sample array is
-    needed. A control column is ignored. An inf or NaN block moment, or a
-    sum past the float range, propagates to the result without a numpy warning.
+    Blocks pool by the update of Chan, Golub & LeVeque (Am. Stat. 37, 1983),
+    ``S_ab = sum S_ab_b + sum n_b*(a_b - abar)*(b_b - bbar)``, so no per-sample
+    array is needed; an inf or NaN propagates without a numpy warning. With
+    ``e_c``, the exact mean of the control column ``c``, the estimate is
+    ``ybar - beta*(cbar - e_c)``, ``beta = S_yc/S_cc``, with the standard error
+    ``sqrt((S_yy - beta*S_yc)/(n - 2)/n)`` (Glasserman, *Monte Carlo Methods in
+    Financial Engineering*, 2004, 4.1). The control is dropped, for the plain
+    result, where a pooled value or the result is not finite, or ``S_cc <=
+    n*(cbar - e_c)^2``: ``cbar`` then misses ``e_c`` by sqrt(n) standard errors
+    or more, as it does for identical samples, whose ``S_cc`` is rounding.
     """
-    counts, means, m2s = (np.array(column) for column in list(zip(*blocks))[:3])
-    n = counts.sum()
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = (counts * means).sum() / n
-        m2 = m2s.sum() + (counts * (means - mean) ** 2).sum()
-    return float(mean), math.sqrt(m2 / (n - 1)) / math.sqrt(n)
-
-
-def _controlled(blocks: list, e_c: float) -> tuple | None:
-    """Mean of ``y`` and its standard error, with a control ``c`` of exact mean ``e_c``.
-
-    ``blocks`` holds two-column ``_block_moments``, pooled by the rule of
-    ``_pooled``, ``S_ab = sum S_ab_b + sum n_b*(a_b - abar)*(b_b - bbar)``.
-    The estimate is ``ybar - beta*(cbar - e_c)``, ``beta = S_yc/S_cc``, with
-    the standard error ``sqrt((S_yy - beta*S_yc)/(n - 2)/n)`` (Glasserman,
-    *Monte Carlo Methods in Financial Engineering*, 2004, 4.1).
-
-    None, for the caller to take the plain mean, where a pooled value or the
-    result is not finite, or ``S_cc <= n*(cbar - e_c)^2``: ``cbar`` then
-    misses ``e_c`` by sqrt(n) standard errors or more, as it does for
-    identical samples, whose ``S_cc`` is rounding.
-    """
-    counts, y_means, s_yy, c_means, s_yc, s_cc = (np.array(column) for column in zip(*blocks))
+    counts, means, m2s, *control = (np.array(column) for column in zip(*blocks))
     n = counts.sum()
     with np.errstate(all="ignore"):
-        y_bar, c_bar = (counts * y_means).sum() / n, (counts * c_means).sum() / n
-        dy, dc = y_means - y_bar, c_means - c_bar
-        s_yy = s_yy.sum() + (counts * (dy * dy)).sum()
+        mean = (counts * means).sum() / n
+        dy = means - mean
+        m2 = m2s.sum() + (counts * dy ** 2).sum()
+        plain = float(mean), math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+        if e_c is None:
+            return plain
+        c_means, s_yc, s_cc = control
+        c_bar = (counts * c_means).sum() / n
+        dc = c_means - c_bar
         s_yc = s_yc.sum() + (counts * (dy * dc)).sum()
         s_cc = s_cc.sum() + (counts * (dc * dc)).sum()
-        gap = c_bar - e_c
-        beta = s_yc / s_cc
-        mean, se = y_bar - beta * gap, math.sqrt(max(s_yy - beta * s_yc, 0.0) / (n - 2) / n)
-        # An inf or NaN c_bar, or an S_cc of 0, fails the first test.
-        usable = s_cc > n * gap * gap and all(map(math.isfinite, (s_yy, s_yc, s_cc, mean, se)))
-    return (float(mean), se) if usable else None
+        gap, beta = c_bar - e_c, s_yc / s_cc
+        mean, se = mean - beta * gap, math.sqrt(max(m2 - beta * s_yc, 0.0) / (n - 2) / n)
+        # An inf or NaN c_bar or e_c, or an S_cc of 0, fails the first test.
+        usable = s_cc > n * gap * gap and all(map(math.isfinite, (m2, s_yc, s_cc, mean, se)))
+    return (float(mean), se) if usable else plain
 
 
 @dataclass(frozen=True)
@@ -277,13 +266,13 @@ def integrability_check(
     is attached as well; it holds for every t regardless of the sample. The
     profile ``v`` is called as in ``drift_estimate``. The first non-finite
     sample is reported by its index, whatever the thread count. A law whose
-    mean or scale ``sigma*sqrt(t)`` leaves the float range is refused by name
+    mean or scale leaves the float range is refused by ``exact_marginal``
     before sampling, and finite samples whose pooled mean or standard error
     overflows are refused after it.
 
     For an ``ExponentialSolution`` with light tails, the estimate regresses
     |Y| on the control c = Y^2, whose mean w^2*E[V(X)^2], w = e^{sign*r*t},
-    is exact (see ``_controlled``). Fitting beta on the same samples leaves a
+    is exact (see ``_pooled``). Fitting beta on the same samples leaves a
     bias of O(1/n), against a standard error of O(1/sqrt(n)). At 1e6 samples
     the variance falls about 20-fold on the sine modes and 30- to 70-fold on
     the full forms of ``drift_lab``. Light tails means ``(a*s)^2 <= ln(2)/4``
@@ -297,15 +286,15 @@ def integrability_check(
     """
     n_samples = check("n_samples", n_samples, "count", _MIN_SAMPLES)
     law = exact_marginal(p, t)
-    check("x0 + mu*t", law.mean)
-    check("sigma*sqrt(t)", law.std)
     weight = _time_weight(sign.factor, p.r, t)
-    e_c = None  # E[Y^2] of a light-tailed closed form, where it is in the float range
+    e_c = bound = None  # E[Y^2] of a light-tailed closed form; an inf e_c goes unused
     if isinstance(v, ExponentialSolution):
         growth = max(abs(v.roots.root1.real), abs(v.roots.root2.real)) * law.std
         mean_square = v._mean_square(law.mean, law.std) if growth * growth <= _LIGHT_TAIL else None
-        if mean_square is not None and math.isfinite((weight * weight) * mean_square):
+        if mean_square is not None:
             e_c = (weight * weight) * mean_square
+        if v.roots.root1.real == 0.0 and v.wavenumber != 0.0:
+            bound = (abs(v.coef1) + abs(v.coef2)) * _time_weight(1.0, abs(p.r), t)
 
     def absolute(x):
         return np.abs(np.asarray(v(x[:, 0]), dtype=float) * weight)
@@ -319,18 +308,14 @@ def integrability_check(
             if bad.size:
                 raise NonFiniteSampleError(
                     f"non-finite |Y| sample at index {start + bad[0]}: payoff evaluated to "
-                    f"{y[bad[0]]!r} at X = {float(x[bad[0], 0])!r}"
+                    f"{float(y[bad[0]])!r} at X = {float(x[bad[0], 0])!r}"
                 )
         return block
 
     blocks = _gaussian_blocks(seed, n_samples, np.array([law.std]), law.mean, moments)
-    controlled = None if e_c is None else _controlled(blocks, e_c)
-    mean, se = _pooled(blocks) if controlled is None else controlled
+    mean, se = _pooled(blocks, e_c)
     if not (math.isfinite(mean) and math.isfinite(se)):
         raise NonFiniteSampleError(
             f"non-finite pooled |Y| statistics: mean_abs={mean!r}, standard_error={se!r}"
         )
-    bound = None
-    if isinstance(v, ExponentialSolution) and v.roots.root1.real == 0.0 and v.wavenumber != 0.0:
-        bound = (abs(v.coef1) + abs(v.coef2)) * _time_weight(1.0, abs(p.r), t)
     return IntegrabilityWitness(mean_abs=mean, standard_error=se, analytic_bound=bound)

@@ -27,7 +27,7 @@ from bachelier_lab import (
 )
 from bachelier_lab import model, verify
 from bachelier_lab.model import _gaussian_blocks
-from bachelier_lab.verify import _block_moments, _controlled, _pooled
+from bachelier_lab.verify import _block_moments, _pooled
 
 R1 = quantized_rate(1, 0.2, 1.0)
 # r_1 * pi at 30-digit precision: the sine mode's drift at the origin, where
@@ -405,11 +405,13 @@ def test_integrability_drops_a_control_whose_power_sums_overflow():
     [(8192, 0.0, 1.0, 0.0, math.inf, 1.0), (8192, 0.0, 1.0, 0.0, -math.inf, 1.0)],
     [(8192, 0.0, 1.0, math.nan, 0.0, 1.0)] * 2,
 ])
-def test_controlled_gives_no_estimate_for_sums_past_the_float_range(sums):
+def test_pooled_drops_a_control_whose_sums_leave_the_float_range(sums):
     # Blocks of (count, ybar, S_yy, cbar, S_yc, S_cc); with S_cc = 1e300 and
-    # finite values elsewhere, the same blocks give an estimate.
-    assert _controlled([(8192, 0.0, 1.0, 0.0, 0.0, 1e300)] * 2, 1.0) is not None
-    assert _controlled(sums, 1.0) is None
+    # finite values elsewhere, the same blocks give the controlled estimate:
+    # beta = 0, so the plain mean with the standard error over n - 2.
+    finite = [(8192, 0.0, 1.0, 0.0, 0.0, 1e300)] * 2
+    assert _pooled(finite, 1.0) == (0.0, math.sqrt(2.0 / 16382 / 16384)) != _pooled(finite)
+    assert _pooled(sums, 1.0) == _pooled(sums)
 
 
 @pytest.mark.parametrize("case", ["control", "misstated", "overflow"])
@@ -523,8 +525,8 @@ def test_pooled_block_moments_match_the_whole_array(n):
 
     # With the control c = a^2, of exact mean 3^2 + 2^2: a regression of a on c.
     c = a * a
-    mean, se = _controlled([_block_moments(a[i : i + 8192].copy(), c[i : i + 8192].copy())
-                            for i in range(0, n, 8192)], 13.0)
+    mean, se = _pooled([_block_moments(a[i : i + 8192].copy(), c[i : i + 8192].copy())
+                        for i in range(0, n, 8192)], 13.0)
     da, dc = a - a.mean(), c - c.mean()
     beta = (da * dc).sum() / (dc * dc).sum()
     want_se = math.sqrt(((da - beta * dc) ** 2).sum() / (n - 2) / n)
