@@ -351,7 +351,8 @@ def first_hitting_time(path: np.ndarray, grid: TimeGrid, level: float) -> Hittin
     A path starting below the level is monitored for up-crossings (value >=
     level), one starting above for down-crossings (value <= level); starting
     exactly at the level hits at time 0. Only values up to the returned time
-    are inspected; crossings between grid points are not interpolated.
+    are inspected; crossings between grid points are not interpolated. An
+    inf or NaN path value is refused by name.
     """
     check("level", level)
     values = np.asarray(path, dtype=float)
@@ -359,6 +360,7 @@ def first_hitting_time(path: np.ndarray, grid: TimeGrid, level: float) -> Hittin
         raise ValidationError(
             f"path has {values.size} values but the grid has {grid.n_times} times"
         )
+    check("path", values)
     mask = _reached(values, values[0], level)
     if not mask.any():
         return HittingTime(value=None)

@@ -158,6 +158,7 @@ class ExponentialSolution:
         return self.roots.root1.imag
 
     def __call__(self, x):
+        """V at ``x``, elementwise; an overflow passes through as numpy's inf or NaN and warning."""
         x = np.asarray(x, dtype=float)
         c1, c2, lam1 = self.coef1, self.coef2, self.roots.root1
         if self.roots.case is RootCase.REPEATED_REAL:
@@ -246,19 +247,20 @@ def delta_gamma(v, x: float, h: float) -> DeltaGamma:
 
     Both estimates carry O(h^2) truncation error for four-times
     differentiable evaluators. Steps below 1e-8*max(1, |x|) are rejected:
-    there subtractive cancellation, not truncation, dominates.
+    there subtractive cancellation, not truncation, dominates. So is a
+    probe x +/- h, a delta or a gamma past the float range, by name.
     """
     check("x", x)
     if check("h", h, "positive") < 1e-8 * max(1.0, abs(x)):
         raise ValidationError(
             f"h={h!r} is below the cancellation floor 1e-8*max(1, |x|) at x={x!r}"
         )
-    up = float(v(x + h))
-    down = float(v(x - h))
+    up = float(v(check("x + h", x + h)))
+    down = float(v(check("x - h", x - h)))
     mid = float(v(x))
     return DeltaGamma(
-        delta=(up - down) / (2.0 * h),
-        gamma=(up - 2.0 * mid + down) / (h * h),
+        delta=check("delta", (up - down) / (2.0 * h)),
+        gamma=check("gamma", (up - 2.0 * mid + down) / (h * h)),
     )
 
 
@@ -266,9 +268,11 @@ def residual(v, problem: OdeProblem, x: float, h: float) -> float:
     """Left-hand side of the selected ODE at x, derivatives by central differences.
 
     Exact closed-form solutions give residuals that vanish at rate O(h^2).
+    A residual past the float range is refused by name.
     """
     dg = delta_gamma(v, x, h)
     value = float(v(x))
     if problem.form is OdeForm.FULL:
-        return problem.r * value + problem.r * dg.delta + problem.diffusion * dg.gamma
-    return problem.r * value + problem.diffusion * dg.gamma
+        return check("residual", problem.r * value + problem.r * dg.delta
+                     + problem.diffusion * dg.gamma)
+    return check("residual", problem.r * value + problem.diffusion * dg.gamma)

@@ -42,13 +42,20 @@ class MoneynessState(str, Enum):
 
 
 def call_payoff(x, strike: float):
-    """Exercise value max(x - strike, 0) of a call."""
-    return np.maximum(x - check("strike", strike, "positive"), 0.0)
+    """Exercise value max(x - strike, 0) of a call; an inf or NaN price ``x`` is refused by name."""
+    strike = check("strike", strike, "positive")
+    with np.errstate(over="ignore"):  # x - strike overflows only where the value is 0
+        return np.maximum(check("x", x) - strike, 0.0)
 
 
 def put_payoff(x, strike: float):
-    """Exercise value max(strike - x, 0) of a put."""
-    return np.maximum(check("strike", strike, "positive") - x, 0.0)
+    """Exercise value max(strike - x, 0) of a put.
+
+    An inf or NaN price ``x``, or a value past the float range, is refused by name.
+    """
+    strike = check("strike", strike, "positive")
+    with np.errstate(over="ignore"):
+        return check("put payoff strike - x", np.maximum(strike - check("x", x), 0.0))
 
 
 def moneyness(x: float, strike: float, tol: float) -> MoneynessState:
@@ -64,15 +71,21 @@ def moneyness(x: float, strike: float, tol: float) -> MoneynessState:
 
 
 def discounted_value(value, r: float, t: float, sign: DiscountSign = DiscountSign.MINUS):
-    """Apply the exponential weight e^{sign * r * t} to ``value``."""
+    """Apply the exponential weight e^{sign * r * t} to ``value``.
+
+    An inf or NaN ``value``, or a weight or weighted value past the float
+    range, is refused by name.
+    """
     check("r", r)
     check("t", t, "nonnegative")
-    return value * _time_weight(sign.factor, r, t)
+    with np.errstate(over="ignore"):
+        return check("discounted value", check("value", value) * _time_weight(sign.factor, r, t))
 
 
 def _time_weight(factor: float, r: float, t: float) -> float:
     """e^{factor*r*t}; a weight beyond the float range is rejected by name."""
     try:
-        return math.exp(factor * r * t)
+        # math.exp(inf) is inf, not an OverflowError: any exponent past 710 overflows alike.
+        return math.exp(min(factor * r * t, 710.0))
     except OverflowError:
         raise ValidationError(f"time weight e^(sign*r*t) overflows at r={r!r}, t={t!r}") from None

@@ -210,4 +210,5 @@ def payoff_surface(
     with np.errstate(over="ignore"):
         profile = amplitude * np.sin(check("phase n*pi*x/K", mode.wavenumber * x))
         weight = check("time weight e^{sign*r_n*t}", np.exp(sign.factor * rate * t))
-    return PayoffSurface(x=x, t=t, values=profile[:, None] * weight[None, :])
+        values = check("surface Y(x, t)", profile[:, None] * weight[None, :])
+    return PayoffSurface(x=x, t=t, values=values)

@@ -128,14 +128,18 @@ def analytic_drift(
     t: float,
     sign: DiscountSign = DiscountSign.PLUS,
 ) -> float:
-    """Ito drift of V(X)e^{sign*r*t} at x; derivatives by central differences of step 1e-3."""
+    """Ito drift of V(X)e^{sign*r*t} at x; derivatives by central differences of step 1e-3.
+
+    A drift past the float range is refused by name.
+    """
     check("r", r)
     check("sigma", sigma, "nonnegative")
     check("t", t, "nonnegative")
     diffusion = check("diffusion sigma^2/2", 0.5 * sigma * sigma)
     dg = delta_gamma(v, x, _H)
     s = sign.factor
-    return _time_weight(s, r, t) * (s * r * float(v(x)) + r * dg.delta + diffusion * dg.gamma)
+    return check("analytic drift",
+                 _time_weight(s, r, t) * (s * r * float(v(x)) + r * dg.delta + diffusion * dg.gamma))
 
 
 def drift_estimate(

@@ -189,6 +189,9 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
           "--t", "1e10", "--grid-step", "5e9", "--paths", "10"], "drift line"),
         # A negative infinity is an option value, refused as one.
         (_HIT + ["--t", "1", "--x0", "-inf"], "x0 must"),
+        # Profile and weight are finite, but their product overflows: refused without a warning.
+        (_SURFACE + ["--amplitude", "1e308", "--x-points", "3", "--t-points", "2", "--t-end", "100"],
+         "surface Y(x, t)"),
     ],
     ids=["grid-step-zero", "grid-step-negative", "grid-step-nan", "t-nan", "t-inf",
          "drift-check-overflow", "solve-rate-nan", "spectrum-sigma-inf", "surface-t-end-nan",
@@ -205,7 +208,7 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
          "simulate-path-overflow", "hit-path-overflow", "spectrum-strike-squared-underflow",
          "surface-strike-squared-underflow", "surface-rate-overflow",
          "hit-drift-line-past-the-float-range",
-         "hit-x0-minus-inf"],
+         "hit-x0-minus-inf", "surface-values-overflow"],
 )
 def test_invalid_numeric_inputs_exit_two_with_one_line(argv, field, capsys):
     with warnings.catch_warnings(record=True) as caught:

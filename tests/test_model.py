@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -78,6 +79,16 @@ def test_exact_marginal_moments():
 def test_exact_marginal_rejects_negative_time():
     with pytest.raises(ValidationError, match="t"):
         exact_marginal(ModelParams(x0=0.0, r=0.0, sigma=1.0), -1.0)
+
+
+@pytest.mark.parametrize("p,t,name", [
+    (ModelParams(x0=1e308, r=1e308, sigma=1.0), 1.0, "x0 + mu*t"),
+    (ModelParams(x0=0.0, r=-1e200, sigma=1.0), 1e154, "x0 + mu*t"),
+    (ModelParams(x0=0.0, r=0.0, sigma=1e154), 1e154, "sigma*sqrt(t)"),  # variance sigma^2*t overflows
+])
+def test_exact_marginal_refuses_a_law_past_the_float_range(p, t, name):
+    with pytest.raises(ValidationError, match=re.escape(name) + " must be finite, got -?inf"):
+        exact_marginal(p, t)
 
 
 def test_time_grid_validation():
@@ -389,6 +400,20 @@ def test_first_hitting_time_ignores_later_values():
     assert a.value == b.value == 1.0
 
 
+def test_first_hitting_time_refuses_a_path_off_the_grid():
+    grid = TimeGrid(np.array([0.0, 1.0, 2.0]))
+    with pytest.raises(ValidationError, match="path has 2 values but the grid has 3 times"):
+        first_hitting_time(np.array([0.0, 0.6]), grid, 0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_first_hitting_time_refuses_a_non_finite_path_value(bad):
+    # A NaN compares false with the level, so it would read as "never reached".
+    grid = TimeGrid(np.array([0.0, 1.0]))
+    with pytest.raises(ValidationError, match="path must be finite"):
+        first_hitting_time(np.array([0.0, bad]), grid, 1.0)
+
+
 def test_hitting_probability_matches_frozen_oracle():
     p0 = ModelParams(x0=0.0, r=0.0, sigma=1.0)
     assert hitting_probability(p0, 1.0, 1.0) == pytest.approx(HIT_NO_DRIFT, abs=1e-12)
@@ -415,6 +440,9 @@ def test_hitting_probability_degenerate_sigma():
     wrong_way = ModelParams(x0=0.0, r=-1.0, sigma=0.0)
     assert hitting_probability(wrong_way, 0.5, 1.0) == 0.0
     assert hitting_probability(wrong_way, -0.5, 1.0) == 1.0
+    # No drift and no noise: the path stays at x0 and never reaches a level.
+    still = ModelParams(x0=0.0, r=0.0, sigma=0.0)
+    assert hitting_probability(still, 0.5, 1.0) == hitting_probability(still, -0.5, 1e300) == 0.0
 
 
 def test_hitting_probability_holds_where_the_reflection_exponent_overflows():

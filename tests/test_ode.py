@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -316,6 +317,20 @@ def test_delta_gamma_step_validation():
         delta_gamma(v, 0.5, 1e-9)
     with pytest.raises(ValidationError, match="h"):
         delta_gamma(v, 1e6, 1e-3)  # floor scales with |x|
+
+
+def test_delta_gamma_and_residual_refuse_values_past_the_float_range_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # x + h overflows: np.sin(inf) would warn "invalid value encountered in sin".
+        with pytest.raises(ValidationError, match=r"x \+ h must be finite, got inf"):
+            delta_gamma(np.sin, 1.79e308, 1.79e308)
+        with pytest.raises(ValidationError, match=r"x - h must be finite, got -inf"):
+            delta_gamma(np.sin, -1.79e308, 1.79e308)
+        with pytest.raises(ValidationError, match="delta must be finite, got inf"):
+            delta_gamma(lambda x: math.copysign(1e308, x), 0.0, 1e-3)
+        with pytest.raises(ValidationError, match="residual must be finite, got inf"):
+            residual(np.sin, OdeProblem(1.79e308, 1e-8, OdeForm.FULL), 0.5, 1e-3)
 
 
 def test_residual_sine_hedged_form():

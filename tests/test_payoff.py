@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,6 +74,31 @@ def test_discounted_value_rejects_an_overflowing_weight():
     with pytest.raises(ValidationError, match="time weight"):
         discounted_value(1.0, 1e300, 1.0, DiscountSign.PLUS)
     assert discounted_value(1.0, 1e300, 1.0) == 0.0  # underflow to 0 is finite
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_price_or_value_is_refused_by_name(bad):
+    for payoff in (call_payoff, put_payoff):
+        with pytest.raises(ValidationError, match="x must be finite"):
+            payoff(bad, 1.0)
+        with pytest.raises(ValidationError, match="x must be finite, got .* at index 1"):
+            payoff(np.array([1.0, bad]), 1.0)
+    with pytest.raises(ValidationError, match="value must be finite"):
+        discounted_value(bad, 0.05, 1.0)
+
+
+def test_results_past_the_float_range_are_refused_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="put payoff strike - x must be finite"):
+            put_payoff(np.array([0.0, -1.7e308]), 1.7e308)
+        # x - strike overflows to -inf only where the call is worth 0.
+        assert call_payoff(np.array([-1.7e308]), 1.7e308).tolist() == [0.0]
+        with pytest.raises(ValidationError, match="discounted value must be finite"):
+            discounted_value(np.array([1.0, 1e308]), -1.0, 1.0)
+        # r*t is already -inf, and math.exp(inf) returns inf without raising.
+        with pytest.raises(ValidationError, match="time weight"):
+            discounted_value(1.0, -1e200, 1e154)
 
 
 def test_discount_conventions_are_multiplicative_inverses():

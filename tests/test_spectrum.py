@@ -293,3 +293,12 @@ def test_payoff_surface_refuses_without_a_warning(mode, x, name):
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match=name):
             payoff_surface(mode, 1.0, x, [0.0, 1.0])
+
+
+def test_payoff_surface_refuses_a_value_past_the_float_range_without_a_warning():
+    # Profile and weight are finite; their product at t = 100 (weight e^19.7) is not.
+    mode = ModeSpec(n=1, sigma=0.2, strike=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"surface Y\(x, t\) must be finite, got inf"):
+            payoff_surface(mode, 1e308, [0.5], [0.0, 100.0])

@@ -369,7 +369,8 @@ def test_integrability_names_a_non_finite_closed_form_sample_as_the_plain_path_d
     p = ModelParams(x0=0.0, r=0.02, sigma=0.4)
     messages = []
     for profile in (v, lambda x: v(x)):
-        with pytest.raises(NonFiniteSampleError, match="index 22628: ") as caught:
+        with pytest.raises(NonFiniteSampleError,
+                           match="index 22628: payoff evaluated to nan at X = ") as caught:
             integrability_check(profile, p, 1.0, 4 * 8192, seed=6)
         messages.append(str(caught.value))
     assert messages[0] == messages[1]
@@ -616,6 +617,12 @@ def test_integrability_names_a_law_that_leaves_the_float_range(params, name):
     # The samples would be inf + Z: without the check the payoff would be blamed at X = inf.
     with pytest.raises(ValidationError, match=name):
         integrability_check(sine_solution(1, 0.2, 0.2), params, 1.0, 2000, 1)
+
+
+def test_analytic_drift_past_the_float_range_is_refused_by_name():
+    # sigma^2/2 = 5e307 is finite, but times gamma = -sin(1), and e^{1.5}, it is not.
+    with pytest.raises(ValidationError, match="analytic drift must be finite, got -inf"):
+        analytic_drift(np.sin, 0.5, 1e154, 1.0, 3.0)
 
 
 def test_integrability_validates_sample_count():
