@@ -247,8 +247,8 @@ def delta_gamma(v, x: float, h: float) -> DeltaGamma:
 
     Both estimates carry O(h^2) truncation error for four-times
     differentiable evaluators. Steps below 1e-8*max(1, |x|) are rejected:
-    there subtractive cancellation, not truncation, dominates. So is a
-    probe x +/- h, a delta or a gamma past the float range, by name.
+    there subtractive cancellation, not truncation, dominates. A probe
+    x +/- h, a delta or a gamma past the float range is refused by name.
     """
     check("x", x)
     if check("h", h, "positive") < 1e-8 * max(1.0, abs(x)):
