@@ -138,8 +138,8 @@ def analytic_drift(
     diffusion = check("diffusion sigma^2/2", 0.5 * sigma * sigma)
     dg = delta_gamma(v, x, _H)
     s = sign.factor
-    return check("analytic drift",
-                 _time_weight(s, r, t) * (s * r * float(v(x)) + r * dg.delta + diffusion * dg.gamma))
+    drift = s * r * float(v(x)) + r * dg.delta + diffusion * dg.gamma
+    return check("analytic drift", _time_weight(s, r, t) * drift)
 
 
 def drift_estimate(

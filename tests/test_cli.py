@@ -190,8 +190,8 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
         # A negative infinity is an option value, refused as one.
         (_HIT + ["--t", "1", "--x0", "-inf"], "x0 must"),
         # Profile and weight are finite, but their product overflows: refused without a warning.
-        (_SURFACE + ["--amplitude", "1e308", "--x-points", "3", "--t-points", "2", "--t-end", "100"],
-         "surface Y(x, t)"),
+        (_SURFACE + ["--amplitude", "1e308", "--x-points", "3", "--t-points", "2",
+                     "--t-end", "100"], "surface Y(x, t)"),
     ],
     ids=["grid-step-zero", "grid-step-negative", "grid-step-nan", "t-nan", "t-inf",
          "drift-check-overflow", "solve-rate-nan", "spectrum-sigma-inf", "surface-t-end-nan",

@@ -84,7 +84,8 @@ def test_exact_marginal_rejects_negative_time():
 @pytest.mark.parametrize("p,t,name", [
     (ModelParams(x0=1e308, r=1e308, sigma=1.0), 1.0, "x0 + mu*t"),
     (ModelParams(x0=0.0, r=-1e200, sigma=1.0), 1e154, "x0 + mu*t"),
-    (ModelParams(x0=0.0, r=0.0, sigma=1e154), 1e154, "sigma*sqrt(t)"),  # variance sigma^2*t overflows
+    # The variance sigma^2*t overflows.
+    (ModelParams(x0=0.0, r=0.0, sigma=1e154), 1e154, "sigma*sqrt(t)"),
 ])
 def test_exact_marginal_refuses_a_law_past_the_float_range(p, t, name):
     with pytest.raises(ValidationError, match=re.escape(name) + " must be finite, got -?inf"):
