@@ -291,7 +291,7 @@ def integrability_check(
     n_samples = check("n_samples", n_samples, "count", _MIN_SAMPLES)
     law = exact_marginal(p, t)
     weight = _time_weight(sign.factor, p.r, t)
-    e_c = bound = None  # E[Y^2] of a light-tailed closed form; an inf e_c goes unused
+    e_c = bound = None  # E[Y^2] of a light-tailed closed form; _pooled drops an inf one
     if isinstance(v, ExponentialSolution):
         growth = max(abs(v.roots.root1.real), abs(v.roots.root2.real)) * law.std
         mean_square = v._mean_square(law.mean, law.std) if growth * growth <= _LIGHT_TAIL else None
