@@ -69,25 +69,31 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class GaussianLaw:
-    """Normal law with the given mean and variance."""
+    """Normal law with the given mean and scale: floats, or arrays elementwise in time."""
 
-    mean: float
-    variance: float
+    mean: float | np.ndarray
+    std: float | np.ndarray
 
     @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
+    def variance(self) -> float | np.ndarray:
+        """``std*std``, refused by name as ``sigma^2*t`` where it leaves the float range."""
+        with np.errstate(over="ignore"):
+            return check("sigma^2*t", self.std * self.std)
 
 
-def exact_marginal(p: ModelParams, t: float) -> GaussianLaw:
-    """Exact law of X(t): Gaussian with mean x0 + mu*t and variance sigma^2*t.
+def exact_marginal(p: ModelParams, t: float | np.ndarray) -> GaussianLaw:
+    """Exact law of X(t), elementwise in ``t``: mean x0 + mu*t and scale sigma*sqrt(t).
 
-    A mean ``x0 + mu*t`` or a scale ``sigma*sqrt(t)`` out of the float range is refused by name.
+    The law of a step of length dt from x0 is the law at ``t = dt``. This is
+    the one place the sampler's law is computed: its step scales and drift
+    line come from here, so the law is the one drawn, bit for bit. A float
+    ``t`` gives Python floats. A mean ``x0 + mu*t`` or a scale
+    ``sigma*sqrt(t)`` out of the float range is refused by name.
     """
     check("t", t, "nonnegative")
-    law = GaussianLaw(mean=check("x0 + mu*t", p.x0 + p.mu * t), variance=p.sigma * p.sigma * t)
-    check("sigma*sqrt(t)", law.std)
-    return law
+    with np.errstate(over="ignore"):
+        mean, std = p.x0 + p.mu * t, p.sigma * (np.sqrt(t) if np.ndim(t) else math.sqrt(t))
+    return GaussianLaw(check("x0 + mu*t", mean), check("sigma*sqrt(t)", std))
 
 
 @dataclass(frozen=True)
@@ -281,24 +287,14 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each) -> l
     return [result for tiles in results for result in tiles]
 
 
-def _increments(p: ModelParams, grid: TimeGrid):
-    """Per-step scale sigma*sqrt(dt) and the exact drift line x0 + mu*t at times after 0.
-
-    Drift enters through the line rather than a cumulative sum of mu*dt, so
-    sigma = 0 paths are exactly linear. Either leaving the float range is
-    rejected by name.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = check("step scale sigma*sqrt(dt)", p.sigma * np.sqrt(grid.steps))
-        base = check("drift line x0 + mu*t", p.x0 + p.mu * grid.times[1:])
-    return scale, base
-
-
 def simulate_paths(p: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> PathSet:
     """Simulate exact-increment paths of the additive model.
 
-    Each increment X(t_{i+1}) - X(t_i) is drawn exactly from
-    N(mu*dt, sigma^2*dt); there is no time-stepping bias. Rows are sampled in
+    Each increment X(t_{i+1}) - X(t_i) is drawn exactly, with the scale
+    sigma*sqrt(dt) of ``exact_marginal`` at ``t = dt``; there is no
+    time-stepping bias. Drift enters through the line x0 + mu*t of
+    ``exact_marginal`` at the grid times rather than a cumulative sum of
+    mu*dt, so sigma = 0 paths are exactly linear. Rows are sampled in
     blocks of 8192, block ``b`` from substream ``b`` of ``seed``, so the output
     is a pure function of (params, grid, n_paths, seed) regardless of
     chunking or parallelism, and the first k rows coincide with those of any
@@ -325,7 +321,8 @@ def simulate_paths(p: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> P
     def copy(start, block):
         values[start : start + len(block), 1:] = block
 
-    _gaussian_blocks(seed, n_paths, *_increments(p, grid), copy)
+    scale, line = exact_marginal(p, grid.steps).std, exact_marginal(p, grid.times[1:]).mean
+    _gaussian_blocks(seed, n_paths, scale, line, copy)
     return PathSet(grid=grid, values=values)
 
 
@@ -466,7 +463,8 @@ def hitting_frequency(
         hit = _fold_steps(np.logical_or, _reached(tile, p.x0, level))
         return int((hit | (p.x0 == level)).sum())
 
-    n_hits = sum(_gaussian_blocks(seed, n_paths, *_increments(p, grid), count))
+    scale, line = exact_marginal(p, grid.steps).std, exact_marginal(p, grid.times[1:]).mean
+    n_hits = sum(_gaussian_blocks(seed, n_paths, scale, line, count))
     freq = n_hits / n_paths
     se = math.sqrt(freq * (1.0 - freq) / n_paths)
     return HitFrequency(n_paths=n_paths, n_hits=n_hits, frequency=freq, standard_error=se)

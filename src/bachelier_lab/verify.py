@@ -15,13 +15,14 @@ z threshold. Nothing here asserts which holds; it measures.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+import sys
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .errors import NonFiniteSampleError, check
-from .model import ModelParams, _gaussian_blocks, exact_marginal
+from .model import GaussianLaw, ModelParams, _gaussian_blocks, exact_marginal
 from .ode import ExponentialSolution, delta_gamma
 from .payoff import DiscountSign, _time_weight
 
@@ -86,6 +87,42 @@ def _pooled(blocks: list, e_c: float | None = None) -> tuple:
         # An inf or NaN c_bar or e_c, or an S_cc of 0, fails the first test.
         usable = s_cc > n * gap * gap and all(map(math.isfinite, (m2, s_yc, s_cc, mean, se)))
     return (float(mean), se) if usable else plain
+
+
+def _sample_mean(sample, law: GaussianLaw, n_samples: int, seed: int,
+                 e_c: float | None = None) -> tuple:
+    """Mean and standard error of ``sample(x)`` over ``n_samples`` draws ``x`` of ``law``.
+
+    ``sample`` maps a block of draws from ``model._gaussian_blocks`` to a new
+    array of samples. Their ``_block_moments``, with the control c = y^2
+    when ``e_c`` is given, are pooled by ``_pooled`` in block order, so the
+    result is a function of ``seed`` alone.
+
+    Deviations below about 1e-154 square to a subnormal or 0, so samples that
+    small leave their blocks' sums S_yy at 0 or a subnormal: a spread lost to
+    rounding, not an absent one. Where the mean is not 0, the draw is then
+    repeated once, plain, with every sample scaled by 2^k, k the negated
+    exponent of the mean, and mean and standard error are scaled back by
+    2^-k, which is exact. So a profile scaled by a power of two gets its
+    estimate and standard error scaled by the same power, and a standard
+    error of 0 is never a spread lost to underflow.
+    """
+    def draw(k, e_c):
+        def moments(_, x):
+            y = sample(x)
+            if k:
+                np.ldexp(y, k, out=y)
+            return _block_moments(y, None if e_c is None else y * y)
+
+        blocks = _gaussian_blocks(seed, n_samples, np.array([law.std]), law.mean, moments)
+        return _pooled(blocks, e_c), sum(block[2] for block in blocks)
+
+    (mean, se), s_yy = draw(0, e_c)
+    if s_yy < sys.float_info.min and mean != 0.0 and math.isfinite(mean):
+        k = -math.frexp(mean)[1]
+        (mean, se), _ = draw(k, None)
+        mean, se = math.ldexp(mean, -k), math.ldexp(se, -k)
+    return mean, se
 
 
 @dataclass(frozen=True)
@@ -154,12 +191,12 @@ def drift_estimate(
 ) -> DriftReport:
     """Estimate the conditional drift of Y = V(X)e^{sign*r*t} from state x0.
 
-    Draws X(t+dt) = x0 + mu*dt + sigma*sqrt(dt)*Z exactly (Gaussian one-step
-    law), averages the per-sample increment of Y divided by dt, and reports
-    the standard error together with the analytic drift (central differences
-    of step 1e-3) and the z-score of their difference. The samples come from
-    ``model._gaussian_blocks`` and their block moments are pooled by
-    ``_pooled``, so the estimate is a function of ``seed`` alone.
+    Draws X(t+dt) exactly from the one-step law, ``exact_marginal`` at
+    ``t = dt`` from ``x0``, averages the per-sample increment of Y divided by
+    dt, and reports the standard error together with the analytic drift
+    (central differences of step 1e-3) and the z-score of their difference.
+    The samples are drawn and pooled by ``_sample_mean``, so the estimate is
+    a function of ``seed`` alone.
 
     Parameters
     ----------
@@ -186,13 +223,11 @@ def drift_estimate(
     """
     check("dt", dt, "positive", most=_MAX_DT)
     n_samples = check("n_samples", n_samples, "count", _MIN_SAMPLES)
-    check("x0", x0)
+    step = exact_marginal(replace(p, x0=x0), dt)
     check("t", t, "nonnegative")
 
     s = sign.factor
     w_next = _time_weight(s, p.r, t + dt)
-    step_mean = x0 + p.mu * dt
-    step_scale = p.sigma * math.sqrt(dt)
     # A profile that overflows surfaces through the V(x0) check, or through an
     # inf or NaN estimate that classify rejects; numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -200,15 +235,13 @@ def drift_estimate(
         analytic = analytic_drift(v, p.r, p.sigma, x0, t, sign)
         if p.sigma == 0.0:
             # Every sample is the same deterministic difference quotient.
-            mean = (float(v(step_mean)) * w_next - y_now) / dt
+            mean = (float(v(step.mean)) * w_next - y_now) / dt
             se = 0.0
         else:
-            def rate(_, x):
-                dy = np.asarray(v(x[:, 0]), dtype=float) * w_next - y_now
-                return _block_moments(dy / dt)
+            def rate(x):
+                return (np.asarray(v(x[:, 0]), dtype=float) * w_next - y_now) / dt
 
-            mean, se = _pooled(
-                _gaussian_blocks(seed, n_samples, np.array([step_scale]), step_mean, rate))
+            mean, se = _sample_mean(rate, step, n_samples, seed)
     z_score = (mean - analytic) / se if se > 0 else math.nan
     return DriftReport(
         x0=x0,
@@ -268,8 +301,9 @@ def integrability_check(
     For a purely oscillatory closed form, an ``ExponentialSolution`` over
     roots +/- i*b such as the sine mode, the bound (|coef1| + |coef2|)*e^{|r|t}
     is attached as well; it holds for every t regardless of the sample. The
-    profile ``v`` is called as in ``drift_estimate``. The first non-finite
-    sample is reported by its index, whatever the thread count. A law whose
+    profile ``v`` is called as in ``drift_estimate``. Where the pooled
+    statistics are not finite, the samples are drawn again to report the
+    first non-finite one by its index, whatever the thread count. A law whose
     mean or scale leaves the float range is refused by ``exact_marginal``
     before sampling, and finite samples whose pooled mean or standard error
     overflows are refused after it.
@@ -286,7 +320,8 @@ def integrability_check(
 
     Any other callable, a heavier tail, an E[Y^2] out of the float range, or
     pooled moments that give no usable beta get the plain sample mean, from
-    the blocks of the same single draw.
+    the blocks of the same single draw. Samples whose spread underflows are
+    drawn once more, rescaled, without the control (see ``_sample_mean``).
     """
     n_samples = check("n_samples", n_samples, "count", _MIN_SAMPLES)
     law = exact_marginal(p, t)
@@ -303,22 +338,19 @@ def integrability_check(
     def absolute(x):
         return np.abs(np.asarray(v(x[:, 0]), dtype=float) * weight)
 
-    def moments(start, x):
+    def locate(start, x):
         y = absolute(x)
-        block = _block_moments(y, None if e_c is None else y * y)
-        if not math.isfinite(block[1]):  # an inf or NaN |Y|, or finite ones whose sum overflows
-            y = absolute(x)
-            bad = np.flatnonzero(~np.isfinite(y))
-            if bad.size:
-                raise NonFiniteSampleError(
-                    f"non-finite |Y| sample at index {start + bad[0]}: payoff evaluated to "
-                    f"{float(y[bad[0]])!r} at X = {float(x[bad[0], 0])!r}"
-                )
-        return block
+        bad = np.flatnonzero(~np.isfinite(y))
+        if bad.size:
+            raise NonFiniteSampleError(
+                f"non-finite |Y| sample at index {start + bad[0]}: payoff evaluated to "
+                f"{float(y[bad[0]])!r} at X = {float(x[bad[0], 0])!r}"
+            )
 
-    blocks = _gaussian_blocks(seed, n_samples, np.array([law.std]), law.mean, moments)
-    mean, se = _pooled(blocks, e_c)
+    mean, se = _sample_mean(absolute, law, n_samples, seed, e_c)
     if not (math.isfinite(mean) and math.isfinite(se)):
+        # An inf or NaN |Y| is found by drawing again, or else finite ones overflowed their sum.
+        _gaussian_blocks(seed, n_samples, np.array([law.std]), law.mean, locate)
         raise NonFiniteSampleError(
             f"non-finite pooled |Y| statistics: mean_abs={mean!r}, standard_error={se!r}"
         )

@@ -17,6 +17,7 @@ from bachelier_lab import (
     ModelParams,
     ModeSpec,
     TimeGrid,
+    ValidationError,
     __version__,
     normalization_constant,
     payoff_surface,
@@ -145,7 +146,7 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
         (["solve", "--rate", "1", "--sigma", "1e-160"], "characteristic roots"),
         (["solve", "--rate", "1e300", "--sigma", "1"], "discriminant"),
         (["simulate", "--x0", "1", "--rate", "1", "--sigma", "0", "--drift", "1e300",
-          "--t-end", "1e300", "--steps", "1", "--paths", "1"], "drift line"),
+          "--t-end", "1e300", "--steps", "1", "--paths", "1"], "x0 + mu*t"),
         (_HIT + ["--t", "1e300", "--grid-step", "1e-300"], "t/grid-step"),
         # 10^300 steps: a finite count, yet no array can hold the grid.
         (_HIT + ["--t", "1", "--grid-step", "1e-300"], "n_steps"),
@@ -186,7 +187,7 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
          "r_n must be finite"),
         # The closed form answers 1; the sampler's drift line x0 + mu*t overflows.
         (["hit", "--x0=-1e308", "--rate", "1e300", "--sigma", "1", "--level", "1e308",
-          "--t", "1e10", "--grid-step", "5e9", "--paths", "10"], "drift line"),
+          "--t", "1e10", "--grid-step", "5e9", "--paths", "10"], "x0 + mu*t"),
         # A negative infinity is an option value, refused as one.
         (_HIT + ["--t", "1", "--x0", "-inf"], "x0 must"),
         # Profile and weight are finite, but their product overflows: refused without a warning.
@@ -266,6 +267,31 @@ def test_non_finite_report_exits_two_and_writes_nothing(case, fmt, name, monkeyp
         assert captured.err.startswith(f"error: {name} ") and captured.err.count("\n") == 1
     assert existing.read_bytes() == b"earlier output\n"
     assert not missing.exists()
+
+
+def test_a_list_column_of_floats_and_none_prints_empty_cells_and_refuses_inf():
+    # As a drift-check z-score column does when only some rows are degenerate.
+    report = cli._Report.of([{"n": 1, "z_score": 0.5}, {"n": 2, "z_score": None}])
+    assert cli._render_csv({"seed": 0}, report, "%.15g") == "# seed=0\nn,z_score\n1,0.5\n2,\n"
+    report = cli._Report.of([{"n": 1, "z_score": math.inf}, {"n": 2, "z_score": None}])
+    with pytest.raises(ValidationError, match="z_score must be finite, got inf"):
+        cli._render_csv({}, report, "%.15g")
+
+
+def test_drift_check_keeps_the_spread_of_samples_near_1e_300(capsys):
+    # The squared deviations of these samples underflow; the estimator redraws them
+    # scaled by a power of two, so the row is the coefficients-1 row scaled by 1e-300.
+    argv = ["drift-check", "--rate", "0.08", "--sigma", "0.2", "--x0", "0.5",
+            "--samples", "2000", "--format", "json"]
+    rows = []
+    for coef in ("1e-300", "1"):
+        assert run(argv + ["--coef1", coef, "--coef2", coef]) == 0
+        rows.append(json.loads(capsys.readouterr().out)["results"][0])
+    tiny, unit = rows
+    assert tiny["standard_error"] > 0 and tiny["degenerate"] is False
+    assert tiny["classification"] == unit["classification"] == "consistent_with_martingale"
+    assert unit["z_score"] == 0.0952529593696082
+    assert tiny["z_score"] == pytest.approx(unit["z_score"], rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("precision", [0, 4, 16, 17])

@@ -84,12 +84,39 @@ def test_exact_marginal_rejects_negative_time():
 @pytest.mark.parametrize("p,t,name", [
     (ModelParams(x0=1e308, r=1e308, sigma=1.0), 1.0, "x0 + mu*t"),
     (ModelParams(x0=0.0, r=-1e200, sigma=1.0), 1e154, "x0 + mu*t"),
-    # The variance sigma^2*t overflows.
-    (ModelParams(x0=0.0, r=0.0, sigma=1e154), 1e154, "sigma*sqrt(t)"),
+    # The scale sigma*sqrt(t) is 1e310.
+    (ModelParams(x0=0.0, r=0.0, sigma=1e300), 1e20, "sigma*sqrt(t)"),
 ])
 def test_exact_marginal_refuses_a_law_past_the_float_range(p, t, name):
     with pytest.raises(ValidationError, match=re.escape(name) + " must be finite, got -?inf"):
         exact_marginal(p, t)
+
+
+def test_exact_marginal_keeps_a_scale_whose_square_overflows_only_in_sigma():
+    # sigma^2 = 1e400 is past the float range, but the scale 1e150 and sigma^2*t = 1e300 are not.
+    law = exact_marginal(ModelParams(x0=0.0, r=0.0, sigma=1e200), 1e-100)
+    assert law.std == 1e150 and law.variance == pytest.approx(1e300, rel=1e-15)
+    assert type(law.mean) is float and type(law.std) is float
+
+
+def test_exact_marginal_refuses_a_variance_past_the_float_range_by_name():
+    # The scale 1e160 is finite; its square is not, and is refused rather than returned as inf.
+    law = exact_marginal(ModelParams(x0=0.0, r=0.0, sigma=1e160), 1.0)
+    assert law.std == 1e160
+    with pytest.raises(ValidationError, match=re.escape("sigma^2*t must be finite, got inf")):
+        law.variance
+
+
+def test_one_step_paths_are_the_exact_marginal_law_bit_for_bit():
+    # At sigma = 0.2, t = 3, sigma*sqrt(t) and sqrt(sigma^2*t) differ in the last bit;
+    # the sampler draws with the former, which is the law exact_marginal states.
+    p = ModelParams(x0=1.0, r=0.05, sigma=0.2)
+    law = exact_marginal(p, 3.0)
+    assert law.std == 0.2 * math.sqrt(3.0) != math.sqrt(0.2 * 0.2 * 3.0)
+    paths = simulate_paths(p, TimeGrid(np.array([0.0, 3.0])), 1000, seed=11)
+    z = SeedStreams(11).generator(0).standard_normal(1000)
+    assert paths.n_paths == 1000
+    assert np.array_equal(paths.values[:, 1], law.mean + law.std * z)
 
 
 def test_time_grid_validation():

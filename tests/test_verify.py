@@ -609,14 +609,41 @@ def test_an_overflowing_profile_gives_a_drift_classify_refuses(workers, monkeypa
 
 
 @pytest.mark.parametrize("params, name", [
-    (ModelParams(x0=1.79e308, r=0.0, sigma=1e306), r"sigma\*sqrt\(t\)"),
+    # The law is representable, but x0 + 1e306*Z is not: the sampler names the path values.
+    (ModelParams(x0=1.79e308, r=0.0, sigma=1e306),
+     r"path values x0 \+ mu\*t \+ sigma\*W\(t\) must be finite"),
     (ModelParams(x0=1.79e308, r=0.0, sigma=1.0, drift=1e308, exploratory_drift=True),
      r"x0 \+ mu\*t"),
 ], ids=["scale", "mean"])
 def test_integrability_names_a_law_that_leaves_the_float_range(params, name):
     # The samples would be inf + Z: without the check the payoff would be blamed at X = inf.
-    with pytest.raises(ValidationError, match=name):
-        integrability_check(sine_solution(1, 0.2, 0.2), params, 1.0, 2000, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=name):
+            integrability_check(sine_solution(1, 0.2, 0.2), params, 1.0, 2000, 1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_estimators_keep_the_spread_of_a_profile_scaled_by_2_to_the_minus_1000(
+        workers, monkeypatch):
+    # The samples' squared deviations underflow to 0. A power-of-two rescale of the
+    # samples is exact, so the estimate and its standard error scale exactly too.
+    monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
+    tiny = 2.0 ** -1000
+    p = ModelParams(x0=0.5, r=0.08, sigma=0.2)
+    unit, scaled = (drift_estimate(_full_solution(0.08, 0.2, c, c), p, 0.5, 0.0, 1e-3,
+                                   3 * 8192 + 5, seed=4) for c in (1.0, tiny))
+    assert not scaled.degenerate
+    for got, want in [(scaled.estimated_drift_rate, unit.estimated_drift_rate),
+                      (scaled.standard_error, unit.standard_error)]:
+        assert got == pytest.approx(tiny * want, rel=1e-12, abs=0)
+    # A plain callable: the witness takes no control variate.
+    unit, scaled = (integrability_check(lambda x, c=c: c * np.sin(np.pi * x), p, 1.0, 100_000,
+                                        seed=4) for c in (1.0, tiny))
+    assert unit.standard_error == pytest.approx(7.94e-4, rel=0.05)
+    for got, want in [(scaled.mean_abs, unit.mean_abs),
+                      (scaled.standard_error, unit.standard_error)]:
+        assert got == pytest.approx(tiny * want, rel=1e-12, abs=0)
 
 
 def test_analytic_drift_past_the_float_range_is_refused_by_name():
