@@ -5,6 +5,10 @@ or ``NonFiniteSampleError``; no other exception escapes and no warning is
 emitted. Every float argument is drawn from wild values (inf, NaN, signed
 zeros, subnormals, values near the float range), an ordinary value in
 [0.05, 2], so that calls also get past their input checks, or any float.
+The Monte Carlo functions run at their smallest sizes (1000 samples, 50
+paths, 1 to 4 steps), and their sigma, t and dt are also drawn from 0, tiny
+and ordinary values, so that laws without spread and steps near the float
+range's bottom are reached. ``drift_estimate``'s report is classified too.
 Profiles are ``np.sin``: closed forms pass an overflow through as numpy
 does (see ``ExponentialSolution.__call__``), and sit outside this contract.
 """
@@ -36,11 +40,15 @@ from bachelier_lab import (
     call_payoff,
     characteristic_roots_full,
     characteristic_roots_hedged,
+    classify,
     delta_gamma,
     discounted_value,
+    drift_estimate,
     exact_marginal,
     first_hitting_time,
+    hitting_frequency,
     hitting_probability,
+    integrability_check,
     mode_index,
     moneyness,
     normalization_constant,
@@ -48,6 +56,7 @@ from bachelier_lab import (
     put_payoff,
     quantized_rate,
     residual,
+    simulate_paths,
 )
 
 SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300,
@@ -56,11 +65,26 @@ WILD = st.one_of(st.floats(0.05, 2.0), st.sampled_from(SPECIAL), st.floats())  #
 ARRAYS = st.lists(WILD, min_size=1, max_size=4).map(np.array)
 MODES = st.one_of(st.integers(-1, 20), st.integers(1, 1 << 62))
 SIGNS = st.sampled_from(list(DiscountSign))
+SMALL = st.one_of(st.sampled_from([0.0, 1e-3, 1e-2, 5e-324, 1e-300, 0.2]), WILD)  # sigma, t, dt
+SEEDS = st.integers(0, 3)
 FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=200)
 
 
 def _params(d):
     return ModelParams(x0=d.draw(WILD), r=d.draw(WILD), sigma=d.draw(WILD))
+
+
+def _mc_params(d):
+    return ModelParams(x0=d.draw(WILD), r=d.draw(WILD), sigma=d.draw(SMALL))
+
+
+def _grid(d):
+    return TimeGrid.regular(d.draw(SMALL), d.draw(st.integers(1, 4)))
+
+
+def _drift_and_verdict(*args):
+    report = drift_estimate(*args)
+    return report, classify(report)
 
 
 def _path_and_grid(d):
@@ -100,6 +124,14 @@ CASES = {
     "payoff_surface": lambda d: (payoff_surface, (
         ModeSpec(d.draw(MODES), d.draw(WILD), d.draw(WILD)), d.draw(WILD),
         d.draw(st.one_of(WILD, ARRAYS)), d.draw(ARRAYS), d.draw(SIGNS))),
+    "drift_estimate": lambda d: (_drift_and_verdict, (
+        np.sin, _mc_params(d), d.draw(WILD), d.draw(SMALL), d.draw(SMALL), 1000,
+        d.draw(SEEDS), d.draw(SIGNS))),
+    "integrability_check": lambda d: (integrability_check, (
+        np.sin, _mc_params(d), d.draw(SMALL), 1000, d.draw(SEEDS), d.draw(SIGNS))),
+    "hitting_frequency": lambda d: (hitting_frequency, (
+        _mc_params(d), d.draw(WILD), _grid(d), 50, d.draw(SEEDS))),
+    "simulate_paths": lambda d: (simulate_paths, (_mc_params(d), _grid(d), 50, d.draw(SEEDS))),
 }
 
 

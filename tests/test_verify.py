@@ -111,7 +111,7 @@ def test_drift_estimate_degenerate_sigma_zero():
     report = drift_estimate(cube, p, 1.0, 0.3, dt, 2_000, seed=0)
     assert report.degenerate
     assert report.standard_error == 0.0
-    assert math.isnan(report.z_score)
+    assert report.z_score is None
     w0 = math.exp(0.5 * 0.3)
     w1 = math.exp(0.5 * (0.3 + dt))
     quotient = ((1.0 + 0.5 * dt) ** 3 * w1 - 1.0 * w0) / dt
@@ -375,9 +375,9 @@ class _NanAboveOneAndAHalf(ExponentialSolution):
 @pytest.mark.parametrize("workers", [1, 3])
 def test_integrability_names_a_non_finite_closed_form_sample_as_the_plain_path_does(
         workers, monkeypatch):
-    # A block is scanned only when its mean of |Y| is not finite; the control
-    # path must give the message the plain path gives for the same profile. The
-    # first NaN, at index 22628, is in block 2, which worker 2 of 3 draws.
+    # A block is scanned only when its mean is not finite; the control path must
+    # give the message the plain path gives for the same profile. The first NaN,
+    # at index 22628, is in block 2, which worker 2 of 3 draws.
     monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
     full = _full_solution(*FULL_CASES["complex"])
     v = _NanAboveOneAndAHalf(full.roots, full.coef1, full.coef2)
@@ -385,7 +385,7 @@ def test_integrability_names_a_non_finite_closed_form_sample_as_the_plain_path_d
     messages = []
     for profile in (v, lambda x: v(x)):
         with pytest.raises(NonFiniteSampleError,
-                           match="index 22628: payoff evaluated to nan at X = ") as caught:
+                           match="index 22628: nan at X = ") as caught:
             integrability_check(profile, p, 1.0, 4 * 8192, seed=6)
         messages.append(str(caught.value))
     assert messages[0] == messages[1]
@@ -433,10 +433,11 @@ def test_integrability_control_is_unbiased_at_the_minimum_sample_count():
     assert abs(np.mean(estimates) - float(exact)) <= 3 * np.std(estimates, ddof=1) / math.sqrt(4000)
 
 
-@pytest.mark.parametrize("case", ["control", "overflow"])
+@pytest.mark.parametrize("case", ["control", "overflow", "non-finite"])
 def test_integrability_draws_its_samples_once(case, monkeypatch):
     # The control takes the blocks of one draw, also for a profile of 1e100,
-    # whose Y^2 would leave the float range.
+    # whose Y^2 would leave the float range. A non-finite sample is located in
+    # the tile that drew it, not by drawing again.
     calls = []
 
     def counting(*args):
@@ -449,19 +450,42 @@ def test_integrability_draws_its_samples_once(case, monkeypatch):
     v, p = {
         "control": (full, params),
         "overflow": (sine_solution(1e100, R1, 0.2), ModelParams(x0=0.1, r=R1, sigma=0.2)),
+        "non-finite": (_inf_above_four, ModelParams(x0=0.0, r=0.0, sigma=1.0)),
     }[case]
-    integrability_check(v, p, 1.0, 3 * 8192, seed=2)
+    if case == "non-finite":
+        with pytest.raises(NonFiniteSampleError, match="index 111598: "):
+            integrability_check(v, p, 1.0, 200_000, seed=7)
+    else:
+        integrability_check(v, p, 1.0, 3 * 8192, seed=2)
     assert len(calls) == 1
 
 
-def test_integrability_of_a_law_without_spread_reports_the_one_value():
-    # Identical samples leave S_yy to rounding; the witness must still be the
-    # one value, with no spread.
-    v = _full_solution(*FULL_CASES["complex"])
-    p = ModelParams(x0=0.3, r=0.02, sigma=0.2)
-    witness = integrability_check(v, p, 0.0, 20_000, seed=1)
-    assert witness.mean_abs == pytest.approx(abs(v(0.3)), rel=1e-15, abs=0)
-    assert witness.standard_error <= 1e-15
+def test_integrability_of_a_law_without_spread_reports_the_one_value(monkeypatch):
+    # At t = 0 or sigma = 0 every sample is the same value: the witness is one
+    # evaluation at the law's mean, with a standard error of exactly 0 and no
+    # draw. Drawn samples would differ by rounding (a standard error of 2.3e-18 here).
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _gaussian_blocks(*args)
+
+    monkeypatch.setattr(verify, "_gaussian_blocks", counting)
+    full = _full_solution(*FULL_CASES["complex"])
+    for v in (full, lambda x: full(x)):
+        for sigma, t in ((0.2, 0.0), (0.0, 1.0)):
+            p = ModelParams(x0=0.3, r=0.02, sigma=sigma)
+            witness = integrability_check(v, p, t, 20_000, seed=1)
+            one = abs(float(full(0.3 + 0.02 * t))) * math.exp(0.02 * t)
+            assert witness.mean_abs == pytest.approx(one, rel=1e-15, abs=0)
+            assert witness.standard_error == 0.0
+    assert calls == []
+    # An overflow at the one value is refused as a sample is, with no numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteSampleError, match=r"index 0: inf at X = 4\.5$"):
+            integrability_check(_inf_above_four, ModelParams(x0=4.5, r=0.0, sigma=0.0), 1.0,
+                                2000, seed=0)
 
 
 def test_integrability_linear_payoff():
@@ -501,7 +525,7 @@ def test_integrability_refuses_finite_samples_whose_mean_overflows():
     p = ModelParams(x0=0.0, r=0.0, sigma=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteSampleError, match=r"mean_abs=inf, standard_error=nan"):
+        with pytest.raises(NonFiniteSampleError, match=r"mean=inf, standard_error=nan"):
             integrability_check(lambda x: np.full_like(x, 1e308), p, 1.0, 2000, seed=0)
 
 
@@ -529,8 +553,8 @@ def test_drift_estimate_overflow_on_a_worker_thread_emits_no_warning(monkeypatch
     p = ModelParams(x0=0.0, r=0.0, sigma=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = drift_estimate(_inf_above_four, p, 3.7, 0.0, 1e-2, 4 * 8192, seed=7)
-    assert math.isinf(report.estimated_drift_rate)
+        with pytest.raises(NonFiniteSampleError, match="non-finite sample at index 726: inf"):
+            drift_estimate(_inf_above_four, p, 3.7, 0.0, 1e-2, 4 * 8192, seed=7)
 
 
 @pytest.mark.parametrize("n", [1000, 8192, 8193, 3 * 8192 + 5])
@@ -599,16 +623,22 @@ def test_estimator_memory_does_not_grow_with_the_sample_count(workers, monkeypat
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_an_overflowing_profile_gives_a_drift_classify_refuses(workers, monkeypatch):
-    # Samples above 4.0 overflow to inf in every block, while most stay finite.
+    # Samples above 4.0 overflow to inf in every block, while most stay finite:
+    # drift_estimate refuses the first one. classify still refuses a report
+    # built by hand with a non-finite estimate or standard error.
     monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
     p = ModelParams(x0=0.0, r=0.0, sigma=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = drift_estimate(_inf_above_four, p, 3.7, 0.0, 1e-2, 4 * 8192, seed=7)
-        assert not (math.isfinite(report.estimated_drift_rate)
-                    and math.isfinite(report.standard_error))
-        with pytest.raises(NonFiniteSampleError, match="non-finite drift estimate"):
-            classify(report)
+        with pytest.raises(NonFiniteSampleError, match="non-finite sample at index 726: inf"):
+            drift_estimate(_inf_above_four, p, 3.7, 0.0, 1e-2, 4 * 8192, seed=7)
+        for est, se in [(math.inf, math.nan), (1.0, math.inf), (math.nan, 1.0)]:
+            report = DriftReport(x0=3.7, t=0.0, dt=1e-2, n_samples=4 * 8192,
+                                 estimated_drift_rate=est, standard_error=se,
+                                 analytic_drift_rate=0.0, z_score=None,
+                                 sign_convention=DiscountSign.PLUS)
+            with pytest.raises(NonFiniteSampleError, match="non-finite drift estimate"):
+                classify(report)
 
 
 @pytest.mark.parametrize("params, name", [
