@@ -80,11 +80,17 @@ def _render_csv(provenance: dict, report: _Report, spec: str) -> str:
 
 
 def _json(key: str, value, spec: str) -> list:
-    """A float array rounded to ``spec`` once, flat, as nested lists; a list's floats one by one."""
+    """A float array rounded to ``spec`` once, flat, as nested lists; a list's floats one by one.
+
+    JSON has no infinity: a value that rounds past the float range, as the
+    largest float does at 15 digits, stays the largest float of its sign.
+    """
+    big = sys.float_info.max
     if isinstance(value, np.ndarray):
         flat = [float(spec % v) for v in check(key, value).ravel().tolist()]
-        return np.reshape(flat, value.shape).tolist()
-    return [float(spec % check(key, v)) if isinstance(v, float) else v for v in value]
+        return np.clip(flat, -big, big).reshape(value.shape).tolist()
+    return [min(max(float(spec % check(key, v)), -big), big) if isinstance(v, float) else v
+            for v in value]
 
 
 def _render_json(provenance: dict, report: _Report, spec: str) -> str:

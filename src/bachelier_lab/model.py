@@ -126,7 +126,8 @@ class TimeGrid:
         if not (step > 0.0 and (n_steps - 1) * step < t_end):
             raise ValidationError(
                 f"t_end/n_steps must leave {n_steps + 1} distinct grid times, got {step!r}")
-        return cls(np.linspace(0.0, t_end, n_steps + 1))
+        with np.errstate(over="ignore"):  # near the float range, i*step overflows; t_end is last
+            return cls(np.linspace(0.0, t_end, n_steps + 1))
 
     @property
     def n_times(self) -> int:
@@ -321,8 +322,8 @@ def simulate_paths(p: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> P
     def copy(start, block):
         values[start : start + len(block), 1:] = block
 
-    scale, line = exact_marginal(p, grid.steps).std, exact_marginal(p, grid.times[1:]).mean
-    _gaussian_blocks(seed, n_paths, scale, line, copy)
+    law = exact_marginal(p, np.stack((grid.steps, grid.times[1:])))
+    _gaussian_blocks(seed, n_paths, law.std[0], law.mean[1], copy)
     return PathSet(grid=grid, values=values)
 
 
@@ -463,8 +464,8 @@ def hitting_frequency(
         hit = _fold_steps(np.logical_or, _reached(tile, p.x0, level))
         return int((hit | (p.x0 == level)).sum())
 
-    scale, line = exact_marginal(p, grid.steps).std, exact_marginal(p, grid.times[1:]).mean
-    n_hits = sum(_gaussian_blocks(seed, n_paths, scale, line, count))
+    law = exact_marginal(p, np.stack((grid.steps, grid.times[1:])))
+    n_hits = sum(_gaussian_blocks(seed, n_paths, law.std[0], law.mean[1], count))
     freq = n_hits / n_paths
     se = math.sqrt(freq * (1.0 - freq) / n_paths)
     return HitFrequency(n_paths=n_paths, n_hits=n_hits, frequency=freq, standard_error=se)

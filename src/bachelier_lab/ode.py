@@ -1,9 +1,9 @@
 """Constant-coefficient expected-payoff ODEs and their closed-form solutions.
 
-Two second-order problems for the payoff profile V(x) appear in this lab:
+Both payoff ODEs of this lab set the Ito drift r*V + mu*V' + (sigma^2/2)*V'' of V(x) to 0:
 
-* full form:    r*V + r*V' + (sigma^2/2)*V'' = 0
-* hedged form:  r*V + (sigma^2/2)*V''        = 0   (the V' term removed)
+* full form:    mu = r,  r*V + r*V' + (sigma^2/2)*V'' = 0
+* hedged form:  mu = 0,  r*V + (sigma^2/2)*V''        = 0
 
 The hedged form drops the first-derivative term, which is delta hedging
 expressed as an equation choice rather than a trading strategy. Both have
@@ -264,15 +264,17 @@ def delta_gamma(v, x: float, h: float) -> DeltaGamma:
     )
 
 
+def _ito_drift(v, rate: float, mu: float, diffusion: float, x: float, h: float) -> float:
+    """Ito drift ``rate*V + mu*V' + diffusion*V''`` at x, V' and V'' by ``delta_gamma``; unchecked."""
+    dg = delta_gamma(v, x, h)
+    return rate * float(v(x)) + mu * dg.delta + diffusion * dg.gamma
+
+
 def residual(v, problem: OdeProblem, x: float, h: float) -> float:
     """Left-hand side of the selected ODE at x, derivatives by central differences.
 
     Exact closed-form solutions give residuals that vanish at rate O(h^2).
     A residual past the float range is refused by name.
     """
-    dg = delta_gamma(v, x, h)
-    value = float(v(x))
-    if problem.form is OdeForm.FULL:
-        return check("residual", problem.r * value + problem.r * dg.delta
-                     + problem.diffusion * dg.gamma)
-    return check("residual", problem.r * value + problem.diffusion * dg.gamma)
+    mu = problem.r if problem.form is OdeForm.FULL else 0.0
+    return check("residual", _ito_drift(v, problem.r, mu, problem.diffusion, x, h))

@@ -3,7 +3,9 @@
 For a payoff profile V and the additive price model, the process
 Y(t) = V(X(t)) * e^{sign*r*t} has the one-step Ito drift
 
-    e^{sign*r*t} * (sign*r*V(x) + r*V'(x) + (sigma^2/2)*V''(x)).
+    e^{sign*r*t} * (sign*r*V(x) + mu*V'(x) + (sigma^2/2)*V''(x)),
+
+where mu = r unless the drift is exploratory.
 
 This module estimates that drift by one-step Monte Carlo from a fixed state
 (exploiting the exactness of the Gaussian one-step law), compares it to the
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import NonFiniteSampleError, check
 from .model import GaussianLaw, ModelParams, _gaussian_blocks, exact_marginal
-from .ode import ExponentialSolution, delta_gamma
+from .ode import ExponentialSolution, _ito_drift
 from .payoff import DiscountSign, _time_weight
 
 
@@ -149,26 +151,17 @@ class MartingaleVerdict:
     classification: DriftClass
 
 
-def analytic_drift(
-    v,
-    r: float,
-    sigma: float,
-    x: float,
-    t: float,
-    sign: DiscountSign = DiscountSign.PLUS,
-) -> float:
+def analytic_drift(v, p: ModelParams, x: float, t: float,
+                   sign: DiscountSign = DiscountSign.PLUS) -> float:
     """Ito drift of V(X)e^{sign*r*t} at x; derivatives by central differences of step 1e-3.
 
-    A drift past the float range is refused by name.
+    r, mu and sigma are read from ``p``; ``p.x0`` is ignored, the state ``x``
+    is explicit. A drift past the float range is refused by name.
     """
-    check("r", r)
-    check("sigma", sigma, "nonnegative")
     check("t", t, "nonnegative")
-    diffusion = check("diffusion sigma^2/2", 0.5 * sigma * sigma)
-    dg = delta_gamma(v, x, _H)
-    s = sign.factor
-    drift = s * r * float(v(x)) + r * dg.delta + diffusion * dg.gamma
-    return check("analytic drift", _time_weight(s, r, t) * drift)
+    diffusion = check("diffusion sigma^2/2", 0.5 * p.sigma * p.sigma)
+    drift = _ito_drift(v, sign.factor * p.r, p.mu, diffusion, x, _H)
+    return check("analytic drift", _time_weight(sign.factor, p.r, t) * drift)
 
 
 def drift_estimate(
@@ -185,8 +178,8 @@ def drift_estimate(
 
     Draws X(t+dt) exactly from the one-step law, ``exact_marginal`` at
     ``t = dt`` from ``x0``, averages the per-sample increment of Y divided by
-    dt, and reports the standard error together with the analytic drift
-    (central differences of step 1e-3) and the z-score of their difference.
+    dt, and reports the standard error together with ``analytic_drift`` under
+    the same ``p``, the drift of the law drawn, and the z-score of their difference.
     The samples are drawn and pooled by ``_sample_mean``, under its rules:
     sigma = 0 gives a standard error of 0 and a z-score of None.
 
@@ -223,7 +216,7 @@ def drift_estimate(
     # A profile that overflows at x0 is refused by the V(x0) check; numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         y_now = check("payoff V(x0)", float(v(x0))) * _time_weight(s, p.r, t)
-        analytic = analytic_drift(v, p.r, p.sigma, x0, t, sign)
+        analytic = analytic_drift(v, p, x0, t, sign)
 
     def rate(x):
         return (np.asarray(v(x[:, 0]), dtype=float) * w_next - y_now) / dt

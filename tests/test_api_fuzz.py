@@ -9,6 +9,9 @@ The Monte Carlo functions run at their smallest sizes (1000 samples, 50
 paths, 1 to 4 steps), and their sigma, t and dt are also drawn from 0, tiny
 and ordinary values, so that laws without spread and steps near the float
 range's bottom are reached. ``drift_estimate``'s report is classified too.
+Every ``ModelParams`` is exploratory, its drift either r or a wild value, so
+the laws, the first-passage oracle, both samplers, both estimators and
+``analytic_drift`` are also reached with mu != r.
 Profiles are ``np.sin``: closed forms pass an overflow through as numpy
 does (see ``ExponentialSolution.__call__``), and sit outside this contract.
 """
@@ -70,12 +73,13 @@ SEEDS = st.integers(0, 3)
 FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=200)
 
 
-def _params(d):
-    return ModelParams(x0=d.draw(WILD), r=d.draw(WILD), sigma=d.draw(WILD))
+def _params(d, sigma=WILD):
+    return ModelParams(x0=d.draw(WILD), r=d.draw(WILD), sigma=d.draw(sigma),
+                       drift=d.draw(st.none() | WILD), exploratory_drift=True)
 
 
 def _mc_params(d):
-    return ModelParams(x0=d.draw(WILD), r=d.draw(WILD), sigma=d.draw(SMALL))
+    return _params(d, SMALL)
 
 
 def _grid(d):
@@ -113,7 +117,7 @@ CASES = {
         np.sin, OdeProblem(d.draw(WILD), d.draw(WILD), d.draw(st.sampled_from(list(OdeForm)))),
         d.draw(WILD), d.draw(WILD))),
     "analytic_drift": lambda d: (analytic_drift, (
-        np.sin, d.draw(WILD), d.draw(WILD), d.draw(WILD), d.draw(WILD), d.draw(SIGNS))),
+        np.sin, _params(d), d.draw(WILD), d.draw(WILD), d.draw(SIGNS))),
     # n = 0 is computable, with a documented warning; the others are drawn.
     "quantized_rate": lambda d: (quantized_rate, (
         d.draw(MODES.filter(bool)), d.draw(WILD), d.draw(WILD))),

@@ -372,12 +372,29 @@ def test_no_command_loads_scipy():
     ["spectrum", "--sigma", "0.2", "--strike", "1", "--n-max", "1000"],
     *(["normalize", "--rate", repr(quantized_rate(n, 0.2, 1.0)), "--sigma", "0.2", "--strike", "1",
        "--method", "quadrature"] for n in (512, 768)),
-], ids=["spectrum-n-max-1000", "quadrature-mode-512", "quadrature-mode-768"])
+    # linspace overflows inside numpy on this grid, whose times are all finite.
+    ["simulate", "--x0", "0", "--rate", "0", "--sigma", "0.2", "--t-end", "1.7976931348623157e308",
+     "--steps", "3", "--paths", "1"],
+], ids=["spectrum-n-max-1000", "quadrature-mode-512", "quadrature-mode-768",
+        "simulate-t-end-at-the-float-max"])
 def test_exit_zero_emits_no_warning(argv, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(argv) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("precision", [0, 15, 17])
+def test_json_keeps_a_value_that_rounds_past_the_float_range_finite(precision, capsys):
+    # At 15 digits the largest float prints as 1.79769313486232e+308, which reads as inf:
+    # json.dumps refused it with a traceback.
+    big = sys.float_info.max
+    argv = ["simulate", "--x0", repr(-big), "--rate", "0", "--sigma", "0", "--t-end", repr(big),
+            "--steps", "3", "--paths", "1", "--format", "json", "--precision", str(precision)]
+    assert run(argv) == 0
+    body = json.loads(capsys.readouterr().out)
+    assert body["t"][-1] == big and body["paths"] == [[-big] * 4]
+    assert cli._json("z_score", [big, -big, None], f"%.{precision}g") == [big, -big, None]
 
 
 @pytest.mark.parametrize("argv, probability", [

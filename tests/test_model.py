@@ -147,6 +147,15 @@ def test_regular_grid_names_a_bad_end_time_without_a_warning(t_end):
             TimeGrid.regular(t_end, 3)
 
 
+@pytest.mark.parametrize("n_steps", [3, 6, 7])
+def test_regular_grid_at_the_top_of_the_float_range_emits_no_warning(n_steps):
+    # linspace's i*step overflowed inside numpy, with a warning, though t_end is stored last.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = TimeGrid.regular(sys.float_info.max, n_steps)
+    assert grid.times[-1] == sys.float_info.max and np.isfinite(grid.times).all()
+
+
 @pytest.mark.parametrize("t_end, n_steps", [(5e-324, 3), (1e-320, 10**6), (4e-323, 5)],
                          ids=["underflow", "underflow-many-steps", "rounds-up"])
 def test_regular_grid_names_a_step_that_repeats_a_time(t_end, n_steps):

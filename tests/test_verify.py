@@ -12,6 +12,8 @@ from bachelier_lab import (
     ExponentialSolution,
     ModelParams,
     NonFiniteSampleError,
+    OdeForm,
+    OdeProblem,
     ValidationError,
     analytic_drift,
     characteristic_roots_full,
@@ -23,6 +25,7 @@ from bachelier_lab import (
     general_solution,
     integrability_check,
     quantized_rate,
+    residual,
     sine_solution,
 )
 from bachelier_lab import model, verify
@@ -50,20 +53,20 @@ def test_analytic_drift_vanishes_on_full_form_solutions():
         v = _full_solution(r, sigma)
         for x in (-0.5, 0.2, 0.8):
             for t in (0.0, 1.5):
-                drift = analytic_drift(v, r, sigma, x, t, DiscountSign.PLUS)
+                drift = analytic_drift(v, ModelParams(0.0, r, sigma), x, t, DiscountSign.PLUS)
                 assert abs(drift) < 1e-6
 
 
 def test_analytic_drift_of_sine_at_origin():
     v = sine_solution(1.0, R1, 0.2)
-    drift = analytic_drift(v, R1, 0.2, 0.0, 0.0, DiscountSign.PLUS)
+    drift = analytic_drift(v, ModelParams(0.0, R1, 0.2), 0.0, 0.0, DiscountSign.PLUS)
     assert drift == pytest.approx(SINE_DRIFT_AT_ORIGIN, abs=1e-5)
 
 
 def test_analytic_drift_of_sine_at_flat_point():
     # V'(0.5) = 0 for the first mode, so the surviving r*V' term dies too.
     v = sine_solution(1.0, R1, 0.2)
-    assert abs(analytic_drift(v, R1, 0.2, 0.5, 0.0, DiscountSign.PLUS)) < 1e-5
+    assert abs(analytic_drift(v, ModelParams(0.0, R1, 0.2), 0.5, 0.0, DiscountSign.PLUS)) < 1e-5
 
 
 def test_analytic_drift_minus_convention_formula():
@@ -71,14 +74,26 @@ def test_analytic_drift_minus_convention_formula():
     x, t, h = 0.3, 0.7, 1e-3
     dg = delta_gamma(v, x, h)
     diffusion = 0.5 * 0.2 * 0.2
-    expected = math.exp(-R1 * t) * (-R1 * float(v(x)) + R1 * dg.delta + diffusion * dg.gamma)
-    assert analytic_drift(v, R1, 0.2, x, t, DiscountSign.MINUS) == expected
+    for drift in (None, -0.5):  # risk-neutral, then exploratory: the V' term takes mu
+        p = ModelParams(x0=0.0, r=R1, sigma=0.2, drift=drift, exploratory_drift=drift is not None)
+        expected = math.exp(-R1 * t) * (-R1 * float(v(x)) + p.mu * dg.delta + diffusion * dg.gamma)
+        assert analytic_drift(v, p, x, t, DiscountSign.MINUS) == expected
+
+
+@pytest.mark.parametrize("case", list(FULL_CASES))
+def test_residual_and_analytic_drift_share_one_operator(case):
+    # The full form is the Ito drift at mu = r under e^{+rt} at t = 0, bit for bit.
+    r, sigma = FULL_CASES[case]
+    v = _full_solution(r, sigma)
+    for x in (-0.5, 0.2, 0.8):
+        assert residual(v, OdeProblem(r, sigma, OdeForm.FULL), x, 1e-3) == analytic_drift(
+            v, ModelParams(0.0, r, sigma), x, 0.0, DiscountSign.PLUS)
 
 
 def test_analytic_drift_names_an_overflowing_diffusion():
     # 0.5*sigma^2 is inf and gamma of sin at 0 is 0: unchecked, the drift was NaN.
     with pytest.raises(ValidationError, match=r"diffusion sigma\^2/2 must be finite, got inf"):
-        analytic_drift(np.sin, 0.0, 1e200, 0.0, 0.0)
+        analytic_drift(np.sin, ModelParams(0.0, 0.0, 1e200), 0.0, 0.0)
 
 
 def test_drift_estimate_full_form_is_drift_free():
@@ -94,6 +109,19 @@ def test_drift_estimate_sine_matches_analytic_at_origin():
     p = ModelParams(x0=0.0, r=R1, sigma=0.2)
     report = drift_estimate(v, p, 0.0, 0.0, 1e-3, 100_000, seed=22)
     assert abs(report.estimated_drift_rate - SINE_DRIFT_AT_ORIGIN) <= 3 * report.standard_error
+
+
+@pytest.mark.parametrize("drift, t, sign", [(1.0, 0.0, DiscountSign.PLUS),
+                                             (-0.5, 0.7, DiscountSign.MINUS)],
+                         ids=["plus", "minus"])
+def test_drift_estimate_of_an_exploratory_drift_is_calibrated(drift, t, sign):
+    # The target is the Ito drift under the mu drawn; with r in place of mu,
+    # z averaged +21.1 (plus) and -12.5 (minus) over these 100 seeds.
+    p = ModelParams(x0=0.0, r=0.05, sigma=0.2, drift=drift, exploratory_drift=True)
+    z = np.array([drift_estimate(np.sin, p, 0.3, t, 1e-3, 20_000, seed, sign).z_score
+                  for seed in range(100)])
+    assert abs(z.mean()) <= 0.5
+    assert 0.7 <= z.std(ddof=1) <= 1.2
 
 
 def test_drift_estimate_is_deterministic():
@@ -682,7 +710,7 @@ def test_estimators_keep_the_spread_of_a_profile_scaled_by_2_to_the_minus_1000(
 def test_analytic_drift_past_the_float_range_is_refused_by_name():
     # sigma^2/2 = 5e307 is finite, but times gamma = -sin(1), and e^{1.5}, it is not.
     with pytest.raises(ValidationError, match="analytic drift must be finite, got -inf"):
-        analytic_drift(np.sin, 0.5, 1e154, 1.0, 3.0)
+        analytic_drift(np.sin, ModelParams(0.0, 0.5, 1e154), 1.0, 3.0)
 
 
 def test_integrability_validates_sample_count():
