@@ -23,7 +23,7 @@ grid = TimeGrid.regular(horizon, 1000)
 paths = simulate_paths(params, grid, n_paths=5, seed=3)
 for i in range(5):
     tau = first_hitting_time(paths.path(i), grid, level)
-    print(f"path {i}: tau = {f'{tau.value:.3f}' if tau.hit else 'not reached'}")
+    print(f"path {i}: tau = {'not reached' if tau is None else f'{tau:.3f}'}")
 
 print()
 print("== closed form vs Monte Carlo ==")

@@ -12,7 +12,6 @@ from .errors import NonFiniteSampleError, ValidationError
 from .model import (
     GaussianLaw,
     HitFrequency,
-    HittingTime,
     ModelParams,
     PathSet,
     SeedStreams,

@@ -2,7 +2,9 @@
 
 Each handler returns a column report: named float arrays and short lists,
 and optionally a JSON body of arrays. Each float column is checked for
-finiteness once, then printed through one ``%.{precision}g`` format.
+finiteness once, then every float is printed by ``_digits``: its
+``%.{precision}g`` text, or the largest float of its sign where that text
+would read as infinite.
 
 Outputs are deterministic for fixed argv (byte-identical re-runs) and embed
 the inputs needed to regenerate them as provenance: ``# key=value`` comment
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -59,38 +62,46 @@ class _Report:
                     for key, cells in columns])
 
 
+def _digits(value: float, spec: str) -> str:
+    """``value`` through ``spec``, or the largest float of its sign at 17 digits where that
+    text reads past the float range, as the largest float does at 15 digits.
+
+    Every printed float goes through here: CSV cells, the ``surface`` time
+    labels and, parsed back, JSON numbers; so each reads as a finite number.
+    No value up to 1e308 rounds past the float range, so only a larger one
+    has its text parsed back.
+    """
+    text = spec % value
+    if abs(value) <= 1e308 or math.isfinite(float(text)):
+        return text
+    return "%.17g" % math.copysign(sys.float_info.max, value)
+
+
 def _text(column: str, value, spec: str) -> str:
     """One CSV cell of a list column; None, such as a degenerate row's z-score, is empty."""
     if isinstance(value, float):
-        return spec % check(column, value)
+        return _digits(check(column, value), spec)
     if isinstance(value, bool):
         return str(value).lower()
     return "" if value is None else str(value)
 
 
 def _render_csv(provenance: dict, report: _Report, spec: str) -> str:
-    """Each float array checked once, then every row through one printf format."""
-    row = ",".join(spec if isinstance(c, np.ndarray) else "%s" for _, c in report.columns)
-    cells = [check(name, c) if isinstance(c, np.ndarray) else [_text(name, v, spec) for v in c]
-             for name, c in report.columns]
+    """Each float array checked once, then every cell through ``_digits`` or ``_text``."""
+    cells = [[_digits(v, spec) for v in check(name, c).tolist()] if isinstance(c, np.ndarray)
+             else [_text(name, v, spec) for v in c] for name, c in report.columns]
     lines = [f"# {k}={v}" for k, v in provenance.items()]
     lines.append(",".join(name for name, _ in report.columns))
-    lines.extend(row % values for values in zip(*cells))
+    lines.extend(",".join(row) for row in zip(*cells))
     return "\n".join(lines) + "\n"
 
 
 def _json(key: str, value, spec: str) -> list:
-    """A float array rounded to ``spec`` once, flat, as nested lists; a list's floats one by one.
-
-    JSON has no infinity: a value that rounds past the float range, as the
-    largest float does at 15 digits, stays the largest float of its sign.
-    """
-    big = sys.float_info.max
+    """A float array through ``_digits`` once, flat, as nested lists; a list's floats one by one."""
     if isinstance(value, np.ndarray):
-        flat = [float(spec % v) for v in check(key, value).ravel().tolist()]
-        return np.clip(flat, -big, big).reshape(value.shape).tolist()
-    return [min(max(float(spec % check(key, v)), -big), big) if isinstance(v, float) else v
-            for v in value]
+        flat = [float(_digits(v, spec)) for v in check(key, value).ravel().tolist()]
+        return np.reshape(flat, value.shape).tolist()
+    return [float(_digits(check(key, v), spec)) if isinstance(v, float) else v for v in value]
 
 
 def _render_json(provenance: dict, report: _Report, spec: str) -> str:
@@ -185,7 +196,8 @@ def _cmd_surface(args) -> _Report:
     t = np.linspace(0.0, args.t_end, n_t)
     surf = payoff_surface(mode, args.amplitude, x, t, args.discount_sign)
     spec = f"%.{args.precision}g"  # the time labels print as the cells do
-    columns = [("x", surf.x), *zip((f"t={spec % tv}" for tv in surf.t.tolist()), surf.values.T)]
+    columns = [("x", surf.x), *zip((f"t={_digits(tv, spec)}" for tv in surf.t.tolist()),
+                                   surf.values.T)]
     return _Report(columns, payload={"x": surf.x, "t": surf.t, "values": surf.values})
 
 

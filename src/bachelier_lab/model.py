@@ -288,6 +288,17 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each) -> l
     return [result for tiles in results for result in tiles]
 
 
+def _grid_law(p: ModelParams, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The sampler's step scales and drift line, from one ``exact_marginal`` build.
+
+    Row 0 holds the grid times and row 1 the steps, each step at its end
+    time's position. A step's scale or line leaves the float range only where
+    the one at its end time does, so a refusal names a position on the grid.
+    """
+    law = exact_marginal(p, np.stack((grid.times, np.append(0.0, grid.steps))))
+    return law.std[1, 1:], law.mean[0, 1:]
+
+
 def simulate_paths(p: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> PathSet:
     """Simulate exact-increment paths of the additive model.
 
@@ -322,20 +333,8 @@ def simulate_paths(p: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> P
     def copy(start, block):
         values[start : start + len(block), 1:] = block
 
-    law = exact_marginal(p, np.stack((grid.steps, grid.times[1:])))
-    _gaussian_blocks(seed, n_paths, law.std[0], law.mean[1], copy)
+    _gaussian_blocks(seed, n_paths, *_grid_law(p, grid), copy)
     return PathSet(grid=grid, values=values)
-
-
-@dataclass(frozen=True)
-class HittingTime:
-    """First grid time at which a path reaches a level; absent when it never does."""
-
-    value: float | None
-
-    @property
-    def hit(self) -> bool:
-        return self.value is not None
 
 
 def _reached(values: np.ndarray, start: float, level: float) -> np.ndarray:
@@ -343,8 +342,8 @@ def _reached(values: np.ndarray, start: float, level: float) -> np.ndarray:
     return values >= level if start < level else values <= level
 
 
-def first_hitting_time(path: np.ndarray, grid: TimeGrid, level: float) -> HittingTime:
-    """First grid time at which the path is at or beyond ``level``.
+def first_hitting_time(path: np.ndarray, grid: TimeGrid, level: float) -> float | None:
+    """First grid time at which the path is at or beyond ``level``, or None if it never is.
 
     A path starting below the level is monitored for up-crossings (value >=
     level), one starting above for down-crossings (value <= level); starting
@@ -360,9 +359,7 @@ def first_hitting_time(path: np.ndarray, grid: TimeGrid, level: float) -> Hittin
         )
     check("path", values)
     mask = _reached(values, values[0], level)
-    if not mask.any():
-        return HittingTime(value=None)
-    return HittingTime(value=float(grid.times[int(np.argmax(mask))]))
+    return float(grid.times[int(np.argmax(mask))]) if mask.any() else None
 
 
 def _normal_cdf(x: float) -> float:
@@ -464,8 +461,7 @@ def hitting_frequency(
         hit = _fold_steps(np.logical_or, _reached(tile, p.x0, level))
         return int((hit | (p.x0 == level)).sum())
 
-    law = exact_marginal(p, np.stack((grid.steps, grid.times[1:])))
-    n_hits = sum(_gaussian_blocks(seed, n_paths, law.std[0], law.mean[1], count))
+    n_hits = sum(_gaussian_blocks(seed, n_paths, *_grid_law(p, grid), count))
     freq = n_hits / n_paths
     se = math.sqrt(freq * (1.0 - freq) / n_paths)
     return HitFrequency(n_paths=n_paths, n_hits=n_hits, frequency=freq, standard_error=se)

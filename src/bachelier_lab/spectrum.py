@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,15 +28,12 @@ from .payoff import DiscountSign
 def quantized_rate(n: int, sigma: float, strike: float) -> float:
     """Rate of mode ``n``: (sigma^2/(2*K^2)) * n^2 * pi^2.
 
-    n = 0 is computable but degenerate (zero rate, identically zero payoff)
-    and triggers a warning; negative n is rejected since it only flips the
-    sign of the mode amplitude.
+    The ladder starts at n = 1: n = 0 is the zero payoff, and a negative n
+    only flips the sign of the mode amplitude, so both are refused by name.
     """
+    n = check("n", n, "integer", 1)
     check("sigma", sigma, "positive")
     check("strike", strike, "positive")
-    if check("n", n, "integer", 0) == 0:
-        warnings.warn("mode n=0 is degenerate: rate 0 and identically zero payoff")
-        return 0.0
     # 2*strike^2 is 0 or inf for a strike outside about [1e-162, 1e154].
     denominator = check("2*strike^2", 2.0 * strike * strike, "positive")
     return check("r_n", (sigma * sigma / denominator) * n * n * math.pi * math.pi)
@@ -102,7 +98,6 @@ def mode_index(r: float, sigma: float, strike: float, rel_tol: float) -> tuple[i
 
 def boundary_residual(n: int, sigma: float, strike: float) -> float:
     """|sin(sqrt(r_n/D)*K)|: the computable witness that mode n vanishes at K."""
-    check("n", n, "integer", 1)
     return abs(math.sin(_wavenumber(quantized_rate(n, sigma, strike), sigma) * strike))
 
 

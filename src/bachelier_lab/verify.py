@@ -44,9 +44,13 @@ def _block_moments(y: np.ndarray) -> tuple:
     """``(count, ybar, S_yy)`` of one block, ``S_yy = sum((y - ybar)^2)``; overwrites ``y``.
 
     A sum past the float range gives an inf or NaN moment for the caller to
-    report; the sampler silences numpy.
+    report; the sampler silences numpy. Where ``ybar`` is not finite, ``y``
+    is left as it is, for the caller to locate a bad sample in, and ``S_yy``
+    is NaN.
     """
     mean = y.mean()
+    if not math.isfinite(mean):
+        return len(y), mean, math.nan
     y -= mean
     return len(y), mean, np.square(y, out=y).sum()
 
@@ -69,14 +73,14 @@ def _pooled(blocks: list) -> tuple:
 def _sample_mean(sample, law: GaussianLaw, n_samples: int, seed: int) -> tuple:
     """Mean and standard error of ``sample(x)`` over ``n_samples`` draws ``x`` of ``law``.
 
-    ``sample`` maps a block of draws from ``model._gaussian_blocks`` to a new
+    ``sample`` maps a vector of draws from ``model._gaussian_blocks`` to a new
     array of samples, whose ``_block_moments`` ``_pooled`` combines in block
     order: the result is a function of ``seed`` alone. Three rules hold:
 
     - Zero spread, ``law.std == 0``: one evaluation at ``law.mean``, with
       numpy silenced, and a standard error of exactly 0.
-    - A block whose mean is not finite evaluates ``sample`` on its draws again
-      and refuses its first inf or NaN sample by index, value and X; the
+    - A block whose mean is not finite refuses its first inf or NaN sample
+      by index, value and X, read from the samples already computed; the
       sampler raises the lowest failing block. Finite samples whose pooled
       statistics overflow are refused after pooling.
     - Deviations below about 1e-154 square to a subnormal or 0: a spread lost
@@ -87,17 +91,17 @@ def _sample_mean(sample, law: GaussianLaw, n_samples: int, seed: int) -> tuple:
       two scales both by it, and a standard error of 0 is never a lost spread.
     """
     def moments(start, x, k=0):
+        x = x[:, 0]
         y = sample(x)
         if k:
             np.ldexp(y, k, out=y)
         block = _block_moments(y)
         if not math.isfinite(block[1]):
-            y = sample(x)
             bad = np.flatnonzero(~np.isfinite(y))
             if bad.size:
                 i = bad[0]
                 raise NonFiniteSampleError(f"non-finite sample at index {start + i}: "
-                                           f"{float(y[i])!r} at X = {float(x[i, 0])!r}")
+                                           f"{float(y[i])!r} at X = {float(x[i])!r}")
         return block
 
     if law.std == 0.0:
@@ -219,7 +223,7 @@ def drift_estimate(
         analytic = analytic_drift(v, p, x0, t, sign)
 
     def rate(x):
-        return (np.asarray(v(x[:, 0]), dtype=float) * w_next - y_now) / dt
+        return (np.asarray(v(x), dtype=float) * w_next - y_now) / dt
 
     mean, se = _sample_mean(rate, step, n_samples, seed)
     return DriftReport(
@@ -319,7 +323,7 @@ def integrability_check(
             bound = (abs(v.coef1) + abs(v.coef2)) * _time_weight(1.0, abs(p.r), t)
 
     def absolute(x):
-        return np.abs(np.asarray(v(x[:, 0]), dtype=float) * weight)
+        return np.abs(np.asarray(v(x), dtype=float) * weight)
 
     def taylor(x):
         y = absolute(x)

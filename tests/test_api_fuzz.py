@@ -118,9 +118,7 @@ CASES = {
         d.draw(WILD), d.draw(WILD))),
     "analytic_drift": lambda d: (analytic_drift, (
         np.sin, _params(d), d.draw(WILD), d.draw(WILD), d.draw(SIGNS))),
-    # n = 0 is computable, with a documented warning; the others are drawn.
-    "quantized_rate": lambda d: (quantized_rate, (
-        d.draw(MODES.filter(bool)), d.draw(WILD), d.draw(WILD))),
+    "quantized_rate": lambda d: (quantized_rate, (d.draw(MODES), d.draw(WILD), d.draw(WILD))),
     "mode_index": lambda d: (mode_index, (d.draw(WILD), d.draw(WILD), d.draw(WILD), d.draw(WILD))),
     "boundary_residual": lambda d: (boundary_residual, (d.draw(MODES), d.draw(WILD), d.draw(WILD))),
     "normalization_constant": lambda d: (normalization_constant, (

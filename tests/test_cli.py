@@ -147,6 +147,9 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
         (["solve", "--rate", "1e300", "--sigma", "1"], "discriminant"),
         (["simulate", "--x0", "1", "--rate", "1", "--sigma", "0", "--drift", "1e300",
           "--t-end", "1e300", "--steps", "1", "--paths", "1"], "x0 + mu*t"),
+        # The grid has 3 times; the line is inf at the last, named by its grid position.
+        (["simulate", "--x0", "1e308", "--rate", "1", "--sigma", "1", "--t-end", "1e308",
+          "--steps", "2", "--paths", "1"], "x0 + mu*t must be finite, got inf at index 2\n"),
         (_HIT + ["--t", "1e300", "--grid-step", "1e-300"], "t/grid-step"),
         # 10^300 steps: a finite count, yet no array can hold the grid.
         (_HIT + ["--t", "1", "--grid-step", "1e-300"], "n_steps"),
@@ -200,7 +203,7 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
          "surface-x-points-zero",
          "normalize-rate-inf", "normalize-wavenumber-overflow", "solve-sigma-underflow",
          "solve-root-overflow", "solve-discriminant-overflow",
-         "simulate-drift-line-overflow",
+         "simulate-drift-line-overflow", "simulate-drift-line-at-its-grid-position",
          "hit-step-count-overflow", "hit-grid-too-long", "drift-check-rate-overflow",
          "drift-check-z-threshold-inf", "simulate-precision-negative", "solve-precision-too-big",
          "simulate-paths-too-many", "surface-x-points-too-many", "drift-check-samples-too-many",
@@ -395,6 +398,46 @@ def test_json_keeps_a_value_that_rounds_past_the_float_range_finite(precision, c
     body = json.loads(capsys.readouterr().out)
     assert body["t"][-1] == big and body["paths"] == [[-big] * 4]
     assert cli._json("z_score", [big, -big, None], f"%.{precision}g") == [big, -big, None]
+
+
+_PAST_THE_FLOAT_RANGE = {
+    "simulate-t-end-at-the-float-max": [
+        "simulate", "--x0", "0", "--rate", "0", "--sigma", "0.2",
+        "--t-end", "1.7976931348623157e308", "--steps", "3", "--paths", "1"],
+    # 1.5e308 prints as 2e+308 at precision 0.
+    "simulate-t-end-1.5e308": [
+        "simulate", "--x0", "0", "--rate", "0", "--sigma", "0.2",
+        "--t-end", "1.5e308", "--steps", "3", "--paths", "1"],
+    # The time labels of the header print as the cells do.
+    "surface-t-end-at-the-float-max": [
+        "surface", "--n", "1", "--sigma", "0.2", "--strike", "1",
+        "--t-end", "1.7976931348623157e308", "--t-points", "2", "--x-points", "2",
+        "--discount-sign", "minus"],
+}
+
+
+@pytest.mark.parametrize("precision", [0, 15, 16, 17])
+@pytest.mark.parametrize("argv", _PAST_THE_FLOAT_RANGE.values(), ids=_PAST_THE_FLOAT_RANGE)
+def test_csv_prints_a_value_that_rounds_past_the_float_range_as_the_largest_float(
+        argv, precision, capsys):
+    # At 15 digits the largest float prints as 1.79769313486232e+308, which reads as inf.
+    # CSV prints the value JSON keeps, the largest float of its sign, at 17 digits.
+    digits = ["--precision", str(precision)]
+    assert run(argv + digits) == 0
+    header, rows = _csv_rows(capsys.readouterr().out)
+    labels = [label.removeprefix("t=") for label in header if label.startswith("t=")]
+    texts = labels + [cell for row in rows for cell in row]
+    assert all(math.isfinite(float(text)) for text in texts)
+    assert all(text == "1.7976931348623157e+308" for text in texts
+               if abs(float(text)) == sys.float_info.max)
+    assert run(argv + digits + ["--format", "json"]) == 0
+    body = json.loads(capsys.readouterr().out)
+    csv = [[float(cell) for cell in row] for row in rows]
+    if argv[0] == "simulate":
+        assert csv == [list(row) for row in zip(body["t"], *body["paths"])]
+    else:
+        assert [float(label) for label in labels] == body["t"]
+        assert csv == [[x, *row] for x, row in zip(body["x"], body["values"])]
 
 
 @pytest.mark.parametrize("argv, probability", [

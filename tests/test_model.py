@@ -285,6 +285,26 @@ def test_an_overflow_along_the_steps_is_refused_by_name(n_steps, n_paths, step_s
             simulate_paths(p, grid, n_paths, seed=1)
 
 
+@pytest.mark.parametrize("p, t_end, n_steps, message", [
+    # The line 1e308 + t passes the float range at the last of 3 grid times.
+    (ModelParams(x0=1e308, r=1.0, sigma=1.0), 1e308, 2,
+     "x0 + mu*t must be finite, got inf at index 2"),
+    # Scale and line both fail there; the line is named, as exact_marginal names it.
+    (ModelParams(x0=1e308, r=1.0, sigma=1e156), 1e308, 2,
+     "x0 + mu*t must be finite, got inf at index 2"),
+    # Each step's scale is 1.4e308; the scale at grid time 6.7e307 is 2e308.
+    (ModelParams(x0=0.0, r=0.0, sigma=2.5e154), 1e308, 3,
+     "sigma*sqrt(t) must be finite, got inf at index 2"),
+], ids=["line", "line-and-scale", "scale"])
+def test_both_samplers_refuse_a_law_past_the_float_range_at_its_grid_position(
+        p, t_end, n_steps, message):
+    grid = TimeGrid.regular(t_end, n_steps)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        simulate_paths(p, grid, 1, seed=0)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        hitting_frequency(p, 1.0, grid, 1, seed=0)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 6])
 def test_a_wide_scan_holds_a_bounded_tile_per_worker(workers, monkeypatch):
     # A tile is at most 2^16 floats (512 KB); with its mask, one worker stays
@@ -406,35 +426,35 @@ def test_first_hitting_time_on_drift_line():
     grid = TimeGrid.regular(1.0, 100)
     paths = simulate_paths(ModelParams(x0=0.0, r=1.0, sigma=0.0), grid, 1, seed=0)
     tau = first_hitting_time(paths.path(0), grid, 0.5)
-    assert tau.hit and tau.value == pytest.approx(0.5, abs=1e-12)
+    assert isinstance(tau, float) and tau == pytest.approx(0.5, abs=1e-12)
 
 
 def test_first_hitting_time_at_start():
     grid = TimeGrid(np.array([0.0, 1.0]))
     tau = first_hitting_time(np.array([0.5, 0.2]), grid, 0.5)
-    assert tau.value == 0.0
+    assert isinstance(tau, float) and tau == 0.0
 
 
 def test_first_hitting_time_grid_convention():
     # 0.4 stays below the level; the first grid time at or beyond 0.5 is t=2.
     grid = TimeGrid(np.array([0.0, 1.0, 2.0]))
     tau = first_hitting_time(np.array([0.0, 0.4, 0.6]), grid, 0.5)
-    assert tau.value == 2.0
+    assert isinstance(tau, float) and tau == 2.0
 
 
 def test_first_hitting_time_down_crossing_and_miss():
     grid = TimeGrid(np.array([0.0, 1.0, 2.0]))
     down = first_hitting_time(np.array([1.0, 0.7, 0.2]), grid, 0.5)
-    assert down.value == 2.0
+    assert isinstance(down, float) and down == 2.0
     miss = first_hitting_time(np.array([0.0, 0.1, 0.2]), grid, 0.5)
-    assert not miss.hit and miss.value is None
+    assert miss is None
 
 
 def test_first_hitting_time_ignores_later_values():
     grid = TimeGrid(np.array([0.0, 1.0, 2.0, 3.0]))
     a = first_hitting_time(np.array([0.0, 0.6, 0.1, 0.1]), grid, 0.5)
     b = first_hitting_time(np.array([0.0, 0.6, 9.9, -9.9]), grid, 0.5)
-    assert a.value == b.value == 1.0
+    assert isinstance(a, float) and a == b == 1.0
 
 
 def test_first_hitting_time_refuses_a_path_off_the_grid():

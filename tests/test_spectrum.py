@@ -38,9 +38,11 @@ def test_quantized_rate_frozen_values():
     assert quantized_rate(1, 0.3, 100.0) == pytest.approx(R1_03_100, abs=1e-19)
 
 
-def test_quantized_rate_zero_mode_flagged_degenerate():
-    with pytest.warns(UserWarning, match="degenerate"):
-        assert quantized_rate(0, 0.2, 1.0) == 0.0
+def test_quantized_rate_refuses_the_zero_mode_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"^n must be an integer >= 1, got 0$"):
+            quantized_rate(0, 0.2, 1.0)
 
 
 def test_quantized_rate_rejects_negative_mode():

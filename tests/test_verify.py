@@ -488,6 +488,21 @@ def test_integrability_draws_its_samples_once(case, monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_non_finite_block_is_located_without_calling_the_profile_again(monkeypatch):
+    # The first bad sample is read from the samples the block already holds.
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
+    calls = []
+
+    def everywhere_inf(x):
+        calls.append(len(x))
+        return np.full_like(x, math.inf)
+
+    with pytest.raises(NonFiniteSampleError, match=r"^non-finite sample at index 0: inf at X = "):
+        integrability_check(everywhere_inf, ModelParams(x0=0.0, r=0.0, sigma=1.0), 1.0, 1000,
+                            seed=0)
+    assert calls == [1000]
+
+
 def test_integrability_of_a_law_without_spread_reports_the_one_value(monkeypatch):
     # At t = 0 or sigma = 0 every sample is the same value: the witness is one
     # evaluation at the law's mean, with a standard error of exactly 0 and no
