@@ -20,7 +20,7 @@ grid = TimeGrid.regular(1.0, 12)
 print("== a few sample paths ==")
 paths = simulate_paths(params, grid, n_paths=3, seed=42)
 for i in range(paths.n_paths):
-    tail = ", ".join(f"{v:.3f}" for v in paths.path(i)[-4:])
+    tail = ", ".join(f"{v:.3f}" for v in paths.values[i][-4:])
     print(f"path {i}: ... {tail}")
 
 print()

@@ -22,7 +22,7 @@ print("== one path, one stopping time ==")
 grid = TimeGrid.regular(horizon, 1000)
 paths = simulate_paths(params, grid, n_paths=5, seed=3)
 for i in range(5):
-    tau = first_hitting_time(paths.path(i), grid, level)
+    tau = first_hitting_time(paths.values[i], grid, level)
     print(f"path {i}: tau = {'not reached' if tau is None else f'{tau:.3f}'}")
 
 print()

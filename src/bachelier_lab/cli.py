@@ -132,8 +132,7 @@ def _provenance(args: argparse.Namespace) -> dict:
 
 
 def _cmd_simulate(args) -> _Report:
-    params = ModelParams(x0=args.x0, r=args.rate, sigma=args.sigma, drift=args.drift,
-                         exploratory_drift=args.drift is not None)
+    params = ModelParams(x0=args.x0, r=args.rate, sigma=args.sigma, drift=args.drift)
     grid = TimeGrid.regular(args.t_end, args.steps)
     paths = simulate_paths(params, grid, args.paths, args.seed)
     columns = [("t", grid.times), *((f"path_{i}", path) for i, path in enumerate(paths.values))]

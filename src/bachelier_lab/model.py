@@ -40,26 +40,20 @@ class ModelParams:
     sigma : float
         Volatility in price units per sqrt(unit time). Must be >= 0.
     drift : float, optional
-        Real-world drift mu. Defaults to r (risk-neutral). Any other value
-        requires ``exploratory_drift=True``.
-    exploratory_drift : bool
-        Permit drift != r for exploratory runs only.
+        Real-world drift mu. None, the default, gives mu = r (risk-neutral,
+        as no-arbitrage requires); a given drift makes the run exploratory.
     """
 
     x0: float
     r: float
     sigma: float
     drift: float | None = None
-    exploratory_drift: bool = False
 
     def __post_init__(self):
         check("x0", self.x0)
         check("r", self.r)
         check("sigma", self.sigma, "nonnegative")
-        if check("drift", self.mu) != self.r and not self.exploratory_drift:
-            raise ValidationError(
-                "drift must equal r under no-arbitrage; set exploratory_drift=True to override"
-            )
+        check("drift", self.mu)
 
     @property
     def mu(self) -> float:
@@ -166,9 +160,6 @@ class PathSet:
     @property
     def n_paths(self) -> int:
         return self.values.shape[0]
-
-    def path(self, i: int) -> np.ndarray:
-        return self.values[i]
 
 
 def _usable_cpus() -> int:

@@ -57,28 +57,27 @@ def _diffusion(sigma: float) -> float:
 
 @dataclass(frozen=True)
 class CharacteristicRoots:
-    """Root pair of a characteristic polynomial, tagged by case.
+    """Root pair of a characteristic polynomial; the pair determines its case.
 
-    ``root1`` carries the larger real part (distinct real case) or the
-    positive imaginary part (complex case); repeated roots store the same
-    value twice.
+    The pair is either real or a conjugate pair a +/- i*b with b > 0 in
+    ``root1``. ``root1`` carries the larger real part (distinct real case);
+    repeated roots store the same value twice.
     """
 
-    case: RootCase
     root1: complex
     root2: complex
 
     def __post_init__(self):
-        check("characteristic roots", (self.root1, self.root2))
-        r1, r2 = self.root1, self.root2
-        if self.case is RootCase.COMPLEX_CONJUGATE:
-            tagged = r2 == r1.conjugate() and r1.imag > 0.0
-        elif self.case is RootCase.REPEATED_REAL:
-            tagged = r1 == r2 and r1.imag == 0.0
-        else:
-            tagged = r1.imag == 0.0 and r2.imag == 0.0
-        if not tagged:
-            raise ValidationError(f"roots {r1!r}, {r2!r} do not fit the case {self.case.value}")
+        r1, r2 = check("characteristic roots", (self.root1, self.root2))
+        if (r1.imag or r2.imag) and not (r2 == r1.conjugate() and r1.imag > 0.0):
+            raise ValidationError(f"roots {r1!r}, {r2!r} are neither real nor a conjugate pair")
+
+    @property
+    def case(self) -> RootCase:
+        """Complex for a conjugate pair, repeated for two equal real roots, else distinct."""
+        if self.root1.imag != 0.0:
+            return RootCase.COMPLEX_CONJUGATE
+        return RootCase.REPEATED_REAL if self.root1 == self.root2 else RootCase.DISTINCT_REAL
 
 
 def characteristic_roots_full(r: float, sigma: float) -> CharacteristicRoots:
@@ -93,7 +92,7 @@ def characteristic_roots_full(r: float, sigma: float) -> CharacteristicRoots:
     a = _diffusion(sigma)
     sig2 = 2.0 * a
     if r == 0.0:
-        return CharacteristicRoots(RootCase.REPEATED_REAL, 0j, 0j)
+        return CharacteristicRoots(0j, 0j)
     disc = check("discriminant r^2 - 2*sigma^2*r", r * r - 2.0 * sig2 * r)
     # The repeated-root boundary r = 2*sigma^2 is a zero of the discriminant;
     # honor it within a few ulps of the computed value. The bound is scaled
@@ -101,19 +100,17 @@ def characteristic_roots_full(r: float, sigma: float) -> CharacteristicRoots:
     ulps = 8.0 * np.finfo(float).eps
     if abs(disc) <= ulps * r * r + ulps * 2.0 * sig2 * abs(r):
         lam = complex(-r / sig2)
-        return CharacteristicRoots(RootCase.REPEATED_REAL, lam, lam)
+        return CharacteristicRoots(lam, lam)
     if 0.0 < r < 2.0 * sig2:
         real = -r / sig2
         imag = math.sqrt(-disc) / sig2
-        return CharacteristicRoots(
-            RootCase.COMPLEX_CONJUGATE, complex(real, imag), complex(real, -imag)
-        )
+        return CharacteristicRoots(complex(real, imag), complex(real, -imag))
     # Distinct real: evaluate the quadratic formula in its cancellation-free
     # arrangement, then order by real part.
     sq = math.sqrt(disc)
     q = -0.5 * (r + math.copysign(sq, r))
     lo, hi = sorted((q / a, r / q))
-    return CharacteristicRoots(RootCase.DISTINCT_REAL, complex(hi), complex(lo))
+    return CharacteristicRoots(complex(hi), complex(lo))
 
 
 def _wavenumber(r: float, sigma: float) -> float:
@@ -125,9 +122,9 @@ def characteristic_roots_hedged(r: float, sigma: float) -> CharacteristicRoots:
     """Roots of r + (sigma^2/2)*lam^2 = 0: purely imaginary +/- i*sqrt(r/D)."""
     check("sigma", sigma, "positive")
     if check("r", r, "nonnegative") == 0.0:
-        return CharacteristicRoots(RootCase.REPEATED_REAL, 0j, 0j)
+        return CharacteristicRoots(0j, 0j)
     w = _wavenumber(r, sigma)
-    return CharacteristicRoots(RootCase.COMPLEX_CONJUGATE, complex(0.0, w), complex(0.0, -w))
+    return CharacteristicRoots(complex(0.0, w), complex(0.0, -w))
 
 
 @dataclass(frozen=True)
@@ -177,8 +174,8 @@ class ExponentialSolution:
                 out = np.exp(lam1.real * x) * out
         return float(out) if out.ndim == 0 else out
 
-    def _mean_square(self, m: float, s: float) -> float | None:
-        """E[V(X)^2] for X ~ N(m, s^2) in closed form; None where it leaves the float range.
+    def _mean_square(self, m: float, s: float) -> float:
+        """E[V(X)^2] for X ~ N(m, s^2) in closed form; inf or NaN where it leaves the float range.
 
         Each case applies E[e^{kX}] = e^{k*m + k^2*s^2/2}, k complex, to V^2,
         in an arrangement whose terms share one sign, except where P*Q > 0
@@ -216,8 +213,7 @@ class ExponentialSolution:
                 wave = cos_coef * np.cos(phase) + sin_coef * np.sin(phase)
                 spread = -0.5 * (cos_coef * cos_coef + sin_coef * sin_coef) * np.expm1(-u)
                 value = np.exp(2.0 * a * (m + a * s2)) * (spread + np.exp(-u) * wave * wave)
-        value = float(value)
-        return value if math.isfinite(value) else None
+        return float(value)
 
 
 def general_solution(roots: CharacteristicRoots, coef1: complex, coef2: complex) -> ExponentialSolution:

@@ -9,9 +9,9 @@ The Monte Carlo functions run at their smallest sizes (1000 samples, 50
 paths, 1 to 4 steps), and their sigma, t and dt are also drawn from 0, tiny
 and ordinary values, so that laws without spread and steps near the float
 range's bottom are reached. ``drift_estimate``'s report is classified too.
-Every ``ModelParams`` is exploratory, its drift either r or a wild value, so
-the laws, the first-passage oracle, both samplers, both estimators and
-``analytic_drift`` are also reached with mu != r.
+Every ``ModelParams`` draws its drift as None, so mu = r, or as a wild
+value, which makes it exploratory: the laws, the first-passage oracle, both
+samplers, both estimators and ``analytic_drift`` are also reached with mu != r.
 Profiles are ``np.sin``: closed forms pass an overflow through as numpy
 does (see ``ExponentialSolution.__call__``), and sit outside this contract.
 """
@@ -75,7 +75,7 @@ FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=200
 
 def _params(d, sigma=WILD):
     return ModelParams(x0=d.draw(WILD), r=d.draw(WILD), sigma=d.draw(sigma),
-                       drift=d.draw(st.none() | WILD), exploratory_drift=True)
+                       drift=d.draw(st.none() | WILD))
 
 
 def _mc_params(d):

@@ -19,6 +19,7 @@ from bachelier_lab import (
     TimeGrid,
     ValidationError,
     __version__,
+    exact_marginal,
     normalization_constant,
     payoff_surface,
     quantized_rate,
@@ -91,6 +92,16 @@ def test_simulate_sigma_zero_csv(capsys):
     assert prov["command"] == "simulate"
     assert prov["seed"] == "0"
     assert prov["version"] == __version__
+    # A given drift makes the run exploratory: the paths follow its drift line.
+    assert run(["simulate", "--x0", "1", "--rate", "0.05", "--sigma", "0", "--drift", "0.3",
+                "--t-end", "1", "--steps", "4", "--paths", "2", "--precision", "17"]) == 0
+    text = capsys.readouterr().out
+    _, rows = _csv_rows(text)
+    line = exact_marginal(ModelParams(x0=1.0, r=0.05, sigma=0.0, drift=0.3),
+                          TimeGrid.regular(1.0, 4).times).mean
+    assert line.tolist() == [1.0, 1.075, 1.15, 1.225, 1.3]
+    assert np.array_equal(np.array(rows, dtype=float)[:, 1:], np.column_stack([line, line]))
+    assert _provenance(text)["drift"] == "0.3"
 
 
 def test_pathset_csv_round_trip(capsys):

@@ -50,15 +50,13 @@ def test_validate_params_rejects_non_finite_naming_field():
     with pytest.raises(ValidationError, match="sigma"):
         ModelParams(x0=0.0, r=0.05, sigma=math.inf)
     with pytest.raises(ValidationError, match="drift"):
-        ModelParams(x0=0.0, r=0.05, sigma=0.2, drift=math.nan, exploratory_drift=True)
+        ModelParams(x0=0.0, r=0.05, sigma=0.2, drift=math.nan)
 
 
-def test_drift_defaults_to_rate_and_requires_flag_to_differ():
+def test_drift_defaults_to_rate_and_a_given_drift_is_used():
     p = ModelParams(x0=0.0, r=0.05, sigma=0.2)
     assert p.mu == 0.05
-    with pytest.raises(ValidationError, match="drift"):
-        ModelParams(x0=0.0, r=0.05, sigma=0.2, drift=0.10)
-    q = ModelParams(x0=0.0, r=0.05, sigma=0.2, drift=0.10, exploratory_drift=True)
+    q = ModelParams(x0=0.0, r=0.05, sigma=0.2, drift=0.10)
     assert q.mu == 0.10
 
 
@@ -425,7 +423,7 @@ def test_driftless_unit_variance_example():
 def test_first_hitting_time_on_drift_line():
     grid = TimeGrid.regular(1.0, 100)
     paths = simulate_paths(ModelParams(x0=0.0, r=1.0, sigma=0.0), grid, 1, seed=0)
-    tau = first_hitting_time(paths.path(0), grid, 0.5)
+    tau = first_hitting_time(paths.values[0], grid, 0.5)
     assert isinstance(tau, float) and tau == pytest.approx(0.5, abs=1e-12)
 
 

@@ -48,10 +48,13 @@ def test_full_roots_distinct_case():
 
 
 def test_full_roots_repeated_case():
-    roots = characteristic_roots_full(0.08, 0.2)  # r = 2*sigma^2
-    assert roots.case is RootCase.REPEATED_REAL
-    assert roots.root1 == roots.root2
-    assert roots.root1.real == pytest.approx(-2.0, rel=1e-12)
+    # r = 2*sigma^2 exactly, then 1 ulp on either side (0.08 is the one below).
+    boundary = 2.0 * 0.2 * 0.2
+    for r in (boundary, math.nextafter(boundary, 0.0), math.nextafter(boundary, 1.0)):
+        roots = characteristic_roots_full(r, 0.2)
+        assert roots.case is RootCase.REPEATED_REAL
+        assert roots.root1 == roots.root2
+        assert roots.root1.real == pytest.approx(-2.0, rel=1e-12)
 
 
 def test_full_roots_zero_rate():
@@ -83,21 +86,26 @@ def test_roots_reject_a_diffusion_or_root_outside_the_float_range():
         characteristic_roots_full(1e300, 1.0)
 
 
+# The pair determines its case: a pair that is neither real nor a conjugate
+# pair with Im root1 > 0 is refused (case None); any other pair gets its case.
 @pytest.mark.parametrize("case,root1,root2", [
-    (RootCase.COMPLEX_CONJUGATE, complex(-0.5, 0.8), complex(-0.5, 0.8)),
-    (RootCase.COMPLEX_CONJUGATE, complex(-0.5, 0.8), complex(-0.4, -0.8)),
-    (RootCase.REPEATED_REAL, complex(-2.0), complex(-1.0)),
-    (RootCase.REPEATED_REAL, complex(0.0, 1.0), complex(0.0, 1.0)),
-    (RootCase.DISTINCT_REAL, complex(1.0), complex(-1.0, 0.5)),
-    (RootCase.DISTINCT_REAL, complex(0.0, 1.0), complex(0.0, -1.0)),
-    (RootCase.COMPLEX_CONJUGATE, complex(0.5), complex(0.5)),
-    (RootCase.COMPLEX_CONJUGATE, complex(-0.5, -0.8), complex(-0.5, 0.8)),
+    (None, complex(-0.5, 0.8), complex(-0.5, 0.8)),
+    (None, complex(-0.5, 0.8), complex(-0.4, -0.8)),
+    (RootCase.DISTINCT_REAL, complex(-2.0), complex(-1.0)),
+    (None, complex(0.0, 1.0), complex(0.0, 1.0)),
+    (None, complex(1.0), complex(-1.0, 0.5)),
+    (RootCase.COMPLEX_CONJUGATE, complex(0.0, 1.0), complex(0.0, -1.0)),
+    (RootCase.REPEATED_REAL, complex(0.5), complex(0.5)),
+    (None, complex(-0.5, -0.8), complex(-0.5, 0.8)),
 ], ids=["complex-not-conjugate", "complex-real-parts-differ", "repeated-unequal",
         "repeated-not-real", "distinct-root2-not-real", "distinct-conjugate-pair",
         "complex-real-roots", "complex-root1-negative-imaginary"])
 def test_roots_must_fit_their_case(case, root1, root2):
-    with pytest.raises(ValidationError, match=case.value):
-        CharacteristicRoots(case, root1, root2)
+    if case is None:
+        with pytest.raises(ValidationError, match="neither real nor a conjugate pair"):
+            CharacteristicRoots(root1, root2)
+    else:
+        assert CharacteristicRoots(root1, root2).case is case
 
 
 def test_full_roots_near_the_float_range_are_classified():
@@ -108,6 +116,13 @@ def test_full_roots_near_the_float_range_are_classified():
     assert roots.case is RootCase.DISTINCT_REAL
     assert roots.root2.real < roots.root1.real < 0
     assert abs(_poly_full(r, sigma, roots.root1)) <= 1e-12 * r * abs(roots.root1)
+    # At sigma = 1e-150, r^2 and 2*sigma^2*r lie below the subnormals for any r
+    # in (0, 2*sigma^2): the discriminant underflows to 0, so the roots come
+    # back as the repeated -r/sigma^2, not the complex pair (-1 +/- i at r = sigma^2).
+    for r in (1e-300, 1.9e-300):
+        roots = characteristic_roots_full(r, 1e-150)
+        assert roots.case is RootCase.REPEATED_REAL
+        assert roots.root1 == roots.root2 == complex(-r / 1e-300)
 
 
 @pytest.mark.parametrize("r", [-0.4, -0.02, 0.005, 0.02, 0.07, 0.08, 0.18, 1.5])
@@ -247,23 +262,23 @@ def test_mean_square_matches_quadrature(v, m, s):
     assert v._mean_square(m, s) == pytest.approx(_mp_mean_square(v, m, s), rel=1e-13, abs=0)
 
 
-def test_mean_square_outside_the_float_range_is_none():
+def test_mean_square_outside_the_float_range_is_not_finite():
     # e^{2*p*(m + p*s^2)} with p = 1.618 and s = 12 is e^{754}.
     v = general_solution(characteristic_roots_full(-0.02, 0.2), 0.5, 0.5)
-    assert v._mean_square(0.5, 12.0) is None
-    assert v._mean_square(0.5, 11.0) is not None
+    assert v._mean_square(0.5, 12.0) == math.inf
+    assert math.isfinite(v._mean_square(0.5, 11.0))
 
 
 # Dyadic roots make every product root*x exact, so the bound measures the
 # evaluator. Rounding root*x, which any evaluation must, adds about
 # eps*|root*x| relative on top.
 _DYADIC_ROOTS = [
-    CharacteristicRoots(RootCase.COMPLEX_CONJUGATE, complex(-0.25, 0.5), complex(-0.25, -0.5)),
-    CharacteristicRoots(RootCase.COMPLEX_CONJUGATE, complex(0.125, 2.0), complex(0.125, -2.0)),
-    CharacteristicRoots(RootCase.COMPLEX_CONJUGATE, 1j, -1j),
-    CharacteristicRoots(RootCase.DISTINCT_REAL, complex(0.5), complex(-1.0)),
-    CharacteristicRoots(RootCase.REPEATED_REAL, complex(-2.0), complex(-2.0)),
-    CharacteristicRoots(RootCase.REPEATED_REAL, 0j, 0j),
+    CharacteristicRoots(complex(-0.25, 0.5), complex(-0.25, -0.5)),
+    CharacteristicRoots(complex(0.125, 2.0), complex(0.125, -2.0)),
+    CharacteristicRoots(1j, -1j),
+    CharacteristicRoots(complex(0.5), complex(-1.0)),
+    CharacteristicRoots(complex(-2.0), complex(-2.0)),
+    CharacteristicRoots(0j, 0j),
 ]
 
 

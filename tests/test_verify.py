@@ -75,7 +75,7 @@ def test_analytic_drift_minus_convention_formula():
     dg = delta_gamma(v, x, h)
     diffusion = 0.5 * 0.2 * 0.2
     for drift in (None, -0.5):  # risk-neutral, then exploratory: the V' term takes mu
-        p = ModelParams(x0=0.0, r=R1, sigma=0.2, drift=drift, exploratory_drift=drift is not None)
+        p = ModelParams(x0=0.0, r=R1, sigma=0.2, drift=drift)
         expected = math.exp(-R1 * t) * (-R1 * float(v(x)) + p.mu * dg.delta + diffusion * dg.gamma)
         assert analytic_drift(v, p, x, t, DiscountSign.MINUS) == expected
 
@@ -114,10 +114,10 @@ def test_drift_estimate_sine_matches_analytic_at_origin():
 @pytest.mark.parametrize("drift, t, sign", [(1.0, 0.0, DiscountSign.PLUS),
                                              (-0.5, 0.7, DiscountSign.MINUS)],
                          ids=["plus", "minus"])
-def test_drift_estimate_of_an_exploratory_drift_is_calibrated(drift, t, sign):
+def test_drift_estimate_of_a_given_drift_is_calibrated(drift, t, sign):
     # The target is the Ito drift under the mu drawn; with r in place of mu,
     # z averaged +21.1 (plus) and -12.5 (minus) over these 100 seeds.
-    p = ModelParams(x0=0.0, r=0.05, sigma=0.2, drift=drift, exploratory_drift=True)
+    p = ModelParams(x0=0.0, r=0.05, sigma=0.2, drift=drift)
     z = np.array([drift_estimate(np.sin, p, 0.3, t, 1e-3, 20_000, seed, sign).z_score
                   for seed in range(100)])
     assert abs(z.mean()) <= 0.5
@@ -327,14 +327,14 @@ def test_integrability_falls_back_to_the_plain_mean_where_the_control_mean_overf
     # the samples stay near e^{80}: the witness is the plain one, bit for bit.
     v = _full_solution(*FULL_CASES["distinct"])
     p = ModelParams(x0=0.5, r=-0.02, sigma=12.0)
-    assert v._mean_square(exact_marginal(p, 1.0).mean, 12.0) is None
+    assert v._mean_square(exact_marginal(p, 1.0).mean, 12.0) == math.inf
     witness = integrability_check(v, p, 1.0, 5_000, seed=2)
     assert witness == integrability_check(lambda x: v(x), p, 1.0, 5_000, seed=2)
     # A light-tailed sine at its crest: E[V^2] = 4e308 overflows, while the
     # samples lie within 1e-5 of one another, so the plain witness is finite.
     v = sine_solution(2e154, R1, 0.2)
     p = ModelParams(x0=0.5 - R1 * 1e-4, r=R1, sigma=0.2)
-    assert v._mean_square(0.5, 0.002) is None
+    assert v._mean_square(0.5, 0.002) == math.inf
     witness = integrability_check(v, p, 1e-4, 5_000, seed=2)
     plain = integrability_check(lambda x: v(x), p, 1e-4, 5_000, seed=2)
     assert (witness.mean_abs, witness.standard_error) == (plain.mean_abs, plain.standard_error)
@@ -688,7 +688,7 @@ def test_an_overflowing_profile_gives_a_drift_classify_refuses(workers, monkeypa
     # The law is representable, but x0 + 1e306*Z is not: the sampler names the path values.
     (ModelParams(x0=1.79e308, r=0.0, sigma=1e306),
      r"path values x0 \+ mu\*t \+ sigma\*W\(t\) must be finite"),
-    (ModelParams(x0=1.79e308, r=0.0, sigma=1.0, drift=1e308, exploratory_drift=True),
+    (ModelParams(x0=1.79e308, r=0.0, sigma=1.0, drift=1e308),
      r"x0 \+ mu\*t"),
 ], ids=["scale", "mean"])
 def test_integrability_names_a_law_that_leaves_the_float_range(params, name):
