@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the one input-domain check."""
 
 import numbers
+import sys
 
 import numpy as np
 
@@ -18,6 +19,7 @@ _DOMAINS = {
     "finite": ("finite", lambda v: True),
     "positive": ("finite and > 0", lambda v: v > 0),
     "nonnegative": ("finite and >= 0", lambda v: v >= 0),
+    "normal": (f"finite and >= {sys.float_info.min!r}", lambda v: v >= sys.float_info.min),
 }
 
 
@@ -25,12 +27,13 @@ def check(name: str, value, domain: str = "finite", least: int = 0, most: float 
     """Return ``value`` if it lies in ``domain``; otherwise raise a ValidationError naming ``name``.
 
     Domains: ``"finite"``, ``"positive"`` (finite and > 0), ``"nonnegative"``
-    (finite and >= 0), elementwise for arrays, with complex values allowed
-    under ``"finite"``; ``"integer"``, an integer >= ``least``, returned
-    as an ``int`` (an integral float such as 4.0 is accepted, 2.5 or
-    ``'7'`` is not); and ``"count"``, an integer that sizes an array or a
-    loop, so also below ``MAX_COUNT``. ``most``, when given, is an
-    inclusive upper bound in any real domain.
+    (finite and >= 0), ``"normal"`` (finite and at least the smallest normal
+    float, so no digit was lost to underflow), elementwise for arrays, with
+    complex values allowed under ``"finite"``; ``"integer"``, an integer
+    >= ``least``, returned as an ``int`` (an integral float such as 4.0 is
+    accepted, 2.5 or ``'7'`` is not); and ``"count"``, an integer that sizes
+    an array or a loop, so also below ``MAX_COUNT``. ``most``, when given, is
+    an inclusive upper bound in any real domain.
     """
     if domain in ("integer", "count"):
         integral = isinstance(value, numbers.Integral) or (

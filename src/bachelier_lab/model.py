@@ -216,9 +216,9 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each) -> l
     therefore called from several threads at once, each time with a tile no
     other call sees, and the tile is a buffer that the worker's next tile
     overwrites: ``each`` copies what it keeps. A worker keeps one generator
-    and re-keys its bit generator in place to counter ``b << 128`` with an
-    empty buffer, the state ``generator(b)`` starts in, which costs a
-    fraction of building a Philox. numpy's ``errstate`` does not reach a new
+    and, before every block, re-keys its bit generator in place to counter
+    ``b << 128`` with an empty buffer, the state ``generator(b)`` starts in,
+    which costs a fraction of building a Philox. numpy's ``errstate`` does not reach a new
     thread, so every worker, the caller included, runs ``each`` under
     ``errstate(over="ignore", invalid="ignore")``; ``each`` reports inf or NaN.
 
@@ -240,9 +240,8 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each) -> l
             state = gen.bit_generator.state  # substream 0 before any draw
             buf = np.empty((min(tile_rows, n_rows), scale.size))
             for b in range(k, n_blocks, n_workers):
-                if b:
-                    state["state"]["counter"] = np.array([0, 0, b, 0], dtype=np.uint64)
-                    gen.bit_generator.state = state
+                state["state"]["counter"] = np.array([0, 0, b, 0], dtype=np.uint64)
+                gen.bit_generator.state = state
                 end = min((b + 1) * _BLOCK, n_rows)
                 tiles = []
                 for start in range(b * _BLOCK, end, tile_rows):

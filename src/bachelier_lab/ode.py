@@ -45,14 +45,10 @@ class OdeProblem:
         check("r", self.r)
         check("sigma", self.sigma, "positive")
 
-    @property
-    def diffusion(self) -> float:
-        return _diffusion(self.sigma)
-
 
 def _diffusion(sigma: float) -> float:
-    """D = sigma^2/2; rejected if it underflows to 0 or overflows."""
-    return check("diffusion sigma^2/2", 0.5 * sigma * sigma, "positive")
+    """D = sigma^2/2; refused by name below the smallest normal float or past the float range."""
+    return check("diffusion sigma^2/2", 0.5 * sigma * sigma, "normal")
 
 
 @dataclass(frozen=True)
@@ -86,6 +82,12 @@ def characteristic_roots_full(r: float, sigma: float) -> CharacteristicRoots:
     Case boundaries in the (r, sigma) plane: complex conjugates for
     0 < r < 2*sigma^2, a repeated real root at r = 0 and r = 2*sigma^2,
     distinct real roots otherwise.
+
+    The roots are -rho +/- w, or -rho +/- i*w, with rho = r/sigma^2 and
+    w = sqrt(|disc|)/sigma^2, disc = r^2 - 2*sigma^2*r. Where both terms of
+    disc lie below the smallest normal float, disc has lost its digits, and
+    w is formed as sqrt(|r|)/sigma * sqrt(|rho - 2|) instead, which does not
+    underflow. rho itself can underflow to 0, so the case is decided on r.
     """
     check("sigma", sigma, "positive")
     check("r", r)
@@ -94,22 +96,29 @@ def characteristic_roots_full(r: float, sigma: float) -> CharacteristicRoots:
     if r == 0.0:
         return CharacteristicRoots(0j, 0j)
     disc = check("discriminant r^2 - 2*sigma^2*r", r * r - 2.0 * sig2 * r)
+    underflow = max(r * r, 2.0 * sig2 * abs(r)) < np.finfo(float).tiny
+    rho = r / sig2
     # The repeated-root boundary r = 2*sigma^2 is a zero of the discriminant;
     # honor it within a few ulps of the computed value. The bound is scaled
     # term by term: r^2 + 2*sigma^2*|r| itself can overflow when disc does not.
     ulps = 8.0 * np.finfo(float).eps
-    if abs(disc) <= ulps * r * r + ulps * 2.0 * sig2 * abs(r):
-        lam = complex(-r / sig2)
-        return CharacteristicRoots(lam, lam)
+    if not underflow and abs(disc) <= ulps * r * r + ulps * 2.0 * sig2 * abs(r):
+        return CharacteristicRoots(complex(-rho), complex(-rho))
+    w = (math.sqrt(abs(r)) / sigma * math.sqrt(abs(rho - 2.0)) if underflow
+         else math.sqrt(abs(disc)) / sig2)
     if 0.0 < r < 2.0 * sig2:
-        real = -r / sig2
-        imag = math.sqrt(-disc) / sig2
-        return CharacteristicRoots(complex(real, imag), complex(real, -imag))
+        return CharacteristicRoots(complex(-rho, w), complex(-rho, -w))
     # Distinct real: evaluate the quadratic formula in its cancellation-free
-    # arrangement, then order by real part.
-    sq = math.sqrt(disc)
-    q = -0.5 * (r + math.copysign(sq, r))
-    lo, hi = sorted((q / a, r / q))
+    # arrangement, then order by real part. Where disc underflows, the other
+    # root is the product of the roots, 2*rho, over q; below |rho| = 2, where
+    # rho can underflow, it is -rho + sign(r)*w, which does not cancel there.
+    if underflow:
+        q = -(rho + math.copysign(w, r))
+        pair = (q, 2.0 * rho / q if abs(rho) >= 2.0 else math.copysign(w, r) - rho)
+    else:
+        q = -0.5 * (r + math.copysign(math.sqrt(disc), r))
+        pair = (q / a, r / q)
+    lo, hi = sorted(pair)
     return CharacteristicRoots(complex(hi), complex(lo))
 
 
@@ -273,4 +282,4 @@ def residual(v, problem: OdeProblem, x: float, h: float) -> float:
     A residual past the float range is refused by name.
     """
     mu = problem.r if problem.form is OdeForm.FULL else 0.0
-    return check("residual", _ito_drift(v, problem.r, mu, problem.diffusion, x, h))
+    return check("residual", _ito_drift(v, problem.r, mu, _diffusion(problem.sigma), x, h))

@@ -2,9 +2,10 @@
 
 Requiring the oscillatory hedged-form solution A*sin(sqrt(r/D)*x) to vanish
 at the strike K pins the wavenumber to integer multiples of pi/K, exactly as
-a standing wave confined to [0, K]. Only a discrete ladder of rates survives:
+a standing wave confined to [0, K]: sqrt(r/D)*K = n*pi with D = sigma^2/2.
+Only a discrete ladder of rates survives:
 
-    r_n = (sigma^2 / (2*K^2)) * n^2 * pi^2,   n = 1, 2, ...
+    r_n = D * (n*pi/K)^2,   n = 1, 2, ...
 
 This module builds that ladder, inverts it, normalizes the mode amplitude so
 the squared profile integrates to one over [0, K], and tabulates the
@@ -21,22 +22,23 @@ from enum import Enum
 import numpy as np
 
 from .errors import ValidationError, check
-from .ode import _wavenumber
+from .ode import _diffusion, _wavenumber
 from .payoff import DiscountSign
 
 
 def quantized_rate(n: int, sigma: float, strike: float) -> float:
-    """Rate of mode ``n``: (sigma^2/(2*K^2)) * n^2 * pi^2.
+    """Rate of mode ``n``: (D/K^2) * n^2 * pi^2, D = sigma^2/2, from sqrt(r/D)*K = n*pi.
 
     The ladder starts at n = 1: n = 0 is the zero payoff, and a negative n
     only flips the sign of the mode amplitude, so both are refused by name.
+    D, K^2 and r_n below the smallest normal float have lost digits, and are
+    refused by name, as is any of them past the float range.
     """
     n = check("n", n, "integer", 1)
     check("sigma", sigma, "positive")
     check("strike", strike, "positive")
-    # 2*strike^2 is 0 or inf for a strike outside about [1e-162, 1e154].
-    denominator = check("2*strike^2", 2.0 * strike * strike, "positive")
-    return check("r_n", (sigma * sigma / denominator) * n * n * math.pi * math.pi)
+    strike_sq = check("strike^2", strike * strike, "normal")
+    return check("r_n", _diffusion(sigma) / strike_sq * n * n * math.pi * math.pi, "normal")
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,7 @@ class RateSpectrum:
 def mode_index(r: float, sigma: float, strike: float, rel_tol: float) -> tuple[int, bool]:
     """Nearest mode index for a rate, and whether the rate sits on the ladder.
 
-    Inverts the ladder via n = sqrt(2*r*K^2/sigma^2)/pi, rounds to the
+    Inverts the ladder via n = sqrt(r*K^2/D)/pi, D = sigma^2/2, rounds to the
     nearest integer (at least 1), and accepts iff the rounded mode's rate is
     within ``rel_tol`` relative error of ``r``.
     """
@@ -88,9 +90,8 @@ def mode_index(r: float, sigma: float, strike: float, rel_tol: float) -> tuple[i
     check("sigma", sigma, "positive")
     check("strike", strike, "positive")
     check("rel_tol", rel_tol, "positive")
-    sigma_sq = check("sigma^2", sigma * sigma, "positive")
-    n_exact = check("mode index sqrt(2*r*K^2/sigma^2)/pi",
-                    math.sqrt(2.0 * r * strike * strike / sigma_sq) / math.pi)
+    n_exact = check("mode index sqrt(r*K^2/D)/pi",
+                    math.sqrt(r * strike * strike / _diffusion(sigma)) / math.pi)
     n_star = max(1, round(n_exact))
     admissible = abs(quantized_rate(n_star, sigma, strike) - r) <= rel_tol * r
     return n_star, admissible

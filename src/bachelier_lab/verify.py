@@ -241,7 +241,10 @@ def drift_estimate(
 
 
 def classify(report: DriftReport, z_threshold: float = 3.0) -> MartingaleVerdict:
-    """Classify the measured drift against zero at the given z threshold."""
+    """Classify the measured drift against zero: consistent with a martingale iff |est| <= z*SE.
+
+    Outside that band the sign of the estimate decides.
+    """
     check("z_threshold", z_threshold, "positive")
     est = report.estimated_drift_rate
     se = report.standard_error
@@ -249,13 +252,9 @@ def classify(report: DriftReport, z_threshold: float = 3.0) -> MartingaleVerdict
         raise NonFiniteSampleError(
             f"cannot classify a non-finite drift estimate: estimate={est!r}, se={se!r}"
         )
-    if se > 0:
-        z = est / se
-    else:
-        z = 0.0 if est == 0.0 else math.copysign(math.inf, est)
-    if abs(z) <= z_threshold:
+    if abs(est) <= z_threshold * se:
         cls = DriftClass.CONSISTENT_WITH_MARTINGALE
-    elif z < 0:
+    elif est < 0:
         cls = DriftClass.SUPERMARTINGALE_STRICT
     else:
         cls = DriftClass.VIOLATES_SUPERMARTINGALE

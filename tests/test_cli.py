@@ -76,6 +76,13 @@ def test_solve_full_form(capsys):
     assert float(rows[0][2]) == pytest.approx(0.8660254037844386, rel=1e-12)
 
 
+def test_solve_full_form_where_the_discriminant_underflows(capsys):
+    # r^2 and 2*sigma^2*r both underflow; this printed repeated_real,-1,0,-1,0.
+    assert run(["solve", "--rate", "1e-300", "--sigma", "1e-150"]) == 0
+    _, rows = _csv_rows(capsys.readouterr().out)
+    assert rows[0] == ["complex_conjugate", "-1", "1", "-1", "-1"]
+
+
 def test_simulate_sigma_zero_csv(capsys):
     code = run([
         "simulate", "--x0", "0", "--rate", "1", "--sigma", "0",
@@ -152,10 +159,17 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
         (_SURFACE + ["--t-end", "1e10"], "time weight"),
         (_SURFACE + ["--x-points", "0"], "x-points"),
         (["normalize", "--rate", "inf", "--sigma", "0.2", "--strike", "1"], "rate"),
-        (["normalize", "--rate", "0.1", "--sigma", "1e-160", "--strike", "1"], "wavenumber"),
+        # sigma^2/2 = 5e-321 is subnormal: its lost digits are refused by name.
+        (["normalize", "--rate", "0.1", "--sigma", "1e-160", "--strike", "1"],
+         "diffusion sigma^2/2"),
         (["solve", "--rate", "1e300", "--sigma", "1e-200"], "diffusion sigma^2/2"),
-        (["solve", "--rate", "1", "--sigma", "1e-160"], "characteristic roots"),
+        (["solve", "--rate", "1", "--sigma", "1e-160"], "diffusion sigma^2/2"),
         (["solve", "--rate", "1e300", "--sigma", "1"], "discriminant"),
+        # The ladder answered r_1 = 0.0 at sigma = 1e-170, and lost digits at 1e-160.
+        (["spectrum", "--sigma", "1e-170", "--strike", "1", "--n-max", "2"],
+         "diffusion sigma^2/2"),
+        (["spectrum", "--sigma", "1e-160", "--strike", "1", "--n-max", "3"],
+         "diffusion sigma^2/2"),
         (["simulate", "--x0", "1", "--rate", "1", "--sigma", "0", "--drift", "1e300",
           "--t-end", "1e300", "--steps", "1", "--paths", "1"], "x0 + mu*t"),
         # The grid has 3 times; the line is inf at the last, named by its grid position.
@@ -193,7 +207,7 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
           "--steps", "2", "--paths", "10"], "path values"),
         (["hit", "--x0", "0", "--rate", "0", "--sigma", "1e308", "--level", "1", "--t", "1",
           "--grid-step", "0.5", "--paths", "1000"], "path values"),
-        # 2*strike^2 underflows to 0: the ladder rate's denominator, named.
+        # strike^2 underflows to 0: the ladder rate's denominator, named.
         (["spectrum", "--sigma", "1e-300", "--strike", "1e-300", "--n-max", "3"], "strike"),
         (["surface", "--n", "1", "--sigma", "1e-300", "--strike", "1e-300"], "strike"),
         # r_n overflows: refused as the rate, before its e^{r_n*t} weight can warn.
@@ -214,6 +228,7 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
          "surface-x-points-zero",
          "normalize-rate-inf", "normalize-wavenumber-overflow", "solve-sigma-underflow",
          "solve-root-overflow", "solve-discriminant-overflow",
+         "spectrum-diffusion-underflow", "spectrum-diffusion-subnormal",
          "simulate-drift-line-overflow", "simulate-drift-line-at-its-grid-position",
          "hit-step-count-overflow", "hit-grid-too-long", "drift-check-rate-overflow",
          "drift-check-z-threshold-inf", "simulate-precision-negative", "solve-precision-too-big",

@@ -21,6 +21,8 @@ def _limits(bounds):
         (np.array([0.0, 2.0]), "nonnegative", 0),
         (1e-2, "positive", (0, 1e-2)),  # the upper bound is inclusive
         (np.array([-3.0, 2.0]), "finite", (0, 2.0)),
+        (2.2250738585072014e-308, "normal", 0),  # the smallest normal float
+        (np.array([1e300, 1e-300]), "normal", 0),
     ],
 )
 def test_check_returns_values_inside_the_domain(value, domain, least):
@@ -64,6 +66,11 @@ def test_only_counts_have_a_ceiling():
         (0.02, "positive", (0, 1e-2), "must be finite and > 0 and <= 0.01, got 0.02"),
         (math.nan, "positive", (0, 1e-2), "got nan"),
         (np.array([1.0, 3.0]), "finite", (0, 2.0), "must be finite and <= 2.0, got 3.0 at index 1"),
+        (2.225073858507201e-308, "normal", 0,
+         "must be finite and >= 2.2250738585072014e-308, got 2.225073858507201e-308"),
+        (0.0, "normal", 0, "got 0.0"),
+        (math.inf, "normal", 0, "got inf"),
+        (-1.0, "normal", 0, "got -1.0"),
     ],
 )
 def test_check_names_the_field_and_the_domain(value, domain, least, shown):

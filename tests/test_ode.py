@@ -79,8 +79,8 @@ def test_roots_reject_a_diffusion_or_root_outside_the_float_range():
     for roots in (characteristic_roots_full, characteristic_roots_hedged):
         with pytest.raises(ValidationError, match="diffusion sigma\\^2/2"):
             roots(1.0, 1e-170)
-    with pytest.raises(ValidationError, match="characteristic roots"):
-        characteristic_roots_full(1.0, 1e-160)  # D is subnormal, so -r/sigma^2 is -inf
+    with pytest.raises(ValidationError, match="diffusion sigma\\^2/2"):
+        characteristic_roots_full(1.0, 1e-160)  # D = 5e-321 is subnormal: digits lost
     # r*r overflows; the repeated-root test used to read inf <= inf.
     with pytest.raises(ValidationError, match="discriminant"):
         characteristic_roots_full(1e300, 1.0)
@@ -117,12 +117,41 @@ def test_full_roots_near_the_float_range_are_classified():
     assert roots.root2.real < roots.root1.real < 0
     assert abs(_poly_full(r, sigma, roots.root1)) <= 1e-12 * r * abs(roots.root1)
     # At sigma = 1e-150, r^2 and 2*sigma^2*r lie below the subnormals for any r
-    # in (0, 2*sigma^2): the discriminant underflows to 0, so the roots come
-    # back as the repeated -r/sigma^2, not the complex pair (-1 +/- i at r = sigma^2).
-    for r in (1e-300, 1.9e-300):
+    # in (0, 2*sigma^2): the discriminant underflowed to 0 and gave the repeated
+    # -r/sigma^2. The roots are -rho +/- i*sqrt(rho*(2 - rho)), rho = r/sigma^2.
+    for r, imag in ((1e-300, 1.0), (1.9e-300, math.sqrt(1.9 * 0.1))):
         roots = characteristic_roots_full(r, 1e-150)
-        assert roots.case is RootCase.REPEATED_REAL
-        assert roots.root1 == roots.root2 == complex(-r / 1e-300)
+        assert roots.case is RootCase.COMPLEX_CONJUGATE
+        assert roots.root1 == pytest.approx(complex(-r / 1e-300, imag), rel=1e-15)
+
+
+# Both terms of the discriminant r^2 - 2*sigma^2*r lie below the smallest normal
+# float. The first two printed a repeated root at exit 0; in the next two
+# rho = r/sigma^2 underflows to 0; rho = -1 is real; rho = 2 exactly is repeated.
+@pytest.mark.parametrize("r, sigma, case", [
+    (1e-300, 1e-150, RootCase.COMPLEX_CONJUGATE),
+    (9.809919665008833e-194, 5.471784533207608e-122, RootCase.DISTINCT_REAL),
+    (5.4854e-319, 73544.0, RootCase.COMPLEX_CONJUGATE),
+    (-1e-320, 1e5, RootCase.DISTINCT_REAL),
+    (-1e-300, 1e-150, RootCase.DISTINCT_REAL),
+    (2.0**-679, 2.0**-340, RootCase.REPEATED_REAL),
+], ids=["complex", "distinct-far-apart", "complex-rho-underflow", "distinct-rho-underflow",
+        "distinct-negative-rate", "repeated"])
+def test_full_roots_where_the_discriminant_underflows(r, sigma, case):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(4000):  # enough bits that -r + sqrt(disc) does not cancel
+        big_r, sig2 = mpmath.mpf(r), mpmath.mpf(sigma) ** 2
+        disc = big_r * big_r - 2 * sig2 * big_r
+        sq = mpmath.sqrt(disc) if disc >= 0 else 1j * mpmath.sqrt(-disc)
+        exact = [complex((-big_r + sq) / sig2), complex((-big_r - sq) / sig2)]
+    roots = characteristic_roots_full(r, sigma)
+    assert roots.case is case
+    assert [roots.root1, roots.root2] == pytest.approx(exact, rel=1e-15)
+
+
+def test_ode_problem_derives_its_diffusion():
+    # residual takes sigma^2/2 from the one function that refuses it by name.
+    assert not hasattr(OdeProblem(0.1, 0.2, OdeForm.FULL), "diffusion")
 
 
 @pytest.mark.parametrize("r", [-0.4, -0.02, 0.005, 0.02, 0.07, 0.08, 0.18, 1.5])

@@ -59,8 +59,36 @@ def test_integral_float_mode_numbers_are_accepted():
 
 
 def test_quantized_rate_refuses_a_rate_past_the_float_range():
-    with pytest.raises(ValidationError, match="r_n must be finite, got inf"):
+    with pytest.raises(ValidationError, match=r"^r_n must be finite and >= 2\.2250738585072014e-308, got inf$"):
         quantized_rate(3, 1e154, 1e-8)
+
+
+def test_quantized_rate_is_the_reference_expression_bit_for_bit():
+    # D/K^2 with D = sigma^2/2 halves a numerator and a denominator: exact in binary.
+    for sigma in np.geomspace(1e-3, 1e2, 11).tolist():
+        for strike in np.geomspace(1e-3, 1e3, 13).tolist():
+            for n in range(1, 51):
+                reference = sigma * sigma / (2 * strike * strike) * n * n * math.pi * math.pi
+                assert quantized_rate(n, sigma, strike) == reference
+
+
+# sigma^2/2, strike^2 or r_n below the smallest normal float has lost digits: each is
+# refused by name. At sigma = 1e-170 the ladder answered r_1 = 0.0; at 1e-160 it answered
+# r_1 = 4.934e-320 (exactly 4.9348e-320) and a boundary residual of 1.25e-5; at
+# strike^2 = 1.35e-322 it answered 1.5473e255 (exactly 1.5576e255).
+@pytest.mark.parametrize("function, args, name", [
+    (quantized_rate, (1, 1e-170, 1.0), r"^diffusion sigma\^2/2 must be finite and >= .*, got 0\.0$"),
+    (quantized_rate, (1, 1e-160, 1.0), r"^diffusion sigma\^2/2 must be .*, got 5e-321$"),
+    (boundary_residual, (2, 1e-160, 1.0), r"^diffusion sigma\^2/2"),
+    (quantized_rate, (1, 2.0640175133573383e-34, 1.1617708537274919e-161), r"^strike\^2"),
+    (quantized_rate, (1, 1e-150, 1e5), r"^r_n must be finite and >= 2\.2250738585072014e-308, got "),
+], ids=["diffusion-underflow", "diffusion-subnormal", "boundary-residual-diffusion-subnormal",
+        "strike-squared-subnormal", "rate-subnormal"])
+def test_the_ladder_refuses_a_quantity_below_the_smallest_normal_float(function, args, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=name):
+            function(*args)
 
 
 def test_quantized_rate_validates_inputs():
@@ -120,10 +148,10 @@ def test_mode_index_rejects_non_positive_rate():
 
 
 @pytest.mark.parametrize("args, name", [
-    ((0.1, 1e-170, 1.0, 1e-6), r"sigma\^2 must be finite and > 0, got 0\.0"),
-    ((1e300, 1e-300, 1e10, 1e-6), r"sigma\^2 must be finite and > 0, got 0\.0"),
+    ((0.1, 1e-170, 1.0, 1e-6), r"diffusion sigma\^2/2 must be finite and >= .*, got 0\.0"),
+    ((1e300, 1e-300, 1e10, 1e-6), r"diffusion sigma\^2/2 must be finite and >= .*, got 0\.0"),
     ((0.1, 1.0, 1e200, 1e-6), r"mode index .* must be finite, got inf"),
-    ((1e300, 1e200, 1e10, 1e-6), r"sigma\^2 must be finite and > 0, got inf"),
+    ((1e300, 1e200, 1e10, 1e-6), r"diffusion sigma\^2/2 must be finite and >= .*, got inf"),
 ], ids=["sigma-squared-underflow", "sigma-squared-underflow-large-rate",
         "mode-index-overflow", "sigma-squared-overflow"])
 def test_mode_index_names_a_quantity_outside_the_float_range(args, name):
@@ -286,7 +314,7 @@ def test_payoff_surface_validation():
 
 
 @pytest.mark.parametrize("mode, x, name", [
-    (ModeSpec(1, 0.2, 5e-324), [0.0, 0.5], r"2\*strike\^2"),
+    (ModeSpec(1, 0.2, 5e-324), [0.0, 0.5], r"^strike\^2 must be finite and >= .*, got 0\.0$"),
     (ModeSpec(1, 0.2, 1e-150), [0.0, 1e300], r"phase n\*pi\*x/K must be finite, got inf at index 1"),
 ], ids=["subnormal-strike", "phase-overflow"])
 def test_payoff_surface_refuses_without_a_warning(mode, x, name):

@@ -155,22 +155,41 @@ def test_drift_estimate_validates_dt_and_sample_count():
         drift_estimate(v, p, 0.0, 0.0, 1e-3, 999, seed=0)
 
 
-def test_classify_examples():
-    def report(est, se):
-        return DriftReport(
-            x0=0.0, t=0.0, dt=1e-3, n_samples=1000,
-            estimated_drift_rate=est, standard_error=se,
-            analytic_drift_rate=0.0, z_score=0.0,
-            sign_convention=DiscountSign.PLUS,
-        )
+def _report(est, se):
+    return DriftReport(
+        x0=0.0, t=0.0, dt=1e-3, n_samples=1000,
+        estimated_drift_rate=est, standard_error=se,
+        analytic_drift_rate=0.0, z_score=0.0,
+        sign_convention=DiscountSign.PLUS,
+    )
 
-    assert classify(report(1e-4, 1e-3), 3.0).classification is DriftClass.CONSISTENT_WITH_MARTINGALE
-    assert classify(report(-1e-2, 1e-3), 3.0).classification is DriftClass.SUPERMARTINGALE_STRICT
-    assert classify(report(1e-2, 1e-3), 3.0).classification is DriftClass.VIOLATES_SUPERMARTINGALE
+
+def test_classify_examples():
+    assert classify(_report(1e-4, 1e-3), 3.0).classification is DriftClass.CONSISTENT_WITH_MARTINGALE
+    assert classify(_report(-1e-2, 1e-3), 3.0).classification is DriftClass.SUPERMARTINGALE_STRICT
+    assert classify(_report(1e-2, 1e-3), 3.0).classification is DriftClass.VIOLATES_SUPERMARTINGALE
     # Degenerate reports classify by sign of the deterministic estimate.
-    assert classify(report(0.0, 0.0), 3.0).classification is DriftClass.CONSISTENT_WITH_MARTINGALE
-    assert classify(report(-1.0, 0.0), 3.0).classification is DriftClass.SUPERMARTINGALE_STRICT
-    assert classify(report(1e-9, 0.0), 3.0).classification is DriftClass.VIOLATES_SUPERMARTINGALE
+    assert classify(_report(0.0, 0.0), 3.0).classification is DriftClass.CONSISTENT_WITH_MARTINGALE
+    assert classify(_report(-1.0, 0.0), 3.0).classification is DriftClass.SUPERMARTINGALE_STRICT
+    assert classify(_report(1e-9, 0.0), 3.0).classification is DriftClass.VIOLATES_SUPERMARTINGALE
+
+
+@pytest.mark.parametrize("sign, outside", [
+    (1.0, DriftClass.VIOLATES_SUPERMARTINGALE),
+    (-1.0, DriftClass.SUPERMARTINGALE_STRICT),
+], ids=["positive", "negative"])
+def test_classify_is_one_inequality_at_its_boundary(sign, outside):
+    # Consistent iff |est| <= z*SE: est = 3*SE is inside, the next float outward is not.
+    se = 1e-3
+    edge = sign * 3.0 * se
+    assert classify(_report(edge, se), 3.0).classification is DriftClass.CONSISTENT_WITH_MARTINGALE
+    beyond = math.nextafter(edge, sign * math.inf)
+    assert classify(_report(beyond, se), 3.0).classification is outside
+    # A standard error of 0: the smallest estimate lies outside, and its sign decides.
+    assert classify(_report(sign * 5e-324, 0.0), 3.0).classification is outside
+    # z*SE overflows: every finite estimate lies inside.
+    huge = _report(sign * 1.7976931348623157e308, 1e308)
+    assert classify(huge, 10.0).classification is DriftClass.CONSISTENT_WITH_MARTINGALE
 
 
 def test_classify_rejects_bad_threshold():
