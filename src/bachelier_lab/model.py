@@ -8,6 +8,7 @@ equals the risk-free rate r; that is the default here.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
@@ -24,6 +25,7 @@ _BLOCK = 1 << 13  # rows per substream; part of the determinism contract
 _TILE = 1 << 16  # floats a sampler worker holds at once; bounds memory, moves no value
 _ROWS_PER_STEP = 32  # tiles at least this many rows per step are folded column by column
 RNG_SCHEME = "philox4x64-block8192"  # recorded in CLI provenance; bump when sampled values move
+_PATH_VALUES = "path values x0 + mu*t + sigma*W(t) must be finite"
 
 
 @dataclass(frozen=True)
@@ -194,7 +196,113 @@ def _fold_steps(op, tile: np.ndarray, accumulate: bool = False) -> np.ndarray:
     return folded
 
 
-def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each) -> list:
+@functools.cache
+def _strata() -> np.ndarray:
+    """Tables of the stratified fill, in row order: rows ``lo, a, b, keep, near, top``.
+
+    Stratum j of 8192 is [e_j, e_{j+1}), with e_j = Phi^-1(j/8192) by AS241
+    (``statistics.NormalDist().inv_cdf``), e_0 = -inf and e_8192 = inf, so
+    each holds probability 1/8192. Column k belongs to stratum bitrev13(k),
+    and the columns are stored twice over, so that the rows of a block
+    shifted by c read the slice ``[:, c : c + 8192]``. Built once, in a few
+    ms, and 768 KB in all.
+
+    An inner stratum proposes x(u) = lo + u*(a + b*u), u in [0, 1): a
+    quadratic in u, bent to follow phi to first order, that ends 16 ulps
+    below e_{j+1}. Its density is 1/x'(u), so x is kept with probability
+    e^{f(u) - top}, f(u) = (near^2 - x^2)/2 + ln(x'(u)/a), near the edge
+    closer to 0. ``top`` and ``keep`` = e^{min f - top} bound f from above
+    and below: f at 17 points of u, widened by |f''|*h^2/8, h = 1/16, the
+    most f can pass them by in between, with |f''| <= x'^2 + 2|b|*|x| +
+    4b^2/x'^2. So v <= ``keep`` keeps x without an exponential; about 0.46
+    rows a block fail it. The end strata have a = b = 0 and keep -1, which
+    no v passes, and near e_1 or e_8191, where their tails start.
+    """
+    from statistics import NormalDist  # here, so that importing the package does not load it
+
+    inv_cdf = NormalDist().inv_cdf
+    edges = np.array([inv_cdf(j / _BLOCK) for j in range(1, _BLOCK)])
+    lo, hi = edges[:-1], edges[1:]  # the inner strata 1 .. 8190
+    width = hi - lo
+    b = width * np.clip(0.25 * (lo + hi) * width, -0.5, 0.5)
+    a = hi - 16.0 * np.abs(np.spacing(hi)) - lo - b
+    last = 1.0 - 2.0**-53
+    while (over := lo + last * (a + b * last) >= hi).any():
+        a[over] = np.nextafter(a[over], 0.0)
+    near = np.where(hi <= 0.0, hi, lo)
+    low, high = np.full_like(lo, np.inf), np.full_like(lo, -np.inf)
+    for u in np.linspace(0.0, 1.0, 17):  # one row at a time: a 17-row grid would raise peak memory
+        x = lo + u * (a + b * u)
+        f = 0.5 * (near * near - x * x) + np.log1p(2.0 * b * u / a)
+        np.minimum(low, f, out=low)
+        np.maximum(high, f, out=high)
+    slopes = (a, a + 2.0 * b)  # x'(u) at u = 0 and 1; it is linear in u
+    curve = (np.maximum(*slopes) ** 2 + 2.0 * np.abs(b) * np.maximum(-lo, hi)
+             + 4.0 * b * b / np.minimum(*slopes) ** 2)
+    rise = curve / (8.0 * 16**2) + 1e-12
+    top = high + rise
+    keep = np.exp(low - rise - top)
+    ends = ((0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (-1.0, -1.0), (edges[0], edges[-1]), (0.0, 0.0))
+    k = np.arange(_BLOCK)
+    bitrev = sum(((k >> bit) & 1) << (12 - bit) for bit in range(13))
+    return np.array([np.tile(np.concatenate(([first], table, [last]))[bitrev], 2)
+                     for table, (first, last) in zip((lo, a, b, keep, near, top), ends)])
+
+
+def _fill_strata(gen: np.random.Generator, z: np.ndarray, u: np.ndarray, affine: np.ndarray,
+                 base: float, scale: float) -> None:
+    """Fill ``z``, 8192 rows, with base + scale*x for one x ~ N(0, 1) in each stratum of ``_strata``.
+
+    One call draws the 2*8192 + 1 uniforms of ``u``. The last gives the
+    shift c = floor(8192*u), and row i takes stratum bitrev13((i + c) % 8192):
+    a short prefix of the rows is spread over all the strata, and every row
+    lands in each stratum with probability 1/8192. Row i takes x(u) from
+    ``u[i]`` unless v = ``u[8192 + i]`` exceeds ``keep``. The rows that do,
+    the two end rows and about 0.46 others a block, are decided in row
+    order: an inner row keeps x(u) if v < e^{f(u) - top}, an end row takes
+    Marsaglia's tail method (*Technometrics* 6, 1964), x = sqrt(near^2 -
+    2*ln(1 - u)) kept if v*x < |near|. The row's own u and v come first;
+    further pairs come from ``gen``, 64 uniforms at a time.
+
+    ``affine`` holds the rows lo, a and b of ``_strata`` times ``scale``, lo
+    plus ``base``, so that a row kept at once is (base + scale*lo) +
+    u*(scale*a + scale*b*u) with no pass of its own; a row decided later is
+    base + scale*x, and refused by name if that leaves the float range.
+    """
+    gen.random(out=u)
+    c = int(u[-1] * _BLOCK)
+    tables = _strata()
+    lo, a, b = affine[:, c : c + _BLOCK]
+    pairs = u[:-1].reshape(2, _BLOCK)
+    rows = np.flatnonzero(pairs[1] > tables[3, c : c + _BLOCK])
+    np.multiply(pairs[0], b, out=z)
+    z += a
+    z *= pairs[0]
+    z += lo
+    pool = []
+    for i, (lo_i, a_i, b_i, _, near, top), (u_i, v_i) in zip(
+            rows.tolist(), tables[:, rows + c].T.tolist(), pairs[:, rows].T.tolist()):
+        while True:
+            if a_i:
+                x = lo_i + u_i * (a_i + b_i * u_i)
+                f = 0.5 * (near * near - x * x) + math.log((a_i + 2.0 * b_i * u_i) / a_i)
+                if v_i < math.exp(f - top):
+                    break
+            else:
+                x = math.sqrt(near * near - 2.0 * math.log1p(-u_i))
+                if v_i * x < abs(near):
+                    x = math.copysign(x, near)
+                    break
+            if not pool:
+                pool = gen.random(64).tolist()
+            u_i, v_i = pool.pop(), pool.pop()
+        z[i] = x = base + scale * x
+        if not math.isfinite(x):
+            raise ValidationError(f"{_PATH_VALUES}, got {x!r}")
+
+
+def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each,
+                     stratified: bool = False) -> list:
     """Return ``[each(start, tile) for every tile]`` in row order.
 
     The one sampler of the package. ``tile`` holds the rows ``start ..
@@ -209,6 +317,15 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each) -> l
     possibly shorter; the tiles hold exactly the normals of a whole-block
     draw, and a worker holds one tile of at most 2^16 floats (512 KB) or
     one row, whichever is larger. Up to 8 steps a tile is the whole block.
+
+    With ``stratified``, for one step only, ``_fill_strata`` draws each
+    block instead, from the same generator: one Z in each of 8192
+    equal-probability strata, in the row order it documents. It writes
+    ``base + scale*Z`` itself, from tables scaled once per call, so the
+    rounding differs from the product and sum above; a table or a row past
+    the float range is refused by the same name. A tail block takes the
+    leading rows of a whole block's fill, so the prefix property holds, at
+    the cost of a whole block's draw.
 
     The blocks run on up to one thread per usable CPU, and on no more
     threads than ``n_rows / 8192`` rounded half up, worker ``k`` taking
@@ -229,6 +346,15 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each) -> l
     streams = SeedStreams(seed)
     n_blocks = -(-n_rows // _BLOCK)
     tile_rows = max(1, min(_BLOCK, _TILE // scale.size))
+    if stratified:  # the fill's tables, built and scaled before any worker starts
+        shift, spread = float(np.ravel(base)[0]), float(scale[0])
+        tables = _strata()
+        with np.errstate(over="raise", invalid="raise"):
+            try:
+                affine = np.array([shift + spread * tables[0], spread * tables[1],
+                                   spread * tables[2]])
+            except FloatingPointError as exc:
+                raise ValidationError(f"{_PATH_VALUES}: {exc}") from None
     # A short tail block is not worth the start and join of a thread.
     n_workers = min(_usable_cpus(), max(1, (n_rows + _BLOCK // 2) // _BLOCK))
     results = [()] * n_blocks  # per block, the results of its tiles or the exception it raised
@@ -238,7 +364,8 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each) -> l
         try:
             gen = streams.generator(0)
             state = gen.bit_generator.state  # substream 0 before any draw
-            buf = np.empty((min(tile_rows, n_rows), scale.size))
+            buf = np.empty((_BLOCK if stratified else min(tile_rows, n_rows), scale.size))
+            uniforms = np.empty(2 * _BLOCK + 1) if stratified else None
             for b in range(k, n_blocks, n_workers):
                 state["state"]["counter"] = np.array([0, 0, b, 0], dtype=np.uint64)
                 gen.bit_generator.state = state
@@ -246,16 +373,17 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each) -> l
                 tiles = []
                 for start in range(b * _BLOCK, end, tile_rows):
                     tile = buf[: min(tile_rows, end - start)]
-                    gen.standard_normal(out=tile)
-                    with np.errstate(over="raise", invalid="raise"):
-                        try:
-                            tile *= scale
-                            _fold_steps(np.add, tile, accumulate=True)
-                            tile += base
-                        except FloatingPointError as exc:
-                            raise ValidationError(
-                                f"path values x0 + mu*t + sigma*W(t) must be finite: {exc}"
-                            ) from None
+                    if stratified:
+                        _fill_strata(gen, buf[:, 0], uniforms, affine, shift, spread)
+                    else:
+                        gen.standard_normal(out=tile)
+                        with np.errstate(over="raise", invalid="raise"):
+                            try:
+                                tile *= scale
+                                _fold_steps(np.add, tile, accumulate=True)
+                                tile += base
+                            except FloatingPointError as exc:
+                                raise ValidationError(f"{_PATH_VALUES}: {exc}") from None
                     with np.errstate(over="ignore", invalid="ignore"):
                         tiles.append(each(start, tile))
                 results[b] = tiles

@@ -86,8 +86,9 @@ def characteristic_roots_full(r: float, sigma: float) -> CharacteristicRoots:
     The roots are -rho +/- w, or -rho +/- i*w, with rho = r/sigma^2 and
     w = sqrt(|disc|)/sigma^2, disc = r^2 - 2*sigma^2*r. Where both terms of
     disc lie below the smallest normal float, disc has lost its digits, and
-    w is formed as sqrt(|r|)/sigma * sqrt(|rho - 2|) instead, which does not
-    underflow. rho itself can underflow to 0, so the case is decided on r.
+    where either overflows, it is not a number; there w is formed as
+    sqrt(|r|)/sigma * sqrt(|rho - 2|) instead, which does neither. rho
+    itself can underflow to 0, so the case is decided on r.
     """
     check("sigma", sigma, "positive")
     check("r", r)
@@ -95,24 +96,25 @@ def characteristic_roots_full(r: float, sigma: float) -> CharacteristicRoots:
     sig2 = 2.0 * a
     if r == 0.0:
         return CharacteristicRoots(0j, 0j)
-    disc = check("discriminant r^2 - 2*sigma^2*r", r * r - 2.0 * sig2 * r)
-    underflow = max(r * r, 2.0 * sig2 * abs(r)) < np.finfo(float).tiny
+    scaled = not np.finfo(float).tiny <= max(r * r, 2.0 * sig2 * abs(r)) < math.inf
     rho = r / sig2
     # The repeated-root boundary r = 2*sigma^2 is a zero of the discriminant;
     # honor it within a few ulps of the computed value. The bound is scaled
     # term by term: r^2 + 2*sigma^2*|r| itself can overflow when disc does not.
-    ulps = 8.0 * np.finfo(float).eps
-    if not underflow and abs(disc) <= ulps * r * r + ulps * 2.0 * sig2 * abs(r):
-        return CharacteristicRoots(complex(-rho), complex(-rho))
-    w = (math.sqrt(abs(r)) / sigma * math.sqrt(abs(rho - 2.0)) if underflow
+    if not scaled:
+        disc = check("discriminant r^2 - 2*sigma^2*r", r * r - 2.0 * sig2 * r)
+        ulps = 8.0 * np.finfo(float).eps
+        if abs(disc) <= ulps * r * r + ulps * 2.0 * sig2 * abs(r):
+            return CharacteristicRoots(complex(-rho), complex(-rho))
+    w = (math.sqrt(abs(r)) / sigma * math.sqrt(abs(rho - 2.0)) if scaled
          else math.sqrt(abs(disc)) / sig2)
     if 0.0 < r < 2.0 * sig2:
         return CharacteristicRoots(complex(-rho, w), complex(-rho, -w))
     # Distinct real: evaluate the quadratic formula in its cancellation-free
-    # arrangement, then order by real part. Where disc underflows, the other
+    # arrangement, then order by real part. Where disc is not formed, the other
     # root is the product of the roots, 2*rho, over q; below |rho| = 2, where
     # rho can underflow, it is -rho + sign(r)*w, which does not cancel there.
-    if underflow:
+    if scaled:
         q = -(rho + math.copysign(w, r))
         pair = (q, 2.0 * rho / q if abs(rho) >= 2.0 else math.copysign(w, r) - rho)
     else:
@@ -182,47 +184,6 @@ class ExponentialSolution:
             if lam1.real != 0.0:
                 out = np.exp(lam1.real * x) * out
         return float(out) if out.ndim == 0 else out
-
-    def _mean_square(self, m: float, s: float) -> float:
-        """E[V(X)^2] for X ~ N(m, s^2) in closed form; inf or NaN where it leaves the float range.
-
-        Each case applies E[e^{kX}] = e^{k*m + k^2*s^2/2}, k complex, to V^2,
-        in an arrangement whose terms share one sign, except where P*Q > 0
-        below; there the subtracted term is at most half the first:
-
-        * repeated lam:  e^{2*lam*(m + lam*s^2)} * ((Re c1 + Re c2*(m + 2*lam*s^2))^2
-          + (Re c2*s)^2)
-        * distinct p, q:  (P + Q)^2 + 2*P*Q*(e^{-(p-q)^2*s^2/2} - 1) with
-          P = Re c1*e^{p*(m + p*s^2)} and Q = Re c2*e^{q*(m + q*s^2)}
-        * pair a +/- i*b:  e^{2*a*(m + a*s^2)} * ((C^2 + S^2)*(1 - e^{-u})/2 + e^{-u}*W^2)
-          with u = 2*b^2*s^2 and W = C*cos(b*m') + S*sin(b*m'), m' = m + 2*a*s^2
-
-        where C and S are the cosine and sine coefficients of ``__call__``. The
-        last is (|g|^2*e^{2*a*m + 2*a^2*s^2} + Re[g^2*e^{2*lam*m + 2*lam^2*s^2}])/2
-        for V = Re[g*e^{lam*x}], g = C - i*S and lam = a + i*b, with the
-        e^{-u} part of |g|^2 folded into W^2.
-        """
-        c1, c2, lam1 = self.coef1, self.coef2, self.roots.root1
-        s2 = s * s
-        with np.errstate(all="ignore"):
-            if self.roots.case is RootCase.REPEATED_REAL:
-                lam = lam1.real
-                level, slope = c1.real + c2.real * (m + 2.0 * lam * s2), c2.real * s
-                value = np.exp(2.0 * lam * (m + lam * s2)) * (level * level + slope * slope)
-            elif self.roots.case is RootCase.DISTINCT_REAL:
-                p, q = lam1.real, self.roots.root2.real
-                big_p = c1.real * np.exp(p * (m + p * s2))
-                big_q = c2.real * np.exp(q * (m + q * s2))
-                total, gap = big_p + big_q, (p - q) * s
-                value = total * total + 2.0 * big_p * big_q * np.expm1(-0.5 * gap * gap)
-            else:
-                a, b = lam1.real, lam1.imag
-                cos_coef, sin_coef = c1.real + c2.real, c2.imag - c1.imag
-                u, phase = 2.0 * b * b * s2, b * (m + 2.0 * a * s2)
-                wave = cos_coef * np.cos(phase) + sin_coef * np.sin(phase)
-                spread = -0.5 * (cos_coef * cos_coef + sin_coef * sin_coef) * np.expm1(-u)
-                value = np.exp(2.0 * a * (m + a * s2)) * (spread + np.exp(-u) * wave * wave)
-        return float(value)
 
 
 def general_solution(roots: CharacteristicRoots, coef1: complex, coef2: complex) -> ExponentialSolution:

@@ -81,6 +81,11 @@ def test_solve_full_form_where_the_discriminant_underflows(capsys):
     assert run(["solve", "--rate", "1e-300", "--sigma", "1e-150"]) == 0
     _, rows = _csv_rows(capsys.readouterr().out)
     assert rows[0] == ["complex_conjugate", "-1", "1", "-1", "-1"]
+    # Both terms overflow; this exited 2 with an inf - inf discriminant.
+    assert run(["solve", "--rate", "1.1540196901789048e+192",
+                "--sigma", "4.3501522650997584e+95"]) == 0
+    _, rows = _csv_rows(capsys.readouterr().out)
+    assert rows[0] == ["distinct_real", "-1.09903501195416", "0", "-11.0974390800588", "0"]
 
 
 def test_simulate_sigma_zero_csv(capsys):
@@ -164,7 +169,8 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
          "diffusion sigma^2/2"),
         (["solve", "--rate", "1e300", "--sigma", "1e-200"], "diffusion sigma^2/2"),
         (["solve", "--rate", "1", "--sigma", "1e-160"], "diffusion sigma^2/2"),
-        (["solve", "--rate", "1e300", "--sigma", "1"], "discriminant"),
+        # r^2 overflows, so the roots come from rho = r/sigma^2, which overflows too.
+        (["solve", "--rate", "1e300", "--sigma", "1e-5"], "characteristic roots"),
         # The ladder answered r_1 = 0.0 at sigma = 1e-170, and lost digits at 1e-160.
         (["spectrum", "--sigma", "1e-170", "--strike", "1", "--n-max", "2"],
          "diffusion sigma^2/2"),
@@ -178,7 +184,7 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
         (_HIT + ["--t", "1e300", "--grid-step", "1e-300"], "t/grid-step"),
         # 10^300 steps: a finite count, yet no array can hold the grid.
         (_HIT + ["--t", "1", "--grid-step", "1e-300"], "n_steps"),
-        # The sine form: the full form stops earlier, at its discriminant.
+        # The sine form, whose time weight e^{r*t} overflows.
         (["drift-check", "--form", "sine", "--rate", "1e300", "--sigma", "0.2", "--x0", "0.5",
           "--samples", "2000"], "time weight"),
         # An infinite threshold would certify any sample as a martingale.

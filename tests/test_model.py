@@ -224,6 +224,50 @@ def test_each_block_reads_its_substream_from_the_start():
             assert np.array_equal(block, np.cumsum(z, axis=1))
 
 
+def _stratified(seed, n):
+    return np.concatenate(_gaussian_blocks(seed, n, np.ones(1), 0.0,
+                                           lambda _, x: x[:, 0].copy(), stratified=True))
+
+
+def _stratum_edges():
+    from statistics import NormalDist
+    return np.array([NormalDist().inv_cdf(j / 8192) for j in range(1, 8192)])
+
+
+def test_a_stratified_block_holds_one_value_per_stratum_in_its_documented_row():
+    # Stratum j is [e_j, e_{j+1}), e_j = Phi^-1(j/8192). Row i of block b takes
+    # stratum bitrev13((i + c) % 8192), c = floor(8192*u) for the last of the
+    # 2*8192 + 1 uniforms that the block's generator draws first.
+    edges, k = _stratum_edges(), np.arange(8192)
+    bitrev = sum(((k >> bit) & 1) << (12 - bit) for bit in range(13))
+    for seed in range(20):
+        z = _stratified(seed, 3 * 8192 + 5)
+        for b in range(3):
+            strata = np.searchsorted(edges, z[8192 * b : 8192 * (b + 1)], side="right")
+            c = int(SeedStreams(seed).generator(b).random(2 * 8192 + 1)[-1] * 8192)
+            assert np.array_equal(strata, bitrev[(k + c) % 8192])
+
+
+@pytest.mark.parametrize("row", [0, 1, 4095, 8191])
+def test_each_stratified_row_is_standard_normal(row):
+    # Row 0 of 4,000 seeds: KS p = 0.40, mean -0.017, variance 0.997.
+    stats = pytest.importorskip("scipy.stats")
+    z = np.array([_stratified(seed, row + 1)[row] for seed in range(4000)])
+    assert stats.kstest(z, "norm").pvalue > 1e-3
+
+
+@pytest.mark.parametrize("workers", [1, 2, 6])
+def test_stratified_rows_keep_the_prefix_and_the_worker_bits(workers, monkeypatch):
+    # A 1000-row call is the prefix of a 3*8192 + 5-row call, bit for bit, on
+    # any worker count, and no RuntimeWarning is raised on any thread.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        long = _stratified(5, 3 * 8192 + 5)
+        monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
+        assert np.array_equal(_stratified(5, 3 * 8192 + 5), long)
+        assert np.array_equal(_stratified(5, 1000), long[:1000])
+
+
 @pytest.mark.parametrize("width", [1, 2, 8, 45, 46, 64, 1000])
 def test_tiles_hold_the_rows_of_a_whole_block_draw(width):
     # A worker draws a block as tiles of 2^16 // width rows (the whole block up

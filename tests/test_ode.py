@@ -81,9 +81,12 @@ def test_roots_reject_a_diffusion_or_root_outside_the_float_range():
             roots(1.0, 1e-170)
     with pytest.raises(ValidationError, match="diffusion sigma\\^2/2"):
         characteristic_roots_full(1.0, 1e-160)  # D = 5e-321 is subnormal: digits lost
-    # r*r overflows; the repeated-root test used to read inf <= inf.
-    with pytest.raises(ValidationError, match="discriminant"):
-        characteristic_roots_full(1e300, 1.0)
+    # r*r overflows, so the roots come from rho = r/sigma^2 = 1e300: -1 and
+    # -2e300 are floats. Where rho itself overflows, the roots are refused.
+    roots = characteristic_roots_full(1e300, 1.0)
+    assert (roots.root1, roots.root2) == pytest.approx((-1.0, -2e300), rel=1e-15)
+    with pytest.raises(ValidationError, match="characteristic roots"):
+        characteristic_roots_full(1e300, 1e-5)
 
 
 # The pair determines its case: a pair that is neither real nor a conjugate
@@ -128,6 +131,8 @@ def test_full_roots_near_the_float_range_are_classified():
 # Both terms of the discriminant r^2 - 2*sigma^2*r lie below the smallest normal
 # float. The first two printed a repeated root at exit 0; in the next two
 # rho = r/sigma^2 underflows to 0; rho = -1 is real; rho = 2 exactly is repeated.
+# In the last two both terms overflow, and the discriminant was inf - inf:
+# solve refused them at exit 2, although rho is 6.1 and 0.5.
 @pytest.mark.parametrize("r, sigma, case", [
     (1e-300, 1e-150, RootCase.COMPLEX_CONJUGATE),
     (9.809919665008833e-194, 5.471784533207608e-122, RootCase.DISTINCT_REAL),
@@ -135,8 +140,10 @@ def test_full_roots_near_the_float_range_are_classified():
     (-1e-320, 1e5, RootCase.DISTINCT_REAL),
     (-1e-300, 1e-150, RootCase.DISTINCT_REAL),
     (2.0**-679, 2.0**-340, RootCase.REPEATED_REAL),
+    (1.1540196901789048e+192, 4.3501522650997584e+95, RootCase.DISTINCT_REAL),
+    (1e200, 1e100, RootCase.COMPLEX_CONJUGATE),
 ], ids=["complex", "distinct-far-apart", "complex-rho-underflow", "distinct-rho-underflow",
-        "distinct-negative-rate", "repeated"])
+        "distinct-negative-rate", "repeated", "distinct-overflow", "complex-overflow"])
 def test_full_roots_where_the_discriminant_underflows(r, sigma, case):
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workprec(4000):  # enough bits that -r + sqrt(disc) does not cancel
@@ -256,46 +263,6 @@ def test_general_solution_rejects_non_finite_coefficients():
     roots = characteristic_roots_full(0.02, 0.2)
     with pytest.raises(ValidationError, match="coef"):
         general_solution(roots, math.nan, 0.0)
-
-
-def _mp_mean_square(v, m, s):
-    """E[V(X)^2], X ~ N(m, s^2), by mpmath quadrature of the complex-exponential form."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(30):
-        c1, c2, lam1, lam2 = (mpmath.mpc(z.real, z.imag)
-                              for z in (v.coef1, v.coef2, v.roots.root1, v.roots.root2))
-        if v.roots.case is RootCase.REPEATED_REAL:
-            value = lambda x: mpmath.re((c1 + c2 * x) * mpmath.exp(lam1 * x))
-        else:
-            value = lambda x: mpmath.re(c1 * mpmath.exp(lam1 * x) + c2 * mpmath.exp(lam2 * x))
-        return float(mpmath.quad(lambda x: value(x) ** 2 * mpmath.npdf(x, m, s),
-                                 [-mpmath.inf, m - 10 * s, m, m + 10 * s, mpmath.inf]))
-
-
-@pytest.mark.parametrize("v", [
-    general_solution(characteristic_roots_full(0.02, 0.2), 0.5, 0.5),
-    general_solution(characteristic_roots_full(0.02, 0.2), 0.3 - 0.4j, 0.1 + 0.2j),
-    sine_solution(1.0, quantized_rate(2, 0.2, 1.0), 0.2),
-    general_solution(characteristic_roots_full(0.08, 0.2), 0.5, 0.5),
-    general_solution(characteristic_roots_hedged(0.0, 0.2), 0.3, 0.2),
-    general_solution(characteristic_roots_full(-0.02, 0.2), 0.5, 0.5),
-    general_solution(characteristic_roots_full(-0.02, 0.2), 0.5, -0.5),
-], ids=["complex", "complex-complex-coefficients", "sine", "repeated", "repeated-at-zero",
-        "distinct", "distinct-opposite-signs"])
-@pytest.mark.parametrize("m, s", [(0.52, 0.2), (0.3, 0.9), (0.0, 1e-4)])
-def test_mean_square_matches_quadrature(v, m, s):
-    # At m = 0, s = 1e-4 two cases cancel in their textbook forms: the sine's
-    # E[V^2] is 3.9e-7, a difference of terms near 1/2 in (|g|^2*e^{...} +
-    # Re[g^2*e^{...}])/2, and e^{px} - e^{qx} leaves the cross term alone, as
-    # e^{-(p-q)^2*s^2/2} - 1 = -2.5e-8.
-    assert v._mean_square(m, s) == pytest.approx(_mp_mean_square(v, m, s), rel=1e-13, abs=0)
-
-
-def test_mean_square_outside_the_float_range_is_not_finite():
-    # e^{2*p*(m + p*s^2)} with p = 1.618 and s = 12 is e^{754}.
-    v = general_solution(characteristic_roots_full(-0.02, 0.2), 0.5, 0.5)
-    assert v._mean_square(0.5, 12.0) == math.inf
-    assert math.isfinite(v._mean_square(0.5, 11.0))
 
 
 # Dyadic roots make every product root*x exact, so the bound measures the

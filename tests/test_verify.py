@@ -14,6 +14,7 @@ from bachelier_lab import (
     NonFiniteSampleError,
     OdeForm,
     OdeProblem,
+    RootCase,
     ValidationError,
     analytic_drift,
     characteristic_roots_full,
@@ -287,18 +288,39 @@ def _mean_abs_sine(k, m, s):
     return 2 / math.pi - 4 / math.pi * math.fsum(terms)
 
 
-def test_integrability_control_variate_is_unbiased_for_the_sine_modes():
-    # 120 witnesses at 20,000 samples against the exact E|Y|: the Taylor control
-    # has a fixed coefficient and an exact mean, so the z-scores must look standard normal.
+def _mp_mean_abs(v, law, zeros, weight):
+    """E|V(X)|*weight by 30-digit mpmath quadrature, split at the zeros of V and at the mean."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        m, s = mpmath.mpf(law.mean), mpmath.mpf(law.std)
+        c1, c2 = mpmath.mpf(v.coef1.real), mpmath.mpf(v.coef2.real)
+        p, q = mpmath.mpf(v.roots.root1.real), mpmath.mpf(v.roots.root2.real)
+        if v.roots.case is RootCase.REPEATED_REAL:
+            f = lambda x: abs((c1 + c2 * x) * mpmath.exp(p * x))
+        else:
+            f = lambda x: abs(c1 * mpmath.exp(p * x) + c2 * mpmath.exp(q * x))
+        cuts = sorted([-mpmath.inf, m, mpmath.inf] + [mpmath.mpf(z) for z in zeros])
+        return float(mpmath.quad(lambda x: f(x) * mpmath.npdf(x, m, s), cuts)) * weight
+
+
+def test_integrability_is_calibrated_from_32_full_blocks():
+    # 100 witnesses each at 32*8192 samples, the fewest whose standard error
+    # comes from the spread of block means, against the exact E|Y|: the sine
+    # mode n = 3 by its Fourier series, the repeated form (zero at x = -1) and
+    # the distinct form (no zero) by quadrature. z over 300 witnesses must
+    # look standard normal.
     z = []
-    for n in (1, 2, 3):
-        r = quantized_rate(n, 0.2, 1.0)
-        v = sine_solution(1.0, r, 0.2)
-        p = ModelParams(x0=0.5, r=r, sigma=0.2)
-        law = exact_marginal(p, 1.0)
-        exact = math.exp(r) * _mean_abs_sine(v.wavenumber, law.mean, law.std)
-        for seed in range(40):
-            witness = integrability_check(v, p, 1.0, 20_000, seed)
+    r = quantized_rate(3, 0.2, 1.0)
+    v, p = sine_solution(1.0, r, 0.2), ModelParams(x0=0.5, r=r, sigma=0.2)
+    law = exact_marginal(p, 1.0)
+    cases = [(v, p, math.exp(r) * _mean_abs_sine(v.wavenumber, law.mean, law.std))]
+    for name, zeros in (("repeated", [-1.0]), ("distinct", [])):
+        r, sigma = FULL_CASES[name]
+        v, p = _full_solution(r, sigma), ModelParams(x0=0.5, r=r, sigma=sigma)
+        cases.append((v, p, _mp_mean_abs(v, exact_marginal(p, 1.0), zeros, math.exp(r))))
+    for v, p, exact in cases:
+        for seed in range(100):
+            witness = integrability_check(v, p, 1.0, 32 * 8192, seed)
             z.append((witness.mean_abs - exact) / witness.standard_error)
     assert abs(np.mean(z)) <= 0.3
     assert 0.8 <= np.std(z, ddof=1) <= 1.2
@@ -306,15 +328,18 @@ def test_integrability_control_variate_is_unbiased_for_the_sine_modes():
 
 @pytest.mark.parametrize("name", sorted(FULL_CASES))
 def test_integrability_control_variate_agrees_with_the_plain_mean(name):
-    # Independent seeds, so the two standard errors add in quadrature.
+    # The stratified witness against the mean of |Y| over independent normals,
+    # drawn by _sample_mean without the stratified fill. Independent seeds, so
+    # the two standard errors add in quadrature.
     r, sigma = FULL_CASES[name]
     v = _full_solution(r, sigma)
     p = ModelParams(x0=0.5, r=r, sigma=sigma)
-    controlled = integrability_check(v, p, 1.0, 1_000_000, seed=31)
-    plain = integrability_check(lambda x: v(x), p, 1.0, 1_000_000, seed=32)
-    assert controlled.standard_error ** 2 < plain.standard_error ** 2 / 20
-    gap = controlled.mean_abs - plain.mean_abs
-    assert abs(gap) <= 4 * math.hypot(controlled.standard_error, plain.standard_error)
+    stratified = integrability_check(v, p, 1.0, 1_000_000, seed=31)
+    plain = verify._sample_mean(lambda x: np.abs(v(x) * math.exp(r)), exact_marginal(p, 1.0),
+                                1_000_000, seed=32)
+    assert stratified.standard_error ** 2 < plain[1] ** 2 / 20
+    gap = stratified.mean_abs - plain[0]
+    assert abs(gap) <= 4 * math.hypot(stratified.standard_error, plain[1])
 
 
 def test_integrability_control_variate_does_not_depend_on_the_worker_count(monkeypatch):
@@ -328,32 +353,31 @@ def test_integrability_control_variate_does_not_depend_on_the_worker_count(monke
 
 
 def test_integrability_of_a_plain_callable_keeps_its_bits():
-    # Frozen from the plain estimator before the control variate existed.
+    # Frozen from the stratified witness when it replaced the plain mean of independent draws.
     v = sine_solution(1.5, R1, 0.2)
     witness = integrability_check(lambda x: v(x), ModelParams(x0=0.1, r=R1, sigma=0.2), 0.4,
                                   3 * 8192 + 5, 13)
-    assert (witness.mean_abs, witness.standard_error) == (0.8434572753922874,
-                                                          0.0027858311683144252)
+    assert (witness.mean_abs, witness.standard_error) == (0.8443446739535477,
+                                                          0.002778982171907838)
     full = _full_solution(*FULL_CASES["complex"])
     witness = integrability_check(lambda x: full(x), ModelParams(x0=0.5, r=0.02, sigma=0.2), 1.0,
                                   100_000, 3)
-    assert (witness.mean_abs, witness.standard_error) == (0.7065999630832608,
-                                                          0.00040328580771292245)
+    assert (witness.mean_abs, witness.standard_error) == (0.7069271602450122,
+                                                          0.00040265343343425154)
 
 
 def test_integrability_falls_back_to_the_plain_mean_where_the_control_mean_overflows():
-    # E[V^2] holds e^{2*p*(m + p*s^2)} = e^{754} for p = 1.618 and s = 12, while
-    # the samples stay near e^{80}: the witness is the plain one, bit for bit.
+    # Every profile takes the same stratified mean, so a closed form and a plain
+    # callable give the same witness, bit for bit. E[V^2] is e^{754} here, for
+    # p = 1.618 and s = 12, while the samples stay near e^{80}.
     v = _full_solution(*FULL_CASES["distinct"])
     p = ModelParams(x0=0.5, r=-0.02, sigma=12.0)
-    assert v._mean_square(exact_marginal(p, 1.0).mean, 12.0) == math.inf
     witness = integrability_check(v, p, 1.0, 5_000, seed=2)
     assert witness == integrability_check(lambda x: v(x), p, 1.0, 5_000, seed=2)
-    # A light-tailed sine at its crest: E[V^2] = 4e308 overflows, while the
-    # samples lie within 1e-5 of one another, so the plain witness is finite.
+    # A sine at its crest: E[V^2] = 4e308 overflows, while the samples lie
+    # within 1e-5 of one another, so the witness is finite.
     v = sine_solution(2e154, R1, 0.2)
     p = ModelParams(x0=0.5 - R1 * 1e-4, r=R1, sigma=0.2)
-    assert v._mean_square(0.5, 0.002) == math.inf
     witness = integrability_check(v, p, 1e-4, 5_000, seed=2)
     plain = integrability_check(lambda x: v(x), p, 1e-4, 5_000, seed=2)
     assert (witness.mean_abs, witness.standard_error) == (plain.mean_abs, plain.standard_error)
@@ -361,8 +385,7 @@ def test_integrability_falls_back_to_the_plain_mean_where_the_control_mean_overf
 
 def test_integrability_takes_the_plain_mean_where_the_root_is_not_a_normal_float():
     # sqrt(E[Y^2]) is 2.1e-309 here, subnormal: an amplitude of 1e-150 times a
-    # weight e^{-r*t} of 3e-159. Dividing by it would lose bits. A zero profile
-    # has a root of 0. Both take the plain mean.
+    # weight e^{-r*t} of 3e-159. A zero profile has a witness of exactly 0.
     v = sine_solution(1e-150, R1, 0.2)
     p = ModelParams(x0=0.5, r=R1, sigma=0.2)
     t = 365.0 / R1
@@ -377,11 +400,10 @@ def test_integrability_takes_the_plain_mean_where_the_root_is_not_a_normal_float
 @pytest.mark.parametrize("name, sigma", [("distinct", 0.5), ("distinct", 2.0), ("distinct", 8.0),
                                          ("distinct", 10.0), ("complex", 1.0), ("repeated", 0.25)])
 def test_integrability_of_a_heavy_tailed_closed_form_is_the_plain_one(name, sigma):
-    # With a the largest |Re| of the roots, a*s is 0.81 to 16.2 here, past the
-    # light-tail bound sqrt(ln(2)/4) = 0.42. The Taylor control's variance then
-    # rests on samples too rare to draw: with the bound lifted, at sigma = 2 and
-    # 100,000 samples, 6 seeds read 15,814 on average against the exact E|Y| of
-    # 201. At sigma = 8 to 10, E[Y^2] is 1e144 to 1e226, far above every sample's Y^2.
+    # With a the largest |Re| of the roots, a*s is 0.81 to 16.2 here. The retired
+    # Taylor control took the plain mean past a*s = 0.42, since its variance
+    # rested on samples too rare to draw; the stratified mean serves every
+    # profile, so a heavy-tailed closed form gets the callable's witness.
     r = FULL_CASES[name][0]
     v = _full_solution(r, 0.2)
     p = ModelParams(x0=0.5, r=r, sigma=sigma)
@@ -390,9 +412,10 @@ def test_integrability_of_a_heavy_tailed_closed_form_is_the_plain_one(name, sigm
 
 
 def test_integrability_control_variate_is_unbiased_at_the_light_tail_bound():
-    # a*s = 0.4, just inside the bound: the repeated root of drift_lab and the
-    # distinct pair at s = 0.4/1.618. Both profiles are positive (the repeated
-    # one changes sign 7.5 s below the mean), so E|V| = E V in closed form.
+    # a*s = 0.4, where the retired Taylor control stopped: the repeated root of
+    # drift_lab and the distinct pair at s = 0.4/1.618. Both profiles are positive
+    # (the repeated one changes sign 7.5 s below the mean), so E|V| = E V in
+    # closed form. 32*8192 samples: the standard error comes from block means.
     z = []
     for name, sigma in (("repeated", 0.2), ("distinct", 0.4 / 1.618033988749895)):
         r = FULL_CASES[name][0]
@@ -408,7 +431,7 @@ def test_integrability_control_variate_is_unbiased_at_the_light_tail_bound():
                               for k in (v.roots.root1.real, v.roots.root2.real))
         exact *= math.exp(r)
         for seed in range(40):
-            witness = integrability_check(v, p, 1.0, 20_000, seed)
+            witness = integrability_check(v, p, 1.0, 32 * 8192, seed)
             z.append((witness.mean_abs - exact) / witness.standard_error)
     assert abs(np.mean(z)) <= 0.3
     assert 0.8 <= np.std(z, ddof=1) <= 1.2
@@ -422,9 +445,9 @@ class _NanAboveOneAndAHalf(ExponentialSolution):
 @pytest.mark.parametrize("workers", [1, 3])
 def test_integrability_names_a_non_finite_closed_form_sample_as_the_plain_path_does(
         workers, monkeypatch):
-    # A block is scanned only when its mean is not finite; the control path must
-    # give the message the plain path gives for the same profile. The first NaN,
-    # at index 22628, is in block 2, which worker 2 of 3 draws.
+    # A block is scanned only when its mean is not finite; the closed form must
+    # give the message the plain callable gives for the same profile. The first
+    # NaN is at index 3538, in block 0, which the caller draws.
     monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
     full = _full_solution(*FULL_CASES["complex"])
     v = _NanAboveOneAndAHalf(full.roots, full.coef1, full.coef2)
@@ -432,7 +455,7 @@ def test_integrability_names_a_non_finite_closed_form_sample_as_the_plain_path_d
     messages = []
     for profile in (v, lambda x: v(x)):
         with pytest.raises(NonFiniteSampleError,
-                           match="index 22628: nan at X = ") as caught:
+                           match="index 3538: nan at X = ") as caught:
             integrability_check(profile, p, 1.0, 4 * 8192, seed=6)
         messages.append(str(caught.value))
     assert messages[0] == messages[1]
@@ -443,9 +466,9 @@ def test_integrability_names_a_non_finite_closed_form_sample_as_the_plain_path_d
 @pytest.mark.parametrize("k", [332, -300])
 def test_integrability_control_scales_with_the_profile_by_a_power_of_two(k, form, workers,
                                                                          monkeypatch):
-    # Every operation of the Taylor column, E[V^2] included, scales exactly by a power
-    # of two. At 2^332 the squares of |Y| would be 1e200 and their squared deviations
-    # would overflow; at 2^-300 they would underflow. Neither is ever formed.
+    # Every operation of the stratified mean scales exactly by a power of two, the
+    # squared deviations of |Y| included: at 2^332 they are near 1e200, at 2^-300
+    # near 1e-181, both normal floats.
     monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
 
     def witness(scale):
@@ -463,26 +486,25 @@ def test_integrability_control_scales_with_the_profile_by_a_power_of_two(k, form
 
 
 def test_integrability_control_is_unbiased_at_the_minimum_sample_count():
-    # The repeated root with c1 = 0.05: a*s = 0.4, inside the light-tail bound,
-    # and V changes sign at x = -0.05, 3.15 s below the mean. A coefficient fitted
-    # on the same samples has an O(1/n) bias here of +4.8 standard errors of the
-    # mean of 4,000 estimates; the fixed one has none.
-    mpmath = pytest.importorskip("mpmath")
+    # The repeated root with c1 = 0.05, whose V changes sign at x = -0.05, 3.15 s
+    # below the mean: a skewed |Y|. At 1000 samples, one partial block, the
+    # stratified mean is unbiased and its standard error, the independent
+    # formula, overstates the spread: z had SD 1.21 and |z| up to 7.9 under the
+    # Taylor control, and an SD near 0.1 here.
     v = _full_solution(0.08, 0.2, 0.05, 1.0)
     p = ModelParams(x0=0.5, r=0.08, sigma=0.2)
-    law = exact_marginal(p, 1.0)
-    lam = v.roots.root1.real
-    with mpmath.workdps(30):
-        m, s = mpmath.mpf(law.mean), mpmath.mpf(law.std)
-        integrand = lambda x: abs((0.05 + x) * mpmath.exp(lam * x)) * mpmath.npdf(x, m, s)
-        exact = mpmath.quad(integrand, [-mpmath.inf, -0.05, m, mpmath.inf]) * mpmath.exp(0.08)
-    estimates = [integrability_check(v, p, 1.0, 1000, seed).mean_abs for seed in range(4000)]
-    assert abs(np.mean(estimates) - float(exact)) <= 3 * np.std(estimates, ddof=1) / math.sqrt(4000)
+    exact = _mp_mean_abs(v, exact_marginal(p, 1.0), [-0.05], math.exp(0.08))
+    witnesses = [integrability_check(v, p, 1.0, 1000, seed) for seed in range(4000)]
+    estimates = np.array([w.mean_abs for w in witnesses])
+    z = (estimates - exact) / np.array([w.standard_error for w in witnesses])
+    assert abs(estimates.mean() - exact) <= 3 * estimates.std(ddof=1) / math.sqrt(4000)
+    assert np.std(z, ddof=1) <= 1.2
+    assert np.mean(np.abs(z) > 3) <= 0.01
 
 
 @pytest.mark.parametrize("case", ["control", "overflow", "non-finite"])
 def test_integrability_draws_its_samples_once(case, monkeypatch):
-    # The control takes the blocks of one draw, also for a profile of 1e100,
+    # The witness takes the blocks of one draw, also for a profile of 1e100,
     # whose Y^2 would leave the float range. A non-finite sample is located in
     # the tile that drew it, not by drawing again.
     calls = []
@@ -500,7 +522,7 @@ def test_integrability_draws_its_samples_once(case, monkeypatch):
         "non-finite": (_inf_above_four, ModelParams(x0=0.0, r=0.0, sigma=1.0)),
     }[case]
     if case == "non-finite":
-        with pytest.raises(NonFiniteSampleError, match="index 111598: "):
+        with pytest.raises(NonFiniteSampleError, match="index 17667: "):
             integrability_check(v, p, 1.0, 200_000, seed=7)
     else:
         integrability_check(v, p, 1.0, 3 * 8192, seed=2)
@@ -598,13 +620,14 @@ def _inf_above_four(x):
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
 def test_integrability_reports_the_lowest_failing_block(workers, monkeypatch):
-    # Samples above 4.0 first occur at index 111598, in block 13, which runs on
-    # a worker thread whenever there is more than one; later blocks fail too.
+    # Samples above 4.0 first occur at index 17667, in block 2, which runs on a
+    # worker thread with 3 and 5 workers and on the caller with 2, after its
+    # clean block 0; later blocks fail too.
     monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
     p = ModelParams(x0=0.0, r=0.0, sigma=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteSampleError, match="index 111598: "):
+        with pytest.raises(NonFiniteSampleError, match="index 17667: "):
             integrability_check(_inf_above_four, p, 1.0, 200_000, seed=7)
 
 
@@ -622,7 +645,7 @@ def test_drift_estimate_overflow_on_a_worker_thread_emits_no_warning(monkeypatch
 @pytest.mark.parametrize("n", [1000, 8192, 8193, 3 * 8192 + 5])
 def test_pooled_block_moments_match_the_whole_array(n):
     a = np.random.default_rng(n).normal(3.0, 2.0, n)
-    mean, se = _pooled([_block_moments(a[i : i + 8192].copy()) for i in range(0, n, 8192)])
+    mean, se, _ = _pooled([_block_moments(a[i : i + 8192].copy()) for i in range(0, n, 8192)])
     want_se = a.std(ddof=1) / math.sqrt(n)
     assert abs(mean - a.mean()) <= 1e-10 * want_se
     assert abs(se - want_se) <= 1e-10 * want_se
@@ -631,39 +654,39 @@ def test_pooled_block_moments_match_the_whole_array(n):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_estimators_match_the_moments_of_their_own_samples(workers, monkeypatch):
     # The samples are drawn again through the sampler with a copying callback
-    # and reduced by numpy over the whole array. A lambda gets the plain
-    # integrability mean; the closed form itself gets the Taylor control
-    # |Y| - (Y^2 - E[Y^2])/(2*sqrt(E[Y^2])), with the exact E[Y^2].
+    # and reduced by numpy over the whole array: the drift estimate from normal
+    # draws, the witness from the stratified fill. Below 32 full blocks the
+    # witness's standard error is the independent formula; from 32 up it is the
+    # spread of the full-block means, the tail block counted by its rows.
     monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
     v = sine_solution(1.5, R1, 0.2)
     p = ModelParams(x0=0.1, r=R1, sigma=0.2)
     x0, t, dt, n, seed = 0.3, 0.4, 1e-3, 3 * 8192 + 5, 13
 
-    def drawn(scale, base):
-        blocks = _gaussian_blocks(seed, n, np.array([scale]), base, lambda _, x: x[:, 0].copy())
+    def drawn(scale, base, n, stratified=False):
+        blocks = _gaussian_blocks(seed, n, np.array([scale]), base,
+                                  lambda _, x: x[:, 0].copy(), stratified)
         return np.concatenate(blocks)
 
-    x = drawn(0.2 * math.sqrt(dt), x0 + R1 * dt)
+    x = drawn(0.2 * math.sqrt(dt), x0 + R1 * dt, n)
     rates = (v(x) * math.exp(R1 * (t + dt)) - float(v(x0)) * math.exp(R1 * t)) / dt
     report = drift_estimate(v, p, x0, t, dt, n, seed)
     law = exact_marginal(p, t)
-    witness = integrability_check(lambda x: v(x), p, t, n, seed)
-    absolute = np.abs(v(drawn(law.std, law.mean)) * math.exp(R1 * t))
+    witness = integrability_check(v, p, t, n, seed)
+    absolute = np.abs(v(drawn(law.std, law.mean, n, True)) * math.exp(R1 * t))
     for got, samples in [((report.estimated_drift_rate, report.standard_error), rates),
                          ((witness.mean_abs, witness.standard_error), absolute)]:
         want_se = samples.std(ddof=1) / math.sqrt(n)
         assert abs(got[0] - samples.mean()) <= 1e-10 * want_se
         assert abs(got[1] - want_se) <= 1e-10 * want_se
 
-    # E[sin(kX)^2] = (1 - cos(2km)e^{-2k^2s^2})/2, written out independently of ode.
-    k = v.wavenumber
-    root = math.sqrt((1.5 * math.exp(R1 * t)) ** 2 * 0.5 * (
-        1.0 - math.cos(2 * k * law.mean) * math.exp(-2 * k * k * law.variance)))
-    taylor = absolute - (absolute * absolute - root * root) / (2 * root)
-    want, want_se = taylor.mean(), taylor.std(ddof=1) / math.sqrt(n)
-    controlled = integrability_check(v, p, t, n, seed)
-    assert abs(controlled.mean_abs - want) <= 1e-10 * want_se
-    assert abs(controlled.standard_error - want_se) <= 1e-10 * want_se
+    n = 32 * 8192 + 5
+    witness = integrability_check(v, p, t, n, seed)
+    absolute = np.abs(v(drawn(law.std, law.mean, n, True)) * math.exp(R1 * t))
+    means = absolute[: 32 * 8192].reshape(32, 8192).mean(axis=1)
+    want_se = math.sqrt(8192 * means.var(ddof=1) / n)
+    assert abs(witness.mean_abs - absolute.mean()) <= 1e-10 * want_se
+    assert abs(witness.standard_error - want_se) <= 1e-10 * want_se
 
 
 @pytest.mark.parametrize("workers", [1, 2])
