@@ -502,6 +502,50 @@ def test_integrability_control_is_unbiased_at_the_minimum_sample_count():
     assert np.mean(np.abs(z) > 3) <= 0.01
 
 
+def _mp_mean_abs_form(v, m, s):
+    """E|V(X)|, X ~ N(m, s^2), for any closed form: 20-digit mpmath quadrature of
+    the complex-exponential form, split at the mean and at the zeros of V within
+    12 s of it, each bracketed on a float grid and refined by mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(20):
+        c1, c2, lam1, lam2 = (mpmath.mpc(z.real, z.imag)
+                              for z in (v.coef1, v.coef2, v.roots.root1, v.roots.root2))
+        if v.roots.case is RootCase.REPEATED_REAL:
+            value = lambda x: mpmath.re((c1 + c2 * x) * mpmath.exp(lam1 * x))
+        else:
+            value = lambda x: mpmath.re(c1 * mpmath.exp(lam1 * x) + c2 * mpmath.exp(lam2 * x))
+        grid = np.linspace(m - 12 * s, m + 12 * s, 24_001)
+        sign = np.sign(v(grid))
+        cuts = [mpmath.findroot(value, (grid[i], grid[i + 1]), solver="anderson")
+                for i in np.flatnonzero(sign[:-1] * sign[1:] < 0)]
+        cuts = sorted([-mpmath.inf, mpmath.mpf(m), mpmath.inf] + cuts)
+        return float(mpmath.quad(lambda x: abs(value(x)) * mpmath.npdf(x, m, s), cuts))
+
+
+@pytest.mark.parametrize("v", [
+    general_solution(characteristic_roots_full(0.02, 0.2), 0.5, 0.5),
+    general_solution(characteristic_roots_full(0.02, 0.2), 0.3 - 0.4j, 0.1 + 0.2j),
+    sine_solution(1.0, quantized_rate(2, 0.2, 1.0), 0.2),
+    general_solution(characteristic_roots_full(0.08, 0.2), 0.5, 0.5),
+    general_solution(characteristic_roots_hedged(0.0, 0.2), 0.3, 0.2),
+    general_solution(characteristic_roots_full(-0.02, 0.2), 0.5, 0.5),
+    general_solution(characteristic_roots_full(-0.02, 0.2), 0.5, -0.5),
+], ids=["complex", "complex-complex-coefficients", "sine", "repeated", "repeated-at-zero",
+        "distinct", "distinct-opposite-signs"])
+@pytest.mark.parametrize("m, s", [(0.52, 0.2), (0.3, 0.9), (0.0, 1e-4)])
+def test_integrability_matches_quadrature(v, m, s):
+    # Every closed form, at the laws where the retired Taylor control's E[V^2]
+    # was pinned to quadrature: r = 0 and t = 1 make the witness E|V(X)| with
+    # X ~ N(m, s^2). 32*8192 samples, so the standard error comes from block
+    # means. At m = 0, s = 1e-4 the sine and the opposite-sign pair cross zero
+    # at the mean, and |V| is a folded line there. The widest standard error,
+    # 0.8% of E|V|, is the repeated form's at s = 0.9, where a*s = 1.8.
+    witness = integrability_check(v, ModelParams(x0=m, r=0.0, sigma=s), 1.0, 32 * 8192, seed=5)
+    exact = _mp_mean_abs_form(v, m, s)
+    assert abs(witness.mean_abs - exact) <= 4 * witness.standard_error
+    assert 0.0 < witness.standard_error <= 1e-2 * exact
+
+
 @pytest.mark.parametrize("case", ["control", "overflow", "non-finite"])
 def test_integrability_draws_its_samples_once(case, monkeypatch):
     # The witness takes the blocks of one draw, also for a profile of 1e100,
