@@ -165,17 +165,11 @@ def _cmd_spectrum(args) -> _Report:
 
 
 def _cmd_solve(args) -> _Report:
-    if args.hedged:
-        roots = characteristic_roots_hedged(args.rate, args.sigma)
-    else:
-        roots = characteristic_roots_full(args.rate, args.sigma)
-    return _Report.of([{
-        "case": roots.case.value,
-        "root1_re": roots.root1.real,
-        "root1_im": roots.root1.imag,
-        "root2_re": roots.root2.real,
-        "root2_im": roots.root2.imag,
-    }])
+    solve = characteristic_roots_hedged if args.hedged else characteristic_roots_full
+    roots = solve(args.rate, args.sigma)
+    return _Report.of([{"case": roots.case.value,
+                        "root1_re": roots.root1.real, "root1_im": roots.root1.imag,
+                        "root2_re": roots.root2.real, "root2_im": roots.root2.imag}])
 
 
 def _cmd_normalize(args) -> _Report:

@@ -7,8 +7,11 @@ Both payoff ODEs of this lab set the Ito drift r*V + mu*V' + (sigma^2/2)*V'' of 
 
 The hedged form drops the first-derivative term, which is delta hedging
 expressed as an equation choice rather than a trading strategy. Both have
-exponential/oscillatory closed forms through their characteristic roots;
-candidate solutions are checked numerically via central-difference residuals.
+exponential/oscillatory closed forms through their characteristic roots.
+One solver, ``_roots``, finds the roots of D*lam^2 + mu*lam + q = 0 with
+D = sigma^2/2: its (mu, q) = (r, r) and (0, r) cases are the full and hedged
+forms. A root past the float range is refused by its value. Candidate
+solutions are checked numerically via central-difference residuals.
 """
 
 from __future__ import annotations
@@ -76,66 +79,74 @@ class CharacteristicRoots:
         return RootCase.REPEATED_REAL if self.root1 == self.root2 else RootCase.DISTINCT_REAL
 
 
-def characteristic_roots_full(r: float, sigma: float) -> CharacteristicRoots:
-    """Roots of (sigma^2/2)*lam^2 + r*lam + r = 0.
+def _roots(mu: float, q: float, sigma: float) -> CharacteristicRoots:
+    """Roots of D*lam^2 + mu*lam + q = 0 with D = sigma^2/2: the one characteristic-root solver.
 
-    Case boundaries in the (r, sigma) plane: complex conjugates for
-    0 < r < 2*sigma^2, a repeated real root at r = 0 and r = 2*sigma^2,
-    distinct real roots otherwise.
-
-    The roots are -rho +/- w, or -rho +/- i*w, with rho = r/sigma^2 and
-    w = sqrt(|disc|)/sigma^2, disc = r^2 - 2*sigma^2*r. Where both terms of
-    disc lie below the smallest normal float, disc has lost its digits, and
+    mu and q are finite, with q = 0 only where mu = 0, as in the full, hedged
+    and discounted forms; sigma is checked by the caller. The roots are
+    -beta +/- w, or -beta +/- i*w, with beta = mu/sigma^2 and
+    w = sqrt(|disc|)/sigma^2, disc = mu^2 - 2*sigma^2*q; they are complex iff
+    q > 0 and t < 2, with t = beta*(mu/q) = mu^2/(sigma^2*q). Where both terms
+    of disc lie below the smallest normal float, disc has lost its digits, and
     where either overflows, it is not a number; there w is formed as
-    sqrt(|r|)/sigma * sqrt(|rho - 2|) instead, which does neither. rho
-    itself can underflow to 0, so the case is decided on r.
+    sqrt(|q|)/sigma * sqrt(|t - 2|) instead, which does neither. beta itself
+    can underflow to 0, so the case is decided on q and t. mu = 0 < q gives
+    +/- i*sqrt(q/D), refused as ``wavenumber sqrt(r/D)`` where it underflows
+    to 0 or overflows; any other root past the float range is refused by its
+    value.
     """
-    check("sigma", sigma, "positive")
-    check("r", r)
-    a = _diffusion(sigma)
-    sig2 = 2.0 * a
-    if r == 0.0:
+    d = _diffusion(sigma)
+    sig2 = 2.0 * d
+    if mu == 0.0 < q:
+        w = check("wavenumber sqrt(r/D)", math.sqrt(q / d), "positive")
+        return CharacteristicRoots(complex(0.0, w), complex(0.0, -w))
+    if q == 0.0:  # the zero rate: D*lam^2 = 0
         return CharacteristicRoots(0j, 0j)
-    scaled = not np.finfo(float).tiny <= max(r * r, 2.0 * sig2 * abs(r)) < math.inf
-    rho = r / sig2
-    # The repeated-root boundary r = 2*sigma^2 is a zero of the discriminant;
-    # honor it within a few ulps of the computed value. The bound is scaled
-    # term by term: r^2 + 2*sigma^2*|r| itself can overflow when disc does not.
+    scaled = not np.finfo(float).tiny <= max(mu * mu, 2.0 * sig2 * abs(q)) < math.inf
+    beta = mu / sig2
+    # The repeated-root boundary t = 2 is a zero of the discriminant; honor it
+    # within a few ulps of the computed value. The bound is scaled term by term:
+    # mu^2 + 2*sigma^2*|q| itself can overflow when disc does not. disc is named
+    # in the full form's terms, mu = q = r; the hedged form never forms it.
     if not scaled:
-        disc = check("discriminant r^2 - 2*sigma^2*r", r * r - 2.0 * sig2 * r)
+        disc = check("discriminant r^2 - 2*sigma^2*r", mu * mu - 2.0 * sig2 * q)
         ulps = 8.0 * np.finfo(float).eps
-        if abs(disc) <= ulps * r * r + ulps * 2.0 * sig2 * abs(r):
-            return CharacteristicRoots(complex(-rho), complex(-rho))
-    w = (math.sqrt(abs(r)) / sigma * math.sqrt(abs(rho - 2.0)) if scaled
+        if abs(disc) <= ulps * mu * mu + ulps * 2.0 * sig2 * abs(q):
+            return CharacteristicRoots(complex(-beta), complex(-beta))
+    t = beta * (mu / q)
+    w = (math.sqrt(abs(q)) / sigma * math.sqrt(abs(t - 2.0)) if scaled
          else math.sqrt(abs(disc)) / sig2)
-    if 0.0 < r < 2.0 * sig2:
-        return CharacteristicRoots(complex(-rho, w), complex(-rho, -w))
-    # Distinct real: evaluate the quadratic formula in its cancellation-free
-    # arrangement, then order by real part. Where disc is not formed, the other
-    # root is the product of the roots, 2*rho, over q; below |rho| = 2, where
-    # rho can underflow, it is -rho + sign(r)*w, which does not cancel there.
+    if q > 0.0 and t < 2.0:
+        return CharacteristicRoots(complex(-beta, w), complex(-beta, -w))
+    # Distinct real: the quadratic formula in its cancellation-free arrangement.
+    # Where disc is not formed, the other root is the product of the roots,
+    # 2*beta/(mu/q), over the first; below |t| = 2, where beta can underflow, it
+    # is -beta + sign(mu)*w, which does not cancel there.
     if scaled:
-        q = -(rho + math.copysign(w, r))
-        pair = (q, 2.0 * rho / q if abs(rho) >= 2.0 else math.copysign(w, r) - rho)
+        first = check("characteristic roots", -(beta + math.copysign(w, mu)))
+        pair = (first, 2.0 * beta / (mu / q) / first if abs(t) >= 2.0
+                else math.copysign(w, mu) - beta)
     else:
-        q = -0.5 * (r + math.copysign(math.sqrt(disc), r))
-        pair = (q / a, r / q)
+        s = -0.5 * (mu + math.copysign(math.sqrt(disc), mu))
+        pair = (s / d, q / s)
     lo, hi = sorted(pair)
     return CharacteristicRoots(complex(hi), complex(lo))
 
 
-def _wavenumber(r: float, sigma: float) -> float:
-    """sqrt(r/D) with D = sigma^2/2, for r > 0; rejected if it leaves the float range."""
-    return check("wavenumber sqrt(r/D)", math.sqrt(r / _diffusion(sigma)), "positive")
+def characteristic_roots_full(r: float, sigma: float) -> CharacteristicRoots:
+    """Roots of (sigma^2/2)*lam^2 + r*lam + r = 0: the solver's mu = q = r.
+
+    Complex conjugates for 0 < r < 2*sigma^2, a repeated real root at r = 0
+    and r = 2*sigma^2, distinct real roots otherwise.
+    """
+    check("sigma", sigma, "positive")
+    return _roots(check("r", r), r, sigma)
 
 
 def characteristic_roots_hedged(r: float, sigma: float) -> CharacteristicRoots:
-    """Roots of r + (sigma^2/2)*lam^2 = 0: purely imaginary +/- i*sqrt(r/D)."""
+    """Roots of r + (sigma^2/2)*lam^2 = 0, the solver's mu = 0, q = r: +/- i*sqrt(r/D)."""
     check("sigma", sigma, "positive")
-    if check("r", r, "nonnegative") == 0.0:
-        return CharacteristicRoots(0j, 0j)
-    w = _wavenumber(r, sigma)
-    return CharacteristicRoots(complex(0.0, w), complex(0.0, -w))
+    return _roots(0.0, check("r", r, "nonnegative"), sigma)
 
 
 @dataclass(frozen=True)

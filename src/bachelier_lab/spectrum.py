@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ValidationError, check
-from .ode import _diffusion, _wavenumber
+from .ode import _diffusion, characteristic_roots_hedged
 from .payoff import DiscountSign
 
 
@@ -99,7 +99,8 @@ def mode_index(r: float, sigma: float, strike: float, rel_tol: float) -> tuple[i
 
 def boundary_residual(n: int, sigma: float, strike: float) -> float:
     """|sin(sqrt(r_n/D)*K)|: the computable witness that mode n vanishes at K."""
-    return abs(math.sin(_wavenumber(quantized_rate(n, sigma, strike), sigma) * strike))
+    a = characteristic_roots_hedged(quantized_rate(n, sigma, strike), sigma).root1.imag
+    return abs(math.sin(a * strike))
 
 
 class IntegralMethod(str, Enum):
@@ -146,7 +147,7 @@ def normalization_constant(
     check("r", r, "positive")
     check("sigma", sigma, "positive")
     check("strike", strike, "positive")
-    a = _wavenumber(r, sigma)
+    a = characteristic_roots_hedged(r, sigma).root1.imag
     u = check("2*wavenumber*strike", 2.0 * a * strike)
     if u < 1.0:
         # Nested from the tail: u^2/3! * (1 - u^2/(4*5) * (1 - u^2/(6*7) * (...))).

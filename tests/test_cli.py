@@ -169,8 +169,12 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
          "diffusion sigma^2/2"),
         (["solve", "--rate", "1e300", "--sigma", "1e-200"], "diffusion sigma^2/2"),
         (["solve", "--rate", "1", "--sigma", "1e-160"], "diffusion sigma^2/2"),
-        # r^2 overflows, so the roots come from rho = r/sigma^2, which overflows too.
-        (["solve", "--rate", "1e300", "--sigma", "1e-5"], "characteristic roots"),
+        # At r = 0 too, the hedged form takes D from the one check, as the full form does.
+        (["solve", "--hedged", "--rate", "0", "--sigma", "1e-170"], "diffusion sigma^2/2"),
+        # r^2 overflows, so the roots come from rho = r/sigma^2, which overflows too: the
+        # first root is -inf, refused by its value.
+        (["solve", "--rate", "1e300", "--sigma", "1e-5"],
+         "characteristic roots must be finite, got -inf\n"),
         # The ladder answered r_1 = 0.0 at sigma = 1e-170, and lost digits at 1e-160.
         (["spectrum", "--sigma", "1e-170", "--strike", "1", "--n-max", "2"],
          "diffusion sigma^2/2"),
@@ -233,7 +237,8 @@ _DRIFT = ["drift-check", "--rate", "0.02", "--sigma", "0.2", "--x0", "0.5", "--s
          "simulate-step-underflow", "surface-amplitude-inf", "surface-weight-overflow",
          "surface-x-points-zero",
          "normalize-rate-inf", "normalize-wavenumber-overflow", "solve-sigma-underflow",
-         "solve-root-overflow", "solve-discriminant-overflow",
+         "solve-root-overflow", "solve-hedged-zero-rate-diffusion-underflow",
+         "solve-discriminant-overflow",
          "spectrum-diffusion-underflow", "spectrum-diffusion-subnormal",
          "simulate-drift-line-overflow", "simulate-drift-line-at-its-grid-position",
          "hit-step-count-overflow", "hit-grid-too-long", "drift-check-rate-overflow",

@@ -18,6 +18,7 @@ from bachelier_lab import (
     residual,
     sine_solution,
 )
+from bachelier_lab.ode import _roots
 
 R1 = quantized_rate(1, 0.2, 1.0)  # 0.19739208802178718
 
@@ -82,11 +83,21 @@ def test_roots_reject_a_diffusion_or_root_outside_the_float_range():
     with pytest.raises(ValidationError, match="diffusion sigma\\^2/2"):
         characteristic_roots_full(1.0, 1e-160)  # D = 5e-321 is subnormal: digits lost
     # r*r overflows, so the roots come from rho = r/sigma^2 = 1e300: -1 and
-    # -2e300 are floats. Where rho itself overflows, the roots are refused.
+    # -2e300 are floats. Where rho itself overflows, the first root is -inf,
+    # refused by its value.
     roots = characteristic_roots_full(1e300, 1.0)
     assert (roots.root1, roots.root2) == pytest.approx((-1.0, -2e300), rel=1e-15)
-    with pytest.raises(ValidationError, match="characteristic roots"):
+    with pytest.raises(ValidationError, match="characteristic roots must be finite, got -inf$"):
         characteristic_roots_full(1e300, 1e-5)
+
+
+def test_a_zero_rate_takes_its_diffusion_from_the_one_check():
+    # D = 5e-341 is not a normal float: both forms refuse it at r = 0, as at any
+    # other rate, and answer the double root 0 where D is normal.
+    for roots in (characteristic_roots_full, characteristic_roots_hedged):
+        with pytest.raises(ValidationError, match="diffusion sigma\\^2/2"):
+            roots(0.0, 1e-170)
+        assert roots(0.0, 1e-150) == CharacteristicRoots(0j, 0j)
 
 
 # The pair determines its case: a pair that is neither real nor a conjugate
@@ -128,30 +139,44 @@ def test_full_roots_near_the_float_range_are_classified():
         assert roots.root1 == pytest.approx(complex(-r / 1e-300, imag), rel=1e-15)
 
 
-# Both terms of the discriminant r^2 - 2*sigma^2*r lie below the smallest normal
-# float. The first two printed a repeated root at exit 0; in the next two
-# rho = r/sigma^2 underflows to 0; rho = -1 is real; rho = 2 exactly is repeated.
-# In the last two both terms overflow, and the discriminant was inf - inf:
-# solve refused them at exit 2, although rho is 6.1 and 0.5.
-@pytest.mark.parametrize("r, sigma, case", [
-    (1e-300, 1e-150, RootCase.COMPLEX_CONJUGATE),
-    (9.809919665008833e-194, 5.471784533207608e-122, RootCase.DISTINCT_REAL),
-    (5.4854e-319, 73544.0, RootCase.COMPLEX_CONJUGATE),
-    (-1e-320, 1e5, RootCase.DISTINCT_REAL),
-    (-1e-300, 1e-150, RootCase.DISTINCT_REAL),
-    (2.0**-679, 2.0**-340, RootCase.REPEATED_REAL),
-    (1.1540196901789048e+192, 4.3501522650997584e+95, RootCase.DISTINCT_REAL),
-    (1e200, 1e100, RootCase.COMPLEX_CONJUGATE),
+# The roots of D*lam^2 + mu*lam + q = 0 against a 4000-bit reference. First the
+# full form, mu = q = r. Both terms of the discriminant r^2 - 2*sigma^2*r lie
+# below the smallest normal float in the first six. The first two printed a
+# repeated root at exit 0; in the next two rho = r/sigma^2 underflows to 0;
+# rho = -1 is real; rho = 2 exactly is repeated. In the next two both terms
+# overflow, and the discriminant was inf - inf: solve refused them at exit 2,
+# although rho is 6.1 and 0.5. Then the discounted form, mu = r, q = -r, whose
+# roots are always real, in the plain regime, where both terms underflow (rho = 1)
+# and where both overflow (rho = 100); and an exploratory pair with mu != q, in
+# both regimes.
+@pytest.mark.parametrize("mu, q, sigma, case", [
+    (1e-300, 1e-300, 1e-150, RootCase.COMPLEX_CONJUGATE),
+    (9.809919665008833e-194, 9.809919665008833e-194, 5.471784533207608e-122,
+     RootCase.DISTINCT_REAL),
+    (5.4854e-319, 5.4854e-319, 73544.0, RootCase.COMPLEX_CONJUGATE),
+    (-1e-320, -1e-320, 1e5, RootCase.DISTINCT_REAL),
+    (-1e-300, -1e-300, 1e-150, RootCase.DISTINCT_REAL),
+    (2.0**-679, 2.0**-679, 2.0**-340, RootCase.REPEATED_REAL),
+    (1.1540196901789048e+192, 1.1540196901789048e+192, 4.3501522650997584e+95,
+     RootCase.DISTINCT_REAL),
+    (1e200, 1e200, 1e100, RootCase.COMPLEX_CONJUGATE),
+    (0.05, -0.05, 0.2, RootCase.DISTINCT_REAL),
+    (1e-300, -1e-300, 1e-150, RootCase.DISTINCT_REAL),
+    (1e200, -1e200, 1e99, RootCase.DISTINCT_REAL),
+    (0.03, 0.05, 0.2, RootCase.COMPLEX_CONJUGATE),
+    (3e-300, 1e-300, 1e-150, RootCase.DISTINCT_REAL),
 ], ids=["complex", "distinct-far-apart", "complex-rho-underflow", "distinct-rho-underflow",
-        "distinct-negative-rate", "repeated", "distinct-overflow", "complex-overflow"])
-def test_full_roots_where_the_discriminant_underflows(r, sigma, case):
+        "distinct-negative-rate", "repeated", "distinct-overflow", "complex-overflow",
+        "discounted", "discounted-underflow", "discounted-overflow", "exploratory",
+        "exploratory-underflow"])
+def test_roots_match_a_4000_bit_reference(mu, q, sigma, case):
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workprec(4000):  # enough bits that -r + sqrt(disc) does not cancel
-        big_r, sig2 = mpmath.mpf(r), mpmath.mpf(sigma) ** 2
-        disc = big_r * big_r - 2 * sig2 * big_r
+    with mpmath.workprec(4000):  # enough bits that -mu + sqrt(disc) does not cancel
+        big_mu, sig2 = mpmath.mpf(mu), mpmath.mpf(sigma) ** 2
+        disc = big_mu * big_mu - 2 * sig2 * mpmath.mpf(q)
         sq = mpmath.sqrt(disc) if disc >= 0 else 1j * mpmath.sqrt(-disc)
-        exact = [complex((-big_r + sq) / sig2), complex((-big_r - sq) / sig2)]
-    roots = characteristic_roots_full(r, sigma)
+        exact = [complex((-big_mu + sq) / sig2), complex((-big_mu - sq) / sig2)]
+    roots = characteristic_roots_full(mu, sigma) if mu == q else _roots(mu, q, sigma)
     assert roots.case is case
     assert [roots.root1, roots.root2] == pytest.approx(exact, rel=1e-15)
 

@@ -327,7 +327,7 @@ def test_integrability_is_calibrated_from_32_full_blocks():
 
 
 @pytest.mark.parametrize("name", sorted(FULL_CASES))
-def test_integrability_control_variate_agrees_with_the_plain_mean(name):
+def test_integrability_agrees_with_the_mean_over_independent_normals(name):
     # The stratified witness against the mean of |Y| over independent normals,
     # drawn by _sample_mean without the stratified fill. Independent seeds, so
     # the two standard errors add in quadrature.
@@ -342,7 +342,7 @@ def test_integrability_control_variate_agrees_with_the_plain_mean(name):
     assert abs(gap) <= 4 * math.hypot(stratified.standard_error, plain[1])
 
 
-def test_integrability_control_variate_does_not_depend_on_the_worker_count(monkeypatch):
+def test_integrability_of_a_closed_form_does_not_depend_on_the_worker_count(monkeypatch):
     v = _full_solution(*FULL_CASES["complex"])
     p = ModelParams(x0=0.5, r=0.02, sigma=0.2)
     witnesses = []
@@ -411,7 +411,7 @@ def test_integrability_of_a_heavy_tailed_closed_form_is_the_plain_one(name, sigm
     assert witness == integrability_check(lambda x: v(x), p, 1.0, 20_000, seed=2)
 
 
-def test_integrability_control_variate_is_unbiased_at_the_light_tail_bound():
+def test_integrability_is_calibrated_on_two_positive_exponential_profiles():
     # a*s = 0.4, where the retired Taylor control stopped: the repeated root of
     # drift_lab and the distinct pair at s = 0.4/1.618. Both profiles are positive
     # (the repeated one changes sign 7.5 s below the mean), so E|V| = E V in
@@ -464,8 +464,7 @@ def test_integrability_names_a_non_finite_closed_form_sample_as_the_plain_path_d
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("form", ["complex", "repeated", "distinct", "sine"])
 @pytest.mark.parametrize("k", [332, -300])
-def test_integrability_control_scales_with_the_profile_by_a_power_of_two(k, form, workers,
-                                                                         monkeypatch):
+def test_integrability_scales_with_the_profile_by_a_power_of_two(k, form, workers, monkeypatch):
     # Every operation of the stratified mean scales exactly by a power of two, the
     # squared deviations of |Y| included: at 2^332 they are near 1e200, at 2^-300
     # near 1e-181, both normal floats.
@@ -485,7 +484,7 @@ def test_integrability_control_scales_with_the_profile_by_a_power_of_two(k, form
                                                         math.ldexp(unit.standard_error, k))
 
 
-def test_integrability_control_is_unbiased_at_the_minimum_sample_count():
+def test_integrability_is_unbiased_at_the_minimum_sample_count():
     # The repeated root with c1 = 0.05, whose V changes sign at x = -0.05, 3.15 s
     # below the mean: a skewed |Y|. At 1000 samples, one partial block, the
     # stratified mean is unbiased and its standard error, the independent
