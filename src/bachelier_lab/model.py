@@ -25,6 +25,10 @@ _BLOCK = 1 << 13  # rows per substream; part of the determinism contract
 _TILE = 1 << 16  # floats a sampler worker holds at once; bounds memory, moves no value
 _ROWS_PER_STEP = 32  # tiles at least this many rows per step are folded column by column
 RNG_SCHEME = "philox4x64-block8192"  # recorded in CLI provenance; bump when sampled values move
+_TAIL = 64  # draws behind each end row of a tail-averaged block; a power of two, so 1/64 is exact
+_TAIL_PAIRS = 88  # Marsaglia pairs a block draws per end stratum; 63 kept fail at odds of 1e-11
+_TAIL_RUN = 64  # blocks whose tails are settled at once: 2*64*64 = 8192 draws
+_END_ROWS = np.array([0, _BLOCK - 1])  # columns of strata 0 and 8191: bitrev13 fixes both
 _PATH_VALUES = "path values x0 + mu*t + sigma*W(t) must be finite"
 
 
@@ -250,10 +254,14 @@ def _strata() -> np.ndarray:
 
 
 def _fill_strata(gen: np.random.Generator, z: np.ndarray, u: np.ndarray, affine: np.ndarray,
-                 base: float, scale: float) -> None:
+                 base: float, scale: float, tail: np.ndarray) -> int:
     """Fill ``z``, 8192 rows, with base + scale*x for one x ~ N(0, 1) in each stratum of ``_strata``.
 
-    One call draws the 2*8192 + 1 uniforms of ``u``. The last gives the
+    Return the shift c. Each row is exactly N(base, scale^2) over the draw
+    of c; ``_tail_draws`` adds further draws of the two end strata.
+
+    One call fills ``u``, 2*8192 + 1 uniforms or more, from ``gen``. Of the
+    first 2*8192 + 1, the last gives the
     shift c = floor(8192*u), and row i takes stratum bitrev13((i + c) % 8192):
     a short prefix of the rows is spread over all the strata, and every row
     lands in each stratum with probability 1/8192. Row i takes x(u) from
@@ -262,7 +270,12 @@ def _fill_strata(gen: np.random.Generator, z: np.ndarray, u: np.ndarray, affine:
     order: an inner row keeps x(u) if v < e^{f(u) - top}, an end row takes
     Marsaglia's tail method (*Technometrics* 6, 1964), x = sqrt(near^2 -
     2*ln(1 - u)) kept if v*x < |near|. The row's own u and v come first;
-    further pairs come from ``gen``, 64 uniforms at a time.
+    further pairs come 64 uniforms at a time from the rest of ``u`` and then
+    from ``gen``, which continue its stream. ``tail`` is filled in C order
+    with the uniforms that follow in the stream, the values a
+    ``gen.random`` call after the fill would give, whatever the length of
+    ``u``. Drawn with the fill's own, they cost the block no numpy call of
+    their own: each one that releases the GIL can hold up a second worker.
 
     ``affine`` holds the rows lo, a and b of ``_strata`` times ``scale``, lo
     plus ``base``, so that a row kept at once is (base + scale*lo) +
@@ -270,10 +283,17 @@ def _fill_strata(gen: np.random.Generator, z: np.ndarray, u: np.ndarray, affine:
     base + scale*x, and refused by name if that leaves the float range.
     """
     gen.random(out=u)
-    c = int(u[-1] * _BLOCK)
+    spare = 2 * _BLOCK + 1
+
+    def stream(n):  # the next n uniforms of the stream: u's spare ones, then gen's
+        nonlocal spare
+        head, spare = u[spare : spare + n], spare + n
+        return head if head.size == n else np.concatenate((head, gen.random(n - head.size)))
+
+    c = int(u[2 * _BLOCK] * _BLOCK)
     tables = _strata()
     lo, a, b = affine[:, c : c + _BLOCK]
-    pairs = u[:-1].reshape(2, _BLOCK)
+    pairs = u[: 2 * _BLOCK].reshape(2, _BLOCK)
     rows = np.flatnonzero(pairs[1] > tables[3, c : c + _BLOCK])
     np.multiply(pairs[0], b, out=z)
     z += a
@@ -294,15 +314,66 @@ def _fill_strata(gen: np.random.Generator, z: np.ndarray, u: np.ndarray, affine:
                     x = math.copysign(x, near)
                     break
             if not pool:
-                pool = gen.random(64).tolist()
+                pool = stream(64).tolist()
             u_i, v_i = pool.pop(), pool.pop()
         z[i] = x = base + scale * x
         if not math.isfinite(x):
             raise ValidationError(f"{_PATH_VALUES}, got {x!r}")
+    tail[...] = stream(tail.size).reshape(tail.shape)
+    return c
+
+
+def _tail_draws(first: int, ends: np.ndarray, pairs: np.ndarray, n_rows: int,
+                base: float, scale: float) -> tuple:
+    """``(rows, draws)``: the end rows of stratified blocks, and 64 draws of each one's stratum.
+
+    The blocks are ``first, first + 1, ...``. Block b has shift c and end
+    rows of values X0 and X1, ``ends[b - first] = c, X0, X1``, and drew
+    4*88 uniforms after its fill: for stratum 0, then 8191, 88 u and then 88
+    v, held in ``pairs[0, b - first]`` (the u) and ``pairs[1, b - first]``
+    (the v), which this pass overwrites. ``rows`` holds the index of each
+    end row below ``n_rows``, in block order and stratum 0 first.
+    ``draws[i]`` holds row i's own X, then base + scale*x for the first 63 x
+    that Marsaglia's method, as ``_fill_strata`` runs it, keeps from the
+    row's pairs. Each is an exact draw of the stratum, independent of the
+    row's own X. A row that keeps fewer, at odds of 1e-11, repeats its own X
+    in the place of the rest: the weights of its mean are then fixed by the
+    count, so the mean keeps its expectation. A draw past the float range is
+    refused by name, the first in row order.
+    """
+    near = _strata()[4, _END_ROWS]
+    rows = (((first + np.arange(len(ends))) * _BLOCK)[:, None]
+            + (_END_ROWS - ends[:, :1].astype(np.int64)) % _BLOCK).ravel()
+    held = np.flatnonzero(rows < n_rows)  # a tail block may lack an end row
+    x, v = pairs  # each pass in place, in memory the workers have written
+    np.negative(x, out=x)
+    np.log1p(x, out=x)
+    x *= -2.0
+    x += (near * near)[:, None]
+    np.sqrt(x, out=x)
+    v *= x
+    kept = (v < np.abs(near)[:, None]).reshape(-1, _TAIL_PAIRS)
+    counts = kept.sum(axis=1)
+    x, v = x.reshape(-1), v.reshape(-1)
+    np.compress(kept.reshape(-1), x, out=v[: counts.sum()])  # the kept x, row after row
+    draws = np.empty((held.size, _TAIL))
+    draws[:, 0] = ends[:, 1:].reshape(-1)[held]
+    # A short row reads on into the next row's x, or past them: replaced below.
+    np.take(v, (np.cumsum(counts) - counts)[held, None] + np.arange(_TAIL - 1), mode="clip",
+            out=draws[:, 1:])
+    further = draws[:, 1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        further *= np.copysign(scale, near)[held % 2, None]  # -x*scale is -(x*scale), bit for bit
+        further += base
+    np.copyto(further, draws[:, :1], where=np.arange(1, _TAIL) > counts[held, None])
+    finite = np.isfinite(further)
+    if not finite.all():
+        raise ValidationError(f"{_PATH_VALUES}, got {float(further[~finite][0])!r}")
+    return rows[held], draws
 
 
 def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each,
-                     stratified: bool = False) -> list:
+                     tails=None) -> list:
     """Return ``[each(start, tile) for every tile]`` in row order.
 
     The one sampler of the package. ``tile`` holds the rows ``start ..
@@ -318,7 +389,7 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each,
     draw, and a worker holds one tile of at most 2^16 floats (512 KB) or
     one row, whichever is larger. Up to 8 steps a tile is the whole block.
 
-    With ``stratified``, for one step only, ``_fill_strata`` draws each
+    With ``tails``, for one step only, ``_fill_strata`` draws each
     block instead, from the same generator: one Z in each of 8192
     equal-probability strata, in the row order it documents. It writes
     ``base + scale*Z`` itself, from tables scaled once per call, so the
@@ -326,6 +397,21 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each,
     the float range is refused by the same name. A tail block takes the
     leading rows of a whole block's fill, so the prefix property holds, at
     the cost of a whole block's draw.
+
+    Each block's fill also yields the 4*88 uniforms that follow it in its
+    stream, Marsaglia pairs for its two end strata, and the worker records
+    them with the block's shift and the X of its end rows: 2.8 KB per block
+    until the join. The workers do no more: on two threads each further
+    numpy call per block can wait for the other thread to release the GIL.
+    After the join, over the blocks before the first failing one, in runs
+    of 64 blocks and in block order, ``_tail_draws`` turns a run's pairs
+    into 63 further draws of each end row's stratum, and ``tails(results,
+    first, rows, draws)`` replaces the run's results, under the same
+    ``errstate``: ``results`` those of blocks ``first, first + 1, ...``, one
+    per block, ``rows`` their end rows' indices and ``draws[i]`` row i's own
+    X and then its further draws. So ``tails`` can refuse a draw ahead of a
+    later block's failure, no row's value moves, and a run's 8192 draws
+    bound the memory of the pass.
 
     The blocks run on up to one thread per usable CPU, and on no more
     threads than ``n_rows / 8192`` rounded half up, worker ``k`` taking
@@ -336,8 +422,9 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each,
     and, before every block, re-keys its bit generator in place to counter
     ``b << 128`` with an empty buffer, the state ``generator(b)`` starts in,
     which costs a fraction of building a Philox. numpy's ``errstate`` does not reach a new
-    thread, so every worker, the caller included, runs ``each`` under
-    ``errstate(over="ignore", invalid="ignore")``; ``each`` reports inf or NaN.
+    thread, so every worker, the caller included, runs its blocks, ``each``
+    included, under one ``errstate(over="ignore", invalid="ignore")``; ``each``
+    reports inf or NaN.
 
     A worker stops at its first failing block and stores the exception in its
     place. The first one in block order is raised, as a serial loop would: a
@@ -346,15 +433,18 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each,
     streams = SeedStreams(seed)
     n_blocks = -(-n_rows // _BLOCK)
     tile_rows = max(1, min(_BLOCK, _TILE // scale.size))
+    stratified = tails is not None
     if stratified:  # the fill's tables, built and scaled before any worker starts
         shift, spread = float(np.ravel(base)[0]), float(scale[0])
         tables = _strata()
         with np.errstate(over="raise", invalid="raise"):
             try:
-                affine = np.array([shift + spread * tables[0], spread * tables[1],
-                                   spread * tables[2]])
+                affine = np.multiply(spread, tables[:3])  # in place: no temporaries to page in
+                affine[0] += shift
             except FloatingPointError as exc:
                 raise ValidationError(f"{_PATH_VALUES}: {exc}") from None
+        # The shift and the X of the end rows, and u and v of the tail pairs, per block and end.
+        ends, pairs = np.empty((n_blocks, 3)), np.empty((2, n_blocks, 2, _TAIL_PAIRS))
     # A short tail block is not worth the start and join of a thread.
     n_workers = min(_usable_cpus(), max(1, (n_rows + _BLOCK // 2) // _BLOCK))
     results = [()] * n_blocks  # per block, the results of its tiles or the exception it raised
@@ -362,31 +452,34 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each,
     def work(k):
         b = k
         try:
-            gen = streams.generator(0)
-            state = gen.bit_generator.state  # substream 0 before any draw
-            buf = np.empty((_BLOCK if stratified else min(tile_rows, n_rows), scale.size))
-            uniforms = np.empty(2 * _BLOCK + 1) if stratified else None
-            for b in range(k, n_blocks, n_workers):
-                state["state"]["counter"] = np.array([0, 0, b, 0], dtype=np.uint64)
-                gen.bit_generator.state = state
-                end = min((b + 1) * _BLOCK, n_rows)
-                tiles = []
-                for start in range(b * _BLOCK, end, tile_rows):
-                    tile = buf[: min(tile_rows, end - start)]
-                    if stratified:
-                        _fill_strata(gen, buf[:, 0], uniforms, affine, shift, spread)
-                    else:
-                        gen.standard_normal(out=tile)
-                        with np.errstate(over="raise", invalid="raise"):
-                            try:
-                                tile *= scale
-                                _fold_steps(np.add, tile, accumulate=True)
-                                tile += base
-                            except FloatingPointError as exc:
-                                raise ValidationError(f"{_PATH_VALUES}: {exc}") from None
-                    with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):  # once, not 1 us per block
+                gen = streams.generator(0)
+                state = gen.bit_generator.state  # substream 0 before any draw
+                buf = np.empty((_BLOCK if stratified else min(tile_rows, n_rows), scale.size))
+                # The fill's uniforms, its first 64 further ones and the tail pairs: one draw.
+                uniforms = np.empty(2 * _BLOCK + 1 + 64 + 4 * _TAIL_PAIRS) if stratified else None
+                for b in range(k, n_blocks, n_workers):
+                    state["state"]["counter"] = np.array([0, 0, b, 0], dtype=np.uint64)
+                    gen.bit_generator.state = state
+                    end = min((b + 1) * _BLOCK, n_rows)
+                    tiles = []
+                    for start in range(b * _BLOCK, end, tile_rows):
+                        tile = buf[: min(tile_rows, end - start)]
+                        if stratified:
+                            c = _fill_strata(gen, buf[:, 0], uniforms, affine, shift, spread,
+                                             pairs[:, b].swapaxes(0, 1))
+                            ends[b] = c, buf[-c % _BLOCK, 0], buf[(_BLOCK - 1 - c) % _BLOCK, 0]
+                        else:
+                            gen.standard_normal(out=tile)
+                            with np.errstate(over="raise", invalid="raise"):
+                                try:
+                                    tile *= scale
+                                    _fold_steps(np.add, tile, accumulate=True)
+                                    tile += base
+                                except FloatingPointError as exc:
+                                    raise ValidationError(f"{_PATH_VALUES}: {exc}") from None
                         tiles.append(each(start, tile))
-                results[b] = tiles
+                    results[b] = tiles
         except Exception as exc:  # raised by the caller, in block order
             results[b] = exc
 
@@ -400,10 +493,18 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each,
     finally:
         for thread in threads:
             thread.join()
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-    return [result for tiles in results for result in tiles]
+    done = next((b for b, result in enumerate(results) if isinstance(result, Exception)),
+                n_blocks)
+    out = [result for tiles in results[:done] for result in tiles]
+    if stratified:  # one tile per block
+        with np.errstate(over="ignore", invalid="ignore"):
+            for first in range(0, done, _TAIL_RUN):
+                run = slice(first, min(first + _TAIL_RUN, done))
+                out[run] = tails(out[run], first, *_tail_draws(first, ends[run], pairs[:, run],
+                                                               n_rows, shift, spread))
+    if done < n_blocks:
+        raise results[done]
+    return out
 
 
 def _grid_law(p: ModelParams, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:

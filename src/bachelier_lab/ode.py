@@ -88,12 +88,12 @@ def _roots(mu: float, q: float, sigma: float) -> CharacteristicRoots:
     w = sqrt(|disc|)/sigma^2, disc = mu^2 - 2*sigma^2*q; they are complex iff
     q > 0 and t < 2, with t = beta*(mu/q) = mu^2/(sigma^2*q). Where both terms
     of disc lie below the smallest normal float, disc has lost its digits, and
-    where either overflows, it is not a number; there w is formed as
-    sqrt(|q|)/sigma * sqrt(|t - 2|) instead, which does neither. beta itself
-    can underflow to 0, so the case is decided on q and t. mu = 0 < q gives
-    +/- i*sqrt(q/D), refused as ``wavenumber sqrt(r/D)`` where it underflows
-    to 0 or overflows; any other root past the float range is refused by its
-    value.
+    where either overflows, or for q < 0 their sum, it is not a number; there
+    w is formed as sqrt(|q|)/sigma * sqrt(|t - 2|) instead, which does
+    neither. beta itself can underflow to 0, so the case is decided on q and
+    t. mu = 0 < q gives +/- i*sqrt(q/D), refused as ``wavenumber sqrt(r/D)``
+    where it underflows to 0 or overflows; any other root past the float
+    range is refused by its value.
     """
     d = _diffusion(sigma)
     sig2 = 2.0 * d
@@ -102,7 +102,10 @@ def _roots(mu: float, q: float, sigma: float) -> CharacteristicRoots:
         return CharacteristicRoots(complex(0.0, w), complex(0.0, -w))
     if q == 0.0:  # the zero rate: D*lam^2 = 0
         return CharacteristicRoots(0j, 0j)
-    scaled = not np.finfo(float).tiny <= max(mu * mu, 2.0 * sig2 * abs(q)) < math.inf
+    terms = mu * mu, 2.0 * sig2 * abs(q)
+    # Where q < 0 the terms add, so disc can overflow though each is finite.
+    scaled = not (np.finfo(float).tiny <= max(terms)
+                  and (sum(terms) if q < 0.0 else max(terms)) < math.inf)
     beta = mu / sig2
     # The repeated-root boundary t = 2 is a zero of the discriminant; honor it
     # within a few ulps of the computed value. The bound is scaled term by term:

@@ -88,6 +88,20 @@ def test_solve_full_form_where_the_discriminant_underflows(capsys):
     assert rows[0] == ["distinct_real", "-1.09903501195416", "0", "-11.0974390800588", "0"]
 
 
+def test_solve_answers_a_negative_rate_whose_discriminant_sum_overflows(capsys):
+    # r^2 and 2*sigma^2*|r| are finite, but r^2 + 2*sigma^2*|r| is not; rho = r/sigma^2
+    # is -1.7. This exited 2 with "discriminant ... must be finite, got inf". The
+    # roots are 4.2072039327952877 and -0.80795835674843863 (mpmath).
+    argv = ["solve", "--rate", "-1.0833752067652072e+154", "--sigma", "7.983864793110364e+76"]
+    assert run(argv) == 0
+    _, rows = _csv_rows(capsys.readouterr().out)
+    assert rows[0] == ["distinct_real", "4.20720393279529", "0", "-0.807958356748439", "0"]
+    assert run(argv + ["--precision", "17"]) == 0
+    _, rows = _csv_rows(capsys.readouterr().out)
+    assert [float(rows[0][1]), float(rows[0][3])] == pytest.approx(
+        [4.2072039327952877, -0.80795835674843863], rel=1e-15)
+
+
 def test_simulate_sigma_zero_csv(capsys):
     code = run([
         "simulate", "--x0", "0", "--rate", "1", "--sigma", "0",

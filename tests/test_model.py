@@ -224,9 +224,9 @@ def test_each_block_reads_its_substream_from_the_start():
             assert np.array_equal(block, np.cumsum(z, axis=1))
 
 
-def _stratified(seed, n):
+def _stratified(seed, n):  # the rows of the stratified fill, their tail draws left unread
     return np.concatenate(_gaussian_blocks(seed, n, np.ones(1), 0.0,
-                                           lambda _, x: x[:, 0].copy(), stratified=True))
+                                           lambda _, x: x[:, 0].copy(), lambda blocks, *_: blocks))
 
 
 def _stratum_edges():

@@ -148,7 +148,9 @@ def test_full_roots_near_the_float_range_are_classified():
 # although rho is 6.1 and 0.5. Then the discounted form, mu = r, q = -r, whose
 # roots are always real, in the plain regime, where both terms underflow (rho = 1)
 # and where both overflow (rho = 100); and an exploratory pair with mu != q, in
-# both regimes.
+# both regimes. Last, two where q < 0 and each term of the discriminant
+# mu^2 + 2*sigma^2*|q| is finite but their sum is not: solve refused the full
+# one at exit 2 (rho = -1.7), and the solver the discounted one (rho = 2).
 @pytest.mark.parametrize("mu, q, sigma, case", [
     (1e-300, 1e-300, 1e-150, RootCase.COMPLEX_CONJUGATE),
     (9.809919665008833e-194, 9.809919665008833e-194, 5.471784533207608e-122,
@@ -165,10 +167,14 @@ def test_full_roots_near_the_float_range_are_classified():
     (1e200, -1e200, 1e99, RootCase.DISTINCT_REAL),
     (0.03, 0.05, 0.2, RootCase.COMPLEX_CONJUGATE),
     (3e-300, 1e-300, 1e-150, RootCase.DISTINCT_REAL),
+    (-1.0833752067652072e+154, -1.0833752067652072e+154, 7.983864793110364e+76,
+     RootCase.DISTINCT_REAL),
+    (1e154, -1e154, 7.0710678118654755e76, RootCase.DISTINCT_REAL),
 ], ids=["complex", "distinct-far-apart", "complex-rho-underflow", "distinct-rho-underflow",
         "distinct-negative-rate", "repeated", "distinct-overflow", "complex-overflow",
         "discounted", "discounted-underflow", "discounted-overflow", "exploratory",
-        "exploratory-underflow"])
+        "exploratory-underflow", "distinct-discriminant-sum-overflow",
+        "discounted-discriminant-sum-overflow"])
 def test_roots_match_a_4000_bit_reference(mu, q, sigma, case):
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workprec(4000):  # enough bits that -mu + sqrt(disc) does not cancel

@@ -353,17 +353,18 @@ def test_integrability_of_a_closed_form_does_not_depend_on_the_worker_count(monk
 
 
 def test_integrability_of_a_plain_callable_keeps_its_bits():
-    # Frozen from the stratified witness when it replaced the plain mean of independent draws.
+    # Frozen when each block's two end strata became the mean over 64 draws;
+    # the rows of the stratified fill kept their bits.
     v = sine_solution(1.5, R1, 0.2)
     witness = integrability_check(lambda x: v(x), ModelParams(x0=0.1, r=R1, sigma=0.2), 0.4,
                                   3 * 8192 + 5, 13)
-    assert (witness.mean_abs, witness.standard_error) == (0.8443446739535477,
-                                                          0.002778982171907838)
+    assert (witness.mean_abs, witness.standard_error) == (0.8443341791331336,
+                                                          0.0027788960595131694)
     full = _full_solution(*FULL_CASES["complex"])
     witness = integrability_check(lambda x: full(x), ModelParams(x0=0.5, r=0.02, sigma=0.2), 1.0,
                                   100_000, 3)
-    assert (witness.mean_abs, witness.standard_error) == (0.7069271602450122,
-                                                          0.00040265343343425154)
+    assert (witness.mean_abs, witness.standard_error) == (0.7069267026430176,
+                                                          0.000402673618325151)
 
 
 def test_integrability_falls_back_to_the_plain_mean_where_the_control_mean_overflows():
@@ -437,6 +438,43 @@ def test_integrability_is_calibrated_on_two_positive_exponential_profiles():
     assert 0.8 <= np.std(z, ddof=1) <= 1.2
 
 
+def test_integrability_of_the_distinct_form_is_calibrated_over_400_seeds():
+    # The distinct full form (0.5, 0.5) at r = -0.02, sigma = 0.2: both
+    # coefficients are positive, so E|Y| = e^{rt} * sum c_j e^{l_j m + l_j^2 s^2/2}.
+    # At 32*8192 samples the standard error is the spread of the block means,
+    # which the skew of single end-stratum draws made too small: z had SD 1.148,
+    # max |z| 5.13 and 2.0% of seeds beyond 3. With each end stratum averaged
+    # over 64 draws: SD 1.063, max 3.64, 0.75%.
+    r, sigma = FULL_CASES["distinct"]
+    v = _full_solution(r, sigma)
+    p = ModelParams(x0=0.5, r=r, sigma=sigma)
+    law = exact_marginal(p, 1.0)
+    exact = math.exp(r) * sum(0.5 * math.exp(k * law.mean + 0.5 * k * k * law.variance)
+                              for k in (v.roots.root1.real, v.roots.root2.real))
+    z = np.array([(w.mean_abs - exact) / w.standard_error
+                  for w in (integrability_check(v, p, 1.0, 32 * 8192, seed)
+                            for seed in range(100, 500))])
+    assert abs(z.mean()) <= 0.3
+    assert 0.9 <= np.std(z, ddof=1) <= 1.1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_end_row_short_of_tail_draws_repeats_its_own_x(workers, monkeypatch):
+    # With 64 pairs per end stratum in place of 88, about 91% of the end rows keep
+    # fewer than 63 draws and repeat their own X in place of the rest; the
+    # witness is still the mean of the samples _witness_samples rebuilds, on
+    # any worker count.
+    monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(model, "_TAIL_PAIRS", 64)
+    v = _full_solution(*FULL_CASES["repeated"])
+    p = ModelParams(x0=0.5, r=0.08, sigma=0.2)
+    absolute = lambda x: np.abs(v(x) * math.exp(0.08))
+    for n, seed in [(1000, 2), (3 * 8192 + 5, 2)]:
+        samples, _ = _witness_samples(absolute, exact_marginal(p, 1.0), n, seed)
+        witness = integrability_check(v, p, 1.0, n, seed)
+        _assert_moments((witness.mean_abs, witness.standard_error), samples, n)
+
+
 class _NanAboveOneAndAHalf(ExponentialSolution):
     def __call__(self, x):
         return np.where(np.asarray(x) > 1.5, np.nan, super().__call__(x))
@@ -467,21 +505,25 @@ def test_integrability_names_a_non_finite_closed_form_sample_as_the_plain_path_d
 def test_integrability_scales_with_the_profile_by_a_power_of_two(k, form, workers, monkeypatch):
     # Every operation of the stratified mean scales exactly by a power of two, the
     # squared deviations of |Y| included: at 2^332 they are near 1e200, at 2^-300
-    # near 1e-181, both normal floats.
+    # near 1e-181, both normal floats. So does the mean over 64 draws that
+    # replaces each end row's sample. Seed 2 holds end rows in the 1000-sample
+    # prefix and in the 5-row tail block of 3*8192 + 5; at 32*8192 + 5 the
+    # standard error comes from the block means.
     monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
 
-    def witness(scale):
+    def witness(scale, n):
         if form == "sine":
             v, p = sine_solution(scale, R1, 0.2), ModelParams(x0=0.1, r=R1, sigma=0.2)
         else:
             r, sigma = FULL_CASES[form]
             v = _full_solution(r, sigma, 0.5 * scale, 0.5 * scale)
             p = ModelParams(x0=0.5, r=r, sigma=sigma)
-        return integrability_check(v, p, 1.0, 3 * 8192 + 5, seed=2)
+        return integrability_check(v, p, 1.0, n, seed=2)
 
-    unit, scaled = witness(1.0), witness(2.0 ** k)
-    assert (scaled.mean_abs, scaled.standard_error) == (math.ldexp(unit.mean_abs, k),
-                                                        math.ldexp(unit.standard_error, k))
+    for n in (1000, 3 * 8192 + 5, 32 * 8192 + 5):
+        unit, scaled = witness(1.0, n), witness(2.0 ** k, n)
+        assert (scaled.mean_abs, scaled.standard_error) == (math.ldexp(unit.mean_abs, k),
+                                                            math.ldexp(unit.standard_error, k))
 
 
 def test_integrability_is_unbiased_at_the_minimum_sample_count():
@@ -565,7 +607,7 @@ def test_integrability_draws_its_samples_once(case, monkeypatch):
         "non-finite": (_inf_above_four, ModelParams(x0=0.0, r=0.0, sigma=1.0)),
     }[case]
     if case == "non-finite":
-        with pytest.raises(NonFiniteSampleError, match="index 17667: "):
+        with pytest.raises(NonFiniteSampleError, match="index 734: "):
             integrability_check(v, p, 1.0, 200_000, seed=7)
     else:
         integrability_check(v, p, 1.0, 3 * 8192, seed=2)
@@ -663,15 +705,49 @@ def _inf_above_four(x):
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
 def test_integrability_reports_the_lowest_failing_block(workers, monkeypatch):
-    # Samples above 4.0 first occur at index 17667, in block 2, which runs on a
-    # worker thread with 3 and 5 workers and on the caller with 2, after its
-    # clean block 0; later blocks fail too.
+    # Block 2 runs on a worker thread with 3 and 5 workers and on the caller
+    # with 2. Above 4.75 at seed 317, no row or further draw of blocks 0 and
+    # 1 lies past the threshold: the first failure is the own X of row 23561,
+    # in block 2, and block 5 fails too, at row 41515. Above 4.0 at seed 7,
+    # X first occurs among the 63 further draws of block 0's end row of
+    # stratum 8191, index 734, whose own X is 3.73: the refusal names that
+    # row and the draw's X. There the first row above 4.0 is 17667, in block
+    # 2, and later blocks fail too; the tail draws of block 0, taken after
+    # the join, are still refused first.
     monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
     p = ModelParams(x0=0.0, r=0.0, sigma=1.0)
+    x = _stratified_rows(317, 200_000)
+    assert np.flatnonzero(x > 4.75).tolist() == [23561, 41515]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteSampleError, match="index 17667: "):
+        with pytest.raises(NonFiniteSampleError) as caught:
+            integrability_check(lambda x: np.exp(np.where(x > 4.75, 1000.0, 0.0)), p, 1.0,
+                                200_000, seed=317)
+    assert str(caught.value) == f"non-finite sample at index 23561: inf at X = {float(x[23561])!r}"
+
+    x = _stratified_rows(7, 200_000)
+    assert x[734] < 4.0 and np.flatnonzero(x > 4.0)[0] == 17667
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteSampleError, match=r"index 734: inf at X = (\S+)$") as caught:
             integrability_check(_inf_above_four, p, 1.0, 200_000, seed=7)
+    assert float(str(caught.value).rpartition(" ")[2]) > 4.0
+
+
+def test_integrability_names_a_tail_draw_that_leaves_the_float_range():
+    # At sigma = 1.8e308/4.2 every row of block 0 is finite, filled here
+    # without its tail draws, but a further draw of an end stratum past 4.2
+    # standard deviations is not: it is refused by the sampler's name.
+    sigma = 1.7976931348623157e308 / 4.2
+    z = np.empty(8192)
+    model._fill_strata(model.SeedStreams(1).generator(0), z, np.empty(2 * 8192 + 1),
+                       np.multiply(sigma, model._strata()[:3]), 0.0, sigma, np.empty(0))
+    assert np.isfinite(z).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError,
+                           match=r"path values x0 \+ mu\*t \+ sigma\*W\(t\) must be finite"):
+            integrability_check(np.tanh, ModelParams(x0=0.0, r=0.0, sigma=sigma), 1.0, 2000, 1)
 
 
 def test_drift_estimate_overflow_on_a_worker_thread_emits_no_warning(monkeypatch):
@@ -694,59 +770,117 @@ def test_pooled_block_moments_match_the_whole_array(n):
     assert abs(se - want_se) <= 1e-10 * want_se
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+def _stratified_rows(seed, n, scale=1.0, base=0.0):
+    """The rows of the witness's stratified fill, its end rows' further draws left unread."""
+    return np.concatenate(_gaussian_blocks(seed, n, np.array([scale]), base,
+                                           lambda _, tile: tile[:, 0].copy(),
+                                           lambda blocks, *_: blocks))
+
+
+def _witness_samples(absolute, law, n, seed):
+    """The witness's samples, rebuilt row by row, and the end rows among them.
+
+    Row i is |Y| at the stratified row x_i of the sampler, except at an end
+    row, the row of stratum 0 or 8191: there it is the mean of |Y| over x_i
+    and 63 further draws of the stratum. Those are the first 63 x that
+    Marsaglia's method keeps from the block's pairs, drawn from its
+    generator after its fill (88 u, then 88 v, per end, stratum 0 first);
+    where it keeps fewer, x_i stands in for the rest.
+    """
+    x = _stratified_rows(seed, n, law.std, law.mean)
+    y = absolute(x)
+    tables = model._strata()
+    affine = np.multiply(law.std, tables[:3])
+    affine[0] += law.mean
+    ends = []
+    for b in range(-(-n // 8192)):
+        gen = model.SeedStreams(seed).generator(b)
+        c = model._fill_strata(gen, np.empty(8192), np.empty(2 * 8192 + 1), affine, law.mean,
+                               law.std, np.empty(0))
+        pairs = gen.random(4 * model._TAIL_PAIRS).reshape(2, 2, -1)
+        for s, column in enumerate((0, 8191)):
+            row = b * 8192 + (column - c) % 8192
+            if row >= n:
+                continue
+            near = tables[4, column]
+            more = []
+            for u, v in zip(*pairs[s]):
+                tail = math.sqrt(near * near - 2.0 * math.log1p(-u))
+                if v * tail < abs(near) and len(more) < 63:
+                    more.append(law.mean + law.std * math.copysign(tail, near))
+            more += [x[row]] * (63 - len(more))
+            y[row] = (y[row] + absolute(np.array(more)).sum()) / 64
+            ends.append(row)
+    return y, ends
+
+
+def _assert_moments(got, samples, n):
+    """``got`` is (mean, SE) of ``samples``: the SE from the spread of the
+    full-block means from 32 full blocks, a tail block counted by its rows,
+    and from the independent formula below."""
+    if n >= 32 * 8192:
+        full = n // 8192 * 8192
+        means = samples[:full].reshape(-1, 8192).mean(axis=1)
+        want_se = math.sqrt(8192 * means.var(ddof=1) / n)
+    else:
+        want_se = samples.std(ddof=1) / math.sqrt(n)
+    assert abs(got[0] - samples.mean()) <= 1e-10 * want_se
+    assert abs(got[1] - want_se) <= 1e-10 * want_se
+
+
+@pytest.mark.parametrize("workers", [1, 2, 6])
 def test_estimators_match_the_moments_of_their_own_samples(workers, monkeypatch):
     # The samples are drawn again through the sampler with a copying callback
     # and reduced by numpy over the whole array: the drift estimate from normal
-    # draws, the witness from the stratified fill. Below 32 full blocks the
-    # witness's standard error is the independent formula; from 32 up it is the
-    # spread of the full-block means, the tail block counted by its rows.
+    # draws, the witness from the stratified fill with its end rows rebuilt
+    # by _witness_samples. Seed 2 puts both end rows of block 0 in a
+    # 1000-sample prefix (rows 790 and 789), and the end row of stratum 8191
+    # of block 3 in a 3*8192 + 5-row tail block (row 4 of it, while the row of
+    # stratum 0 falls outside); seed 13's tail blocks hold none.
     monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
     v = sine_solution(1.5, R1, 0.2)
     p = ModelParams(x0=0.1, r=R1, sigma=0.2)
     x0, t, dt, n, seed = 0.3, 0.4, 1e-3, 3 * 8192 + 5, 13
 
-    def drawn(scale, base, n, stratified=False):
-        blocks = _gaussian_blocks(seed, n, np.array([scale]), base,
-                                  lambda _, x: x[:, 0].copy(), stratified)
-        return np.concatenate(blocks)
-
-    x = drawn(0.2 * math.sqrt(dt), x0 + R1 * dt, n)
+    x = np.concatenate(_gaussian_blocks(seed, n, np.array([0.2 * math.sqrt(dt)]),
+                                        x0 + R1 * dt, lambda _, x: x[:, 0].copy()))
     rates = (v(x) * math.exp(R1 * (t + dt)) - float(v(x0)) * math.exp(R1 * t)) / dt
     report = drift_estimate(v, p, x0, t, dt, n, seed)
-    law = exact_marginal(p, t)
-    witness = integrability_check(v, p, t, n, seed)
-    absolute = np.abs(v(drawn(law.std, law.mean, n, True)) * math.exp(R1 * t))
-    for got, samples in [((report.estimated_drift_rate, report.standard_error), rates),
-                         ((witness.mean_abs, witness.standard_error), absolute)]:
-        want_se = samples.std(ddof=1) / math.sqrt(n)
-        assert abs(got[0] - samples.mean()) <= 1e-10 * want_se
-        assert abs(got[1] - want_se) <= 1e-10 * want_se
+    _assert_moments((report.estimated_drift_rate, report.standard_error), rates, n)
 
-    n = 32 * 8192 + 5
-    witness = integrability_check(v, p, t, n, seed)
-    absolute = np.abs(v(drawn(law.std, law.mean, n, True)) * math.exp(R1 * t))
-    means = absolute[: 32 * 8192].reshape(32, 8192).mean(axis=1)
-    want_se = math.sqrt(8192 * means.var(ddof=1) / n)
-    assert abs(witness.mean_abs - absolute.mean()) <= 1e-10 * want_se
-    assert abs(witness.standard_error - want_se) <= 1e-10 * want_se
+    law = exact_marginal(p, t)
+    absolute = lambda x: np.abs(v(x) * math.exp(R1 * t))
+    for n, seed, n_ends in [(1000, 2, 2), (3 * 8192 + 5, 2, 7), (3 * 8192 + 5, 13, 6),
+                            (32 * 8192 + 5, 13, 64)]:
+        samples, ends = _witness_samples(absolute, law, n, seed)
+        assert len(ends) == n_ends
+        witness = integrability_check(v, p, t, n, seed)
+        _assert_moments((witness.mean_abs, witness.standard_error), samples, n)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_estimator_memory_does_not_grow_with_the_sample_count(workers, monkeypatch):
     # 1e6 samples would be 8 MB as one float64 array; each block is reduced where it is drawn.
+    # From 1e6 to 4e6 samples, 366 more blocks, the peak grows by their results, about
+    # 200 bytes each, and for the witness by the 4*88 tail uniforms that each block holds
+    # until the join (2.8 KB): its tail draws are settled in runs of 64 blocks, so the
+    # arrays of that pass do not grow with the sample count. Measured: 3.0 KB per block.
     monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
     v = sine_solution(1.0, R1, 0.2)
     p = ModelParams(x0=0.0, r=R1, sigma=0.2)
-    for estimate in (lambda: drift_estimate(v, p, 0.3, 0.0, 1e-3, 1_000_000, seed=1),
-                     lambda: integrability_check(v, p, 1.0, 1_000_000, seed=1)):
-        tracemalloc.start()
-        try:
-            estimate()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2_000_000
+    for estimate, per_block in [
+            (lambda n: drift_estimate(v, p, 0.3, 0.0, 1e-3, n, seed=1), 512),
+            (lambda n: integrability_check(v, p, 1.0, n, seed=1), 512 + 4 * 88 * 8)]:
+        peaks = []
+        for n in (1_000_000, 1_000_000, 4_000_000):
+            tracemalloc.start()
+            try:
+                estimate(n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 2_000_000
+        assert peaks[2] - peaks[1] < per_block * 366
 
 
 @pytest.mark.parametrize("workers", [1, 2])
