@@ -25,10 +25,14 @@ _BLOCK = 1 << 13  # rows per substream; part of the determinism contract
 _TILE = 1 << 16  # floats a sampler worker holds at once; bounds memory, moves no value
 _ROWS_PER_STEP = 32  # tiles at least this many rows per step are folded column by column
 RNG_SCHEME = "philox4x64-block8192"  # recorded in CLI provenance; bump when sampled values move
-_TAIL = 64  # draws behind each end row of a tail-averaged block; a power of two, so 1/64 is exact
-_TAIL_PAIRS = 88  # Marsaglia pairs a block draws per end stratum; 63 kept fail at odds of 1e-11
-_TAIL_RUN = 64  # blocks whose tails are settled at once: 2*64*64 = 8192 draws
-_END_ROWS = np.array([0, _BLOCK - 1])  # columns of strata 0 and 8191: bitrev13 fixes both
+_FURTHER = 128  # further draws a block spreads over its 32 tail strata
+_TAIL_PAIRS = 161  # uniform pairs a block draws for them: with its shift and 32 X, 2.8 KB a block
+_TAIL_RUN = 64  # blocks whose tails are settled at once: at most 64*(32 + 128) draws
+# The tail strata, in the order of their further draws and pair ranges: the two end strata
+# (Marsaglia's tail method), then the 15 inner strata next to each end (the fill's proposal).
+_TAILS = np.r_[0, _BLOCK - 1, 1:16, _BLOCK - 16 : _BLOCK - 1]
+_EVEN = np.r_[63, 63, np.zeros(30, dtype=int)]  # the even end split: 63 further draws per end
+_PILOT = (np.arange(4) + 0.5) / 4  # u of the pilot points: 1/8, 3/8, 5/8, 7/8
 _PATH_VALUES = "path values x0 + mu*t + sigma*W(t) must be finite"
 
 
@@ -176,6 +180,14 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _bitrev13(k: np.ndarray) -> np.ndarray:
+    """The 13-bit reversal of each k < 8192: the column of stratum k, and the stratum of column k."""
+    return sum(((k >> bit) & 1) << (12 - bit) for bit in range(13))
+
+
+_TAIL_COLUMNS = _bitrev13(_TAILS)
+
+
 def _fold_steps(op, tile: np.ndarray, accumulate: bool = False) -> np.ndarray:
     """``op.accumulate(tile, axis=1, out=tile)`` if ``accumulate``, else ``op.reduce(tile, axis=1)``.
 
@@ -220,7 +232,9 @@ def _strata() -> np.ndarray:
     most f can pass them by in between, with |f''| <= x'^2 + 2|b|*|x| +
     4b^2/x'^2. So v <= ``keep`` keeps x without an exponential; about 0.46
     rows a block fail it. The end strata have a = b = 0 and keep -1, which
-    no v passes, and near e_1 or e_8191, where their tails start.
+    no v passes, and near e_1 or e_8191, where their tails start. The same
+    proposals, read at column bitrev13(j) for stratum j, place the pilot
+    points of the 32 tail strata and make their further draws.
     """
     from statistics import NormalDist  # here, so that importing the package does not load it
 
@@ -247,10 +261,63 @@ def _strata() -> np.ndarray:
     top = high + rise
     keep = np.exp(low - rise - top)
     ends = ((0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (-1.0, -1.0), (edges[0], edges[-1]), (0.0, 0.0))
-    k = np.arange(_BLOCK)
-    bitrev = sum(((k >> bit) & 1) << (12 - bit) for bit in range(13))
+    bitrev = _bitrev13(np.arange(_BLOCK))
     return np.array([np.tile(np.concatenate(([first], table, [last]))[bitrev], 2)
                      for table, (first, last) in zip((lo, a, b, keep, near, top), ends)])
+
+
+def _marsaglia(u: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """Marsaglia's tail proposal sqrt(near^2 - 2*ln(1 - u)), in place in ``u``, unsigned."""
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    u *= -2.0
+    u += near * near
+    return np.sqrt(u, out=u)
+
+
+@functools.cache
+def _pilot_points() -> np.ndarray:
+    """Standard x at u = 1/8, 3/8, 5/8 and 7/8 of each tail stratum's proposal, shape (32, 4).
+
+    The strata are those of ``_TAILS``, in its order. An end stratum maps u by
+    Marsaglia's proposal, signed to its side; an inner stratum by the fill's
+    quadratic x(u) = lo + u*(a + b*u). Each point lies inside its stratum.
+    """
+    lo, a, b, _, near, _ = (row[:, None] for row in _strata()[:, _TAIL_COLUMNS])
+    u = np.broadcast_to(_PILOT, (_TAILS.size, _PILOT.size))
+    ends = np.copysign(_marsaglia(u[:2].copy(), near[:2]), near[:2])
+    return np.concatenate((ends, (lo + u * (a + b * u))[2:]))
+
+
+def _allocation(pilot: np.ndarray) -> np.ndarray:
+    """Further draws of each tail stratum, from ``pilot``, a sample at each of ``_pilot_points``.
+
+    Stratum s holds n_s = 1 + further_s draws, its row's own X among them,
+    and the mean of a sample over them has variance sd_s^2/n_s. Neyman's
+    allocation (*JRSS* 97, 1934) minimises the sum of those at a fixed total
+    by n_s proportional to sd_s. Here sd_s is read as the spread, largest
+    minus smallest, of the stratum's four pilot values, and the 32 + 128
+    draws go to n_s = max(1, lam*spread_s), lam set by the total, rounded down
+    along the cumulative sum so that the further draws sum to exactly 128.
+    Where a pilot value is not finite, or every spread is 0, the two end
+    strata take 63 further draws each (``_EVEN``). Scaling the pilot by a
+    power of two leaves the result as it is.
+    """
+    spread = pilot.max(axis=1) - pilot.min(axis=1)
+    total = spread.sum()
+    if not (math.isfinite(total) and total > 0.0):
+        return _EVEN
+    spread = spread / spread.max()  # so that lam stays finite where the spreads are subnormal
+    free = spread > 0.0  # the strata above the floor of one draw
+    while True:
+        lam = (_TAILS.size + _FURTHER - (~free).sum()) / spread[free].sum()
+        above = free & (lam * spread > 1.0)
+        if (above == free).all():
+            break
+        free = above
+    cumulative = np.floor(np.cumsum(np.where(free, lam * spread - 1.0, 0.0))).astype(int)
+    cumulative[-1] = _FURTHER
+    return np.diff(cumulative, prepend=0)
 
 
 def _fill_strata(gen: np.random.Generator, z: np.ndarray, u: np.ndarray, affine: np.ndarray,
@@ -258,7 +325,7 @@ def _fill_strata(gen: np.random.Generator, z: np.ndarray, u: np.ndarray, affine:
     """Fill ``z``, 8192 rows, with base + scale*x for one x ~ N(0, 1) in each stratum of ``_strata``.
 
     Return the shift c. Each row is exactly N(base, scale^2) over the draw
-    of c; ``_tail_draws`` adds further draws of the two end strata.
+    of c; ``_tail_draws`` adds further draws of the tail strata.
 
     One call fills ``u``, 2*8192 + 1 uniforms or more, from ``gen``. Of the
     first 2*8192 + 1, the last gives the
@@ -323,53 +390,97 @@ def _fill_strata(gen: np.random.Generator, z: np.ndarray, u: np.ndarray, affine:
     return c
 
 
-def _tail_draws(first: int, ends: np.ndarray, pairs: np.ndarray, n_rows: int,
-                base: float, scale: float) -> tuple:
-    """``(rows, draws)``: the end rows of stratified blocks, and 64 draws of each one's stratum.
+@functools.lru_cache(maxsize=16)
+def _tail_plan(further: tuple, n_pairs: int) -> tuple:
+    """What every run of ``_tail_draws`` shares for one allocation ``further`` of ``n_pairs`` pairs.
 
-    The blocks are ``first, first + 1, ...``. Block b has shift c and end
-    rows of values X0 and X1, ``ends[b - first] = c, X0, X1``, and drew
-    4*88 uniforms after its fill: for stratum 0, then 8191, 88 u and then 88
-    v, held in ``pairs[0, b - first]`` (the u) and ``pairs[1, b - first]``
-    (the v), which this pass overwrites. ``rows`` holds the index of each
-    end row below ``n_rows``, in block order and stratum 0 first.
-    ``draws[i]`` holds row i's own X, then base + scale*x for the first 63 x
-    that Marsaglia's method, as ``_fill_strata`` runs it, keeps from the
-    row's pairs. Each is an exact draw of the stratum, independent of the
-    row's own X. A row that keeps fewer, at odds of 1e-11, repeats its own X
-    in the place of the rest: the weights of its mean are then fixed by the
-    count, so the mean keeps its expectation. A draw past the float range is
-    refused by name, the first in row order.
+    Stratum s of ``_TAILS`` takes the pairs ``edges[s] .. edges[s + 1] - 1``
+    of each block: the edges are rounded down along the cumulative sum of
+    ``further``, so that the ranges cover the pairs exactly, about 161/128
+    pairs a further draw, a margin for the draws that rejection refuses. A
+    stratum with a further draw has at least one pair. Returned: the split between
+    the end strata's pairs and the inner ones', the inner pairs' proposal
+    constants lo, a, b, 2b/a, near^2 and top, the end pairs' near, |near|
+    and sign, the edges of the strata that take draws, their indices, each
+    row's size, and for each place in a block's draws the slot (its stratum
+    among those) and the place within its row, 0 for the row's own X.
     """
-    near = _strata()[4, _END_ROWS]
-    rows = (((first + np.arange(len(ends))) * _BLOCK)[:, None]
-            + (_END_ROWS - ends[:, :1].astype(np.int64)) % _BLOCK).ravel()
-    held = np.flatnonzero(rows < n_rows)  # a tail block may lack an end row
+    further = np.array(further)
+    edges = np.r_[0, np.cumsum(further)] * n_pairs // further.sum()
+    lo, a, b, _, near, top = np.repeat(_strata()[:, _TAIL_COLUMNS], np.diff(edges), axis=1)
+    split, taking = edges[2], np.flatnonzero(further)
+    sizes = 1 + further[taking]
+    slot = np.repeat(np.arange(taking.size), sizes)
+    place = np.arange(slot.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    inner = slice(split, None)
+    return (split, (lo[inner], a[inner], b[inner], 2.0 * b[inner] / a[inner], near[inner] ** 2,
+                    top[inner]), (near[:split], np.abs(near[:split]), np.sign(near[:split])),
+            edges[taking], taking, sizes, slot, place)
+
+
+def _tail_draws(first: int, ends: np.ndarray, pairs: np.ndarray, n_rows: int,
+                base: float, scale: float, further: np.ndarray) -> tuple:
+    """``(rows, draws, sizes)``: tail rows of stratified blocks, and draws of each one's stratum.
+
+    The blocks are ``first, first + 1, ...``. Block b has shift c and, in
+    the strata of ``_TAILS``, rows of values X_s: ``ends[b - first] = c, X_0,
+    ..., X_31``. It drew 2*161 uniforms after its fill, 161 u and then 161
+    v, held in ``pairs[0, b - first]`` (the u) and ``pairs[1, b - first]``
+    (the v), which this pass overwrites. Pair k belongs to the stratum whose
+    range of ``_tail_plan`` holds k, and is tested as ``_fill_strata`` tests
+    a rare row: by Marsaglia's method in an end stratum, by the quadratic
+    proposal and its exp test in an inner one.
+
+    ``rows`` holds the index of each row below ``n_rows`` whose stratum s
+    takes ``further[s] > 0`` draws, in block order and then ``_TAILS``'s.
+    Row i takes ``sizes[i] = 1 + further[s]`` consecutive values of
+    ``draws``: its own X, then base + scale*x for the first ``further[s]`` x
+    its range keeps. Each is an exact draw of the stratum, independent of
+    the row's own X. A row whose range keeps fewer repeats its own X in the
+    place of the rest: the weights of its mean are then fixed by the count,
+    so the mean keeps its expectation. A draw past the float range is
+    refused by name, the first in row order. The caller silences numpy.
+    """
+    split, (lo, a, b, bend, near2, top), (near, edge, side), starts, taking, size, slot, place = (
+        _tail_plan(tuple(further.tolist()), _TAIL_PAIRS))
     x, v = pairs  # each pass in place, in memory the workers have written
-    np.negative(x, out=x)
-    np.log1p(x, out=x)
-    x *= -2.0
-    x += (near * near)[:, None]
-    np.sqrt(x, out=x)
-    v *= x
-    kept = (v < np.abs(near)[:, None]).reshape(-1, _TAIL_PAIRS)
-    counts = kept.sum(axis=1)
-    x, v = x.reshape(-1), v.reshape(-1)
-    np.compress(kept.reshape(-1), x, out=v[: counts.sum()])  # the kept x, row after row
-    draws = np.empty((held.size, _TAIL))
-    draws[:, 0] = ends[:, 1:].reshape(-1)[held]
+    kept = np.empty(x.shape, dtype=bool)
+    inner, u = x[:, split:], x[:, split:].copy()
+    inner *= b
+    inner += a
+    inner *= u
+    inner += lo  # lo + u*(a + b*u), as the fill forms it
+    u *= bend
+    np.log1p(u, out=u)
+    f = np.square(inner)
+    np.subtract(near2, f, out=f)
+    f *= 0.5
+    f += u
+    f -= top
+    np.exp(f, out=f)
+    np.less(v[:, split:], f, out=kept[:, split:])
+    outer = _marsaglia(x[:, :split], near)
+    v[:, :split] *= outer
+    np.less(v[:, :split], edge, out=kept[:, :split])
+    outer *= side
+    counts = np.add.reduceat(kept, starts, axis=1, dtype=np.intp)  # kept per block and row
+    kept_x = x[kept]  # the kept x, block after block, in pair order
+    kept_x *= scale
+    kept_x += base
+    offsets = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
     # A short row reads on into the next row's x, or past them: replaced below.
-    np.take(v, (np.cumsum(counts) - counts)[held, None] + np.arange(_TAIL - 1), mode="clip",
-            out=draws[:, 1:])
-    further = draws[:, 1:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        further *= np.copysign(scale, near)[held % 2, None]  # -x*scale is -(x*scale), bit for bit
-        further += base
-    np.copyto(further, draws[:, :1], where=np.arange(1, _TAIL) > counts[held, None])
-    finite = np.isfinite(further)
+    draws = np.take(kept_x, offsets[:, slot] + (place - 1), mode="clip")
+    np.copyto(draws, ends[:, 1 + taking[slot]], where=(place == 0) | (counts[:, slot] < place))
+    rows = (((first + np.arange(len(ends))) * _BLOCK)[:, None]
+            + (_TAIL_COLUMNS[taking] - ends[:, :1].astype(np.intp)) % _BLOCK)
+    draws, rows, sizes = draws.ravel(), rows.ravel(), np.tile(size, len(ends))
+    held = rows < n_rows
+    if not held.all():  # a tail block may lack some of its tail rows
+        draws, rows, sizes = draws[np.repeat(held, sizes)], rows[held], sizes[held]
+    finite = np.isfinite(draws)
     if not finite.all():
-        raise ValidationError(f"{_PATH_VALUES}, got {float(further[~finite][0])!r}")
-    return rows[held], draws
+        raise ValidationError(f"{_PATH_VALUES}, got {float(draws[~finite][0])!r}")
+    return rows, draws, sizes
 
 
 def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each,
@@ -398,20 +509,22 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each,
     leading rows of a whole block's fill, so the prefix property holds, at
     the cost of a whole block's draw.
 
-    Each block's fill also yields the 4*88 uniforms that follow it in its
-    stream, Marsaglia pairs for its two end strata, and the worker records
-    them with the block's shift and the X of its end rows: 2.8 KB per block
-    until the join. The workers do no more: on two threads each further
-    numpy call per block can wait for the other thread to release the GIL.
-    After the join, over the blocks before the first failing one, in runs
-    of 64 blocks and in block order, ``_tail_draws`` turns a run's pairs
-    into 63 further draws of each end row's stratum, and ``tails(results,
-    first, rows, draws)`` replaces the run's results, under the same
-    ``errstate``: ``results`` those of blocks ``first, first + 1, ...``, one
-    per block, ``rows`` their end rows' indices and ``draws[i]`` row i's own
-    X and then its further draws. So ``tails`` can refuse a draw ahead of a
-    later block's failure, no row's value moves, and a run's 8192 draws
-    bound the memory of the pass.
+    ``tails`` is ``(further, settle)``: the further draws of each stratum of
+    ``_TAILS``, at most 128 in all, and a callable. Each block's fill also
+    yields the 2*161 uniforms that follow it in its stream, pairs for those
+    draws, and the worker records them with the block's shift and the X of
+    its 32 tail rows: 2.8 KB per block until the join. The workers do no
+    more: on two threads each further numpy call per block can wait for the
+    other thread to release the GIL. After the join, over the blocks before
+    the first failing one, in runs of 64 blocks and in block order, ``_tail_draws``
+    turns a run's pairs into the further draws of each tail row's stratum,
+    and ``settle(results, first, rows, draws, sizes)`` replaces the run's
+    results, under the same ``errstate``: ``results`` those of blocks
+    ``first, first + 1, ...``, one per block, ``rows`` their tail rows'
+    indices, and row i's own X and then its further draws the next
+    ``sizes[i]`` values of ``draws``. So ``settle`` can refuse a draw ahead
+    of a later block's failure, no row's value moves, and a run's draws, at
+    most 64*160, bound the memory of the pass.
 
     The blocks run on up to one thread per usable CPU, and on no more
     threads than ``n_rows / 8192`` rounded half up, worker ``k`` taking
@@ -435,6 +548,7 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each,
     tile_rows = max(1, min(_BLOCK, _TILE // scale.size))
     stratified = tails is not None
     if stratified:  # the fill's tables, built and scaled before any worker starts
+        further, settle = tails
         shift, spread = float(np.ravel(base)[0]), float(scale[0])
         tables = _strata()
         with np.errstate(over="raise", invalid="raise"):
@@ -443,8 +557,8 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each,
                 affine[0] += shift
             except FloatingPointError as exc:
                 raise ValidationError(f"{_PATH_VALUES}: {exc}") from None
-        # The shift and the X of the end rows, and u and v of the tail pairs, per block and end.
-        ends, pairs = np.empty((n_blocks, 3)), np.empty((2, n_blocks, 2, _TAIL_PAIRS))
+        # The shift and the X of the tail rows, and u and v of the tail pairs, per block.
+        ends, pairs = np.empty((n_blocks, 1 + _TAILS.size)), np.empty((2, n_blocks, _TAIL_PAIRS))
     # A short tail block is not worth the start and join of a thread.
     n_workers = min(_usable_cpus(), max(1, (n_rows + _BLOCK // 2) // _BLOCK))
     results = [()] * n_blocks  # per block, the results of its tiles or the exception it raised
@@ -457,7 +571,7 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each,
                 state = gen.bit_generator.state  # substream 0 before any draw
                 buf = np.empty((_BLOCK if stratified else min(tile_rows, n_rows), scale.size))
                 # The fill's uniforms, its first 64 further ones and the tail pairs: one draw.
-                uniforms = np.empty(2 * _BLOCK + 1 + 64 + 4 * _TAIL_PAIRS) if stratified else None
+                uniforms = np.empty(2 * _BLOCK + 1 + 64 + 2 * _TAIL_PAIRS) if stratified else None
                 for b in range(k, n_blocks, n_workers):
                     state["state"]["counter"] = np.array([0, 0, b, 0], dtype=np.uint64)
                     gen.bit_generator.state = state
@@ -467,8 +581,9 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each,
                         tile = buf[: min(tile_rows, end - start)]
                         if stratified:
                             c = _fill_strata(gen, buf[:, 0], uniforms, affine, shift, spread,
-                                             pairs[:, b].swapaxes(0, 1))
-                            ends[b] = c, buf[-c % _BLOCK, 0], buf[(_BLOCK - 1 - c) % _BLOCK, 0]
+                                             pairs[:, b])
+                            ends[b, 0] = c
+                            np.take(buf[:, 0], _TAIL_COLUMNS - c, mode="wrap", out=ends[b, 1:])
                         else:
                             gen.standard_normal(out=tile)
                             with np.errstate(over="raise", invalid="raise"):
@@ -500,8 +615,8 @@ def _gaussian_blocks(seed: int, n_rows: int, scale: np.ndarray, base, each,
         with np.errstate(over="ignore", invalid="ignore"):
             for first in range(0, done, _TAIL_RUN):
                 run = slice(first, min(first + _TAIL_RUN, done))
-                out[run] = tails(out[run], first, *_tail_draws(first, ends[run], pairs[:, run],
-                                                               n_rows, shift, spread))
+                out[run] = settle(out[run], first, *_tail_draws(
+                    first, ends[run], pairs[:, run], n_rows, shift, spread, further))
     if done < n_blocks:
         raise results[done]
     return out

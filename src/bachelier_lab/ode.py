@@ -183,20 +183,31 @@ class ExponentialSolution:
         """V at ``x``, elementwise; an overflow passes through as numpy's inf or NaN and warning."""
         x = np.asarray(x, dtype=float)
         c1, c2, lam1 = self.coef1, self.coef2, self.roots.root1
+
+        def term(f, rate, coef=1.0):  # coef*f(rate*x), formed in one new array: the same bits
+            out = np.multiply(rate, x, out=np.empty(x.shape))
+            f(out, out=out)
+            if coef != 1.0:
+                out *= coef
+            return out
+
         if self.roots.case is RootCase.REPEATED_REAL:
-            out = (c1.real + c2.real * x) * np.exp(lam1.real * x)
+            out = np.multiply(c2.real, x, out=np.empty(x.shape))
+            out += c1.real
+            out *= term(np.exp, lam1.real)
         elif self.roots.case is RootCase.DISTINCT_REAL:
-            out = c1.real * np.exp(lam1.real * x) + c2.real * np.exp(self.roots.root2.real * x)
+            out = term(np.exp, lam1.real, c1.real)
+            out += term(np.exp, self.roots.root2.real, c2.real)
         else:
             cos_coef, sin_coef = c1.real + c2.real, c2.imag - c1.imag
             if cos_coef == 0.0:
-                out = sin_coef * np.sin(lam1.imag * x)
+                out = term(np.sin, lam1.imag, sin_coef)
             else:
-                out = cos_coef * np.cos(lam1.imag * x)
+                out = term(np.cos, lam1.imag, cos_coef)
                 if sin_coef != 0.0:
-                    out += sin_coef * np.sin(lam1.imag * x)
+                    out += term(np.sin, lam1.imag, sin_coef)
             if lam1.real != 0.0:
-                out = np.exp(lam1.real * x) * out
+                out *= term(np.exp, lam1.real)
         return float(out) if out.ndim == 0 else out
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import re
@@ -226,7 +227,8 @@ def test_each_block_reads_its_substream_from_the_start():
 
 def _stratified(seed, n):  # the rows of the stratified fill, their tail draws left unread
     return np.concatenate(_gaussian_blocks(seed, n, np.ones(1), 0.0,
-                                           lambda _, x: x[:, 0].copy(), lambda blocks, *_: blocks))
+                                           lambda _, x: x[:, 0].copy(),
+                                           (model._EVEN, lambda blocks, *_: blocks)))
 
 
 def _stratum_edges():
@@ -254,6 +256,39 @@ def test_each_stratified_row_is_standard_normal(row):
     stats = pytest.importorskip("scipy.stats")
     z = np.array([_stratified(seed, row + 1)[row] for seed in range(4000)])
     assert stats.kstest(z, "norm").pvalue > 1e-3
+
+
+@functools.cache
+def _further_draws_by_stratum():
+    """Further draws of tail strata 0, 1, 2, 15 and their mirrors, 16 a block each, over 300
+    blocks of seed 11, keyed by stratum; a row short of its draws repeats its own X, left out."""
+    further = np.zeros(32, dtype=int)
+    further[[0, 1, 2, 3, 16, 17, 30, 31]] = 16  # strata 0, 8191, 1, 2, 15, 8176, 8189, 8190
+    edges, found = _stratum_edges(), {}
+
+    def settle(blocks, first, rows, draws, sizes):
+        for row in np.split(draws, np.cumsum(sizes)[:-1]):
+            stratum = int(np.searchsorted(edges, row[0], side="right"))
+            found.setdefault(stratum, []).extend(row[1:][row[1:] != row[0]])
+        return blocks
+
+    _gaussian_blocks(11, 300 * 8192, np.ones(1), 0.0, lambda *_: (), (further, settle))
+    return {stratum: np.array(values) for stratum, values in found.items()}
+
+
+@pytest.mark.parametrize("stratum", [0, 1, 2, 15, 8176, 8189, 8190, 8191])
+def test_further_draws_of_a_tail_stratum_are_exact_draws_of_it(stratum):
+    # Stratum j is [e_j, e_{j+1}), e_j = Phi^-1(j/8192): its law has the CDF
+    # 8192*(Phi(x) - j/8192), taken on the mirror -x, stratum 8191 - j, above
+    # the middle. The end strata draw by Marsaglia's method, the others by the
+    # fill's quadratic proposal and its exp test; 4,800 draws a stratum.
+    stats = pytest.importorskip("scipy.stats")
+    x = _further_draws_by_stratum()[stratum]
+    assert len(x) > 4700
+    j = stratum
+    if j >= 4096:
+        x, j = -x, 8191 - j
+    assert stats.kstest(x, lambda x: 8192.0 * stats.norm.cdf(x) - j).pvalue > 1e-3
 
 
 @pytest.mark.parametrize("workers", [1, 2, 6])

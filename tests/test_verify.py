@@ -353,18 +353,18 @@ def test_integrability_of_a_closed_form_does_not_depend_on_the_worker_count(monk
 
 
 def test_integrability_of_a_plain_callable_keeps_its_bits():
-    # Frozen when each block's two end strata became the mean over 64 draws;
-    # the rows of the stratified fill kept their bits.
+    # Frozen when each block's further draws followed a Neyman allocation over
+    # its 32 tail strata; the rows of the stratified fill kept their bits.
     v = sine_solution(1.5, R1, 0.2)
     witness = integrability_check(lambda x: v(x), ModelParams(x0=0.1, r=R1, sigma=0.2), 0.4,
                                   3 * 8192 + 5, 13)
-    assert (witness.mean_abs, witness.standard_error) == (0.8443341791331336,
-                                                          0.0027788960595131694)
+    assert (witness.mean_abs, witness.standard_error) == (0.8443359531799564,
+                                                          0.002778909424829456)
     full = _full_solution(*FULL_CASES["complex"])
     witness = integrability_check(lambda x: full(x), ModelParams(x0=0.5, r=0.02, sigma=0.2), 1.0,
                                   100_000, 3)
-    assert (witness.mean_abs, witness.standard_error) == (0.7069267026430176,
-                                                          0.000402673618325151)
+    assert (witness.mean_abs, witness.standard_error) == (0.7069271376429684,
+                                                          0.00040266986879886003)
 
 
 def test_integrability_falls_back_to_the_plain_mean_where_the_control_mean_overflows():
@@ -444,7 +444,10 @@ def test_integrability_of_the_distinct_form_is_calibrated_over_400_seeds():
     # At 32*8192 samples the standard error is the spread of the block means,
     # which the skew of single end-stratum draws made too small: z had SD 1.148,
     # max |z| 5.13 and 2.0% of seeds beyond 3. With each end stratum averaged
-    # over 64 draws: SD 1.063, max 3.64, 0.75%.
+    # over 64 draws: SD 1.063, max 3.64, 0.75%. With 128 further draws by a
+    # Neyman allocation over the 32 tail strata: mean 0.05, SD 1.072, max 4.39,
+    # 1.25% (5 seeds); over seeds 3000-10999, SD 1.034 and 0.55% beyond 3,
+    # where 63 draws at each end gave SD 1.048 and 0.70%.
     r, sigma = FULL_CASES["distinct"]
     v = _full_solution(r, sigma)
     p = ModelParams(x0=0.5, r=r, sigma=sigma)
@@ -460,19 +463,72 @@ def test_integrability_of_the_distinct_form_is_calibrated_over_400_seeds():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_an_end_row_short_of_tail_draws_repeats_its_own_x(workers, monkeypatch):
-    # With 64 pairs per end stratum in place of 88, about 91% of the end rows keep
-    # fewer than 63 draws and repeat their own X in place of the rest; the
-    # witness is still the mean of the samples _witness_samples rebuilds, on
-    # any worker count.
+    # With 128 pairs a block in place of 161, each tail stratum's range holds
+    # exactly one pair per further draw, so every pair its test refuses leaves
+    # the row short: it repeats its own X in place of the rest. The witness is
+    # still the mean of the samples _witness_samples rebuilds, on any worker
+    # count.
     monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
-    monkeypatch.setattr(model, "_TAIL_PAIRS", 64)
+    monkeypatch.setattr(model, "_TAIL_PAIRS", 128)
     v = _full_solution(*FULL_CASES["repeated"])
     p = ModelParams(x0=0.5, r=0.08, sigma=0.2)
     absolute = lambda x: np.abs(v(x) * math.exp(0.08))
-    for n, seed in [(1000, 2), (3 * 8192 + 5, 2)]:
-        samples, _ = _witness_samples(absolute, exact_marginal(p, 1.0), n, seed)
+    for n, seed, n_short in [(1000, 2, 1), (3 * 8192 + 5, 2, 8)]:
+        samples, tail, short = _witness_samples(absolute, exact_marginal(p, 1.0), n, seed)
+        assert short == n_short
         witness = integrability_check(v, p, 1.0, n, seed)
-        _assert_moments((witness.mean_abs, witness.standard_error), samples, n)
+        _assert_moments((witness.mean_abs, witness.standard_error), samples, n, tail)
+
+
+def _allocations(monkeypatch):
+    """A list that collects the further draws of every stratified draw _sample_mean makes."""
+    seen = []
+
+    def spying(*args):
+        seen.append(args[5][0].tolist())
+        return _gaussian_blocks(*args)
+
+    monkeypatch.setattr(verify, "_gaussian_blocks", spying)
+    return seen
+
+
+def test_the_allocation_depends_on_the_profile_and_its_law_alone(monkeypatch):
+    # The distinct form at sigma = 0.2 holds its variance in the right tail: the
+    # pilot gives stratum 8191 72 of the 128 further draws and stratum 0 none.
+    # Its closed form and its callable, the closed form scaled by 2^332 and
+    # 2^-300, and every sample count and seed draw with that one allocation.
+    seen = _allocations(monkeypatch)
+    r, sigma = FULL_CASES["distinct"]
+    p = ModelParams(x0=0.5, r=r, sigma=sigma)
+    v = _full_solution(r, sigma)
+    profiles = [v, lambda x: v(x)] + [_full_solution(r, sigma, 0.5 * 2.0**k, 0.5 * 2.0**k)
+                                      for k in (332, -300)]
+    for profile in profiles:
+        for n, seed in [(1000, 2), (3 * 8192 + 5, 9)]:
+            integrability_check(profile, p, 1.0, n, seed)
+    assert len(seen) == 8 and all(further == seen[0] for further in seen)
+    assert (sum(seen[0]), seen[0][:2]) == (128, [0, 72])
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_non_finite_or_flat_pilot_takes_the_even_end_split(workers, monkeypatch):
+    # The pilot's points of stratum 8191 reach X = 4.20, where these profiles are
+    # inf or NaN: the two end strata then take 63 further draws each, as where
+    # every pilot spread is 0 (a profile of 1 below 4.75). The bad samples are
+    # still refused by index: above 4, a further draw of block 0's end row 734;
+    # above 4.75, the own X of row 23561, in block 2.
+    monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
+    seen = _allocations(monkeypatch)
+    p = ModelParams(x0=0.0, r=0.0, sigma=1.0)
+    cases = [(_inf_above_four, 7, "index 734: inf at X = "),
+             (lambda x: np.where(x > 4.0, np.nan, 1.0), 7, "index 734: nan at X = "),
+             (lambda x: np.exp(np.where(x > 4.75, 1000.0, 0.0)), 317, "index 23561: inf at X = ")]
+    for profile, seed, refusal in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteSampleError, match=refusal):
+                integrability_check(profile, p, 1.0, 200_000, seed)
+    assert seen == [model._EVEN.tolist()] * 3
 
 
 class _NanAboveOneAndAHalf(ExponentialSolution):
@@ -615,7 +671,8 @@ def test_integrability_draws_its_samples_once(case, monkeypatch):
 
 
 def test_a_non_finite_block_is_located_without_calling_the_profile_again(monkeypatch):
-    # The first bad sample is read from the samples the block already holds.
+    # The first bad sample is read from the samples the block already holds:
+    # the profile sees the 128 pilot points and the block's 1000 rows, once each.
     monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
     calls = []
 
@@ -626,7 +683,7 @@ def test_a_non_finite_block_is_located_without_calling_the_profile_again(monkeyp
     with pytest.raises(NonFiniteSampleError, match=r"^non-finite sample at index 0: inf at X = "):
         integrability_check(everywhere_inf, ModelParams(x0=0.0, r=0.0, sigma=1.0), 1.0, 1000,
                             seed=0)
-    assert calls == [1000]
+    assert calls == [128, 1000]
 
 
 def test_integrability_of_a_law_without_spread_reports_the_one_value(monkeypatch):
@@ -665,6 +722,28 @@ def test_integrability_linear_payoff():
     expected = (100.0 + 0.05 * t) * math.exp(0.05 * t)
     assert witness.analytic_bound is None
     assert abs(witness.mean_abs - expected) <= 5 * witness.standard_error
+
+
+def test_the_estimators_leave_an_array_a_callable_keeps_as_it_was():
+    # A profile may return an array it keeps, such as an output buffer: the
+    # estimators transform a copy of a callable's result, and give the bits of
+    # the closed form it wraps.
+    full = _full_solution(*FULL_CASES["complex"])
+    kept = []
+
+    def buffered(x):
+        out = np.asarray(full(x))
+        kept.append((out, out.copy()))
+        return out
+
+    p = ModelParams(x0=0.5, r=0.02, sigma=0.2)
+    drift = lambda v: drift_estimate(v, p, 0.5, 0.0, 1e-3, 20_000, seed=4)
+    witness = lambda v: integrability_check(v, p, 1.0, 20_000, seed=4)
+    for estimate in (lambda v: (drift(v).estimated_drift_rate, drift(v).standard_error),
+                     lambda v: (witness(v).mean_abs, witness(v).standard_error)):
+        kept.clear()
+        assert estimate(buffered) == estimate(full)
+        assert kept and all(np.array_equal(out, was) for out, was in kept)
 
 
 def test_integrability_aborts_on_non_finite_sample():
@@ -774,69 +853,101 @@ def _stratified_rows(seed, n, scale=1.0, base=0.0):
     """The rows of the witness's stratified fill, its end rows' further draws left unread."""
     return np.concatenate(_gaussian_blocks(seed, n, np.array([scale]), base,
                                            lambda _, tile: tile[:, 0].copy(),
-                                           lambda blocks, *_: blocks))
+                                           (model._EVEN, lambda blocks, *_: blocks)))
 
 
 def _witness_samples(absolute, law, n, seed):
-    """The witness's samples, rebuilt row by row, and the end rows among them.
+    """The witness's samples, rebuilt row by row: ``(y, tail, short)``.
 
-    Row i is |Y| at the stratified row x_i of the sampler, except at an end
-    row, the row of stratum 0 or 8191: there it is the mean of |Y| over x_i
-    and 63 further draws of the stratum. Those are the first 63 x that
-    Marsaglia's method keeps from the block's pairs, drawn from its
-    generator after its fill (88 u, then 88 v, per end, stratum 0 first);
-    where it keeps fewer, x_i stands in for the rest.
+    ``y[i]`` is |Y| at the stratified row x_i of the sampler. ``tail`` maps
+    each tail row, the row of a stratum of ``model._TAILS`` to which the
+    allocation gives f > 0 further draws, in the sampler's order, to its
+    sample: the mean of |Y| over x_i and f further draws of the stratum,
+    summed as numpy sums them. Those are the first f x that the stratum's
+    range of the block's pairs keeps, the pairs drawn from its generator
+    after its fill (161 u, then 161 v), the ranges 161/128 pairs a further
+    draw along the cumulative sum: by Marsaglia's method in an end stratum,
+    by the fill's quadratic proposal and its exp test in an inner one. Where
+    a range keeps fewer, x_i stands in for the rest, and the row counts in
+    ``short``.
     """
     x = _stratified_rows(seed, n, law.std, law.mean)
     y = absolute(x)
+    points = model._pilot_points()
+    further = model._allocation(absolute(law.mean + law.std * points.ravel()).reshape(points.shape))
+    edges = np.r_[0, np.cumsum(further)] * model._TAIL_PAIRS // further.sum()
     tables = model._strata()
     affine = np.multiply(law.std, tables[:3])
     affine[0] += law.mean
-    ends = []
+    k = np.arange(8192)
+    bitrev = sum(((k >> bit) & 1) << (12 - bit) for bit in range(13))
+    tail, short = {}, 0
     for b in range(-(-n // 8192)):
         gen = model.SeedStreams(seed).generator(b)
         c = model._fill_strata(gen, np.empty(8192), np.empty(2 * 8192 + 1), affine, law.mean,
                                law.std, np.empty(0))
-        pairs = gen.random(4 * model._TAIL_PAIRS).reshape(2, 2, -1)
-        for s, column in enumerate((0, 8191)):
-            row = b * 8192 + (column - c) % 8192
-            if row >= n:
+        us, vs = gen.random(2 * model._TAIL_PAIRS).reshape(2, -1)
+        for s, stratum in enumerate(model._TAILS):
+            row = b * 8192 + (bitrev[stratum] - c) % 8192
+            if not further[s] or row >= n:
                 continue
-            near = tables[4, column]
+            lo, a, slope, _, near, top = tables[:, bitrev[stratum]]
             more = []
-            for u, v in zip(*pairs[s]):
-                tail = math.sqrt(near * near - 2.0 * math.log1p(-u))
-                if v * tail < abs(near) and len(more) < 63:
-                    more.append(law.mean + law.std * math.copysign(tail, near))
-            more += [x[row]] * (63 - len(more))
-            y[row] = (y[row] + absolute(np.array(more)).sum()) / 64
-            ends.append(row)
-    return y, ends
+            for u, v in zip(us[edges[s] : edges[s + 1]], vs[edges[s] : edges[s + 1]]):
+                if a:
+                    z = lo + u * (a + slope * u)
+                    kept = v < math.exp(0.5 * (near * near - z * z) + math.log1p(2 * slope * u / a)
+                                        - top)
+                else:
+                    z = math.sqrt(near * near - 2.0 * math.log1p(-u))
+                    kept, z = v * z < abs(near), math.copysign(z, near)
+                if kept and len(more) < further[s]:
+                    more.append(law.mean + law.std * z)
+            short += len(more) < further[s]
+            more += [x[row]] * (further[s] - len(more))
+            values = absolute(np.array([x[row], *more]))
+            tail[row] = np.add.reduce(values) / values.size
+    return y, tail, short
 
 
-def _assert_moments(got, samples, n):
-    """``got`` is (mean, SE) of ``samples``: the SE from the spread of the
-    full-block means from 32 full blocks, a tail block counted by its rows,
-    and from the independent formula below."""
+def _assert_moments(got, samples, n, tail={}):
+    """``got`` is (mean, SE) of ``samples`` with each row of ``tail`` set to
+    its value there. The SE is the spread of the full-block means from 32
+    full blocks, a tail block counted by its rows, and the independent
+    formula below. The mean is formed in the sampler's order, as at 32*8192
+    samples the witness's SE can put 1e-10 SE below an ulp of its mean: each
+    block's numpy sum over its count, moved by the change at each of its
+    tail rows in the order of ``tail``, then the blocks weighted by their
+    counts."""
+    rows = np.fromiter(tail, dtype=np.intp, count=len(tail))
+    values = np.fromiter(tail.values(), dtype=float, count=len(tail))
+    starts = np.arange(0, n, 8192)
+    counts = np.minimum(8192, n - starts)
+    means = np.array([np.add.reduce(samples[i : i + 8192]) for i in starts]) / counts
+    means += np.bincount(rows // 8192, values - samples[rows], starts.size) / counts
+    samples = samples.copy()
+    samples[rows] = values
     if n >= 32 * 8192:
         full = n // 8192 * 8192
-        means = samples[:full].reshape(-1, 8192).mean(axis=1)
-        want_se = math.sqrt(8192 * means.var(ddof=1) / n)
+        block_means = samples[:full].reshape(-1, 8192).mean(axis=1)
+        want_se = math.sqrt(8192 * block_means.var(ddof=1) / n)
     else:
         want_se = samples.std(ddof=1) / math.sqrt(n)
-    assert abs(got[0] - samples.mean()) <= 1e-10 * want_se
+    assert abs(got[0] - (counts * means).sum() / n) <= 1e-10 * want_se
     assert abs(got[1] - want_se) <= 1e-10 * want_se
 
 
 @pytest.mark.parametrize("workers", [1, 2, 6])
 def test_estimators_match_the_moments_of_their_own_samples(workers, monkeypatch):
     # The samples are drawn again through the sampler with a copying callback
-    # and reduced by numpy over the whole array: the drift estimate from normal
-    # draws, the witness from the stratified fill with its end rows rebuilt
-    # by _witness_samples. Seed 2 puts both end rows of block 0 in a
-    # 1000-sample prefix (rows 790 and 789), and the end row of stratum 8191
-    # of block 3 in a 3*8192 + 5-row tail block (row 4 of it, while the row of
-    # stratum 0 falls outside); seed 13's tail blocks hold none.
+    # and reduced by _assert_moments in the sampler's order: the drift
+    # estimate from normal draws, the witness from the stratified fill with
+    # its tail rows rebuilt by _witness_samples. The sine's allocation gives further draws to 22 of
+    # the 32 tail strata. Seed 2 puts three tail rows of block 0 in a
+    # 1000-sample prefix (rows 278, 789 and 790), and one of block 3 in a
+    # 3*8192 + 5-row tail block (row 4 of it, while the others fall outside);
+    # seed 13's tail blocks hold none, and at 32*8192 + 5 three of its tail
+    # rows fall short of their draws.
     monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
     v = sine_solution(1.5, R1, 0.2)
     p = ModelParams(x0=0.1, r=R1, sigma=0.2)
@@ -850,21 +961,22 @@ def test_estimators_match_the_moments_of_their_own_samples(workers, monkeypatch)
 
     law = exact_marginal(p, t)
     absolute = lambda x: np.abs(v(x) * math.exp(R1 * t))
-    for n, seed, n_ends in [(1000, 2, 2), (3 * 8192 + 5, 2, 7), (3 * 8192 + 5, 13, 6),
-                            (32 * 8192 + 5, 13, 64)]:
-        samples, ends = _witness_samples(absolute, law, n, seed)
-        assert len(ends) == n_ends
+    for n, seed, n_rows, n_short in [(1000, 2, 3, 0), (3 * 8192 + 5, 2, 64, 0),
+                                     (3 * 8192 + 5, 13, 63, 0), (32 * 8192 + 5, 13, 672, 3)]:
+        samples, tail, short = _witness_samples(absolute, law, n, seed)
+        assert (len(tail), short) == (n_rows, n_short)
         witness = integrability_check(v, p, t, n, seed)
-        _assert_moments((witness.mean_abs, witness.standard_error), samples, n)
+        _assert_moments((witness.mean_abs, witness.standard_error), samples, n, tail)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_estimator_memory_does_not_grow_with_the_sample_count(workers, monkeypatch):
     # 1e6 samples would be 8 MB as one float64 array; each block is reduced where it is drawn.
     # From 1e6 to 4e6 samples, 366 more blocks, the peak grows by their results, about
-    # 200 bytes each, and for the witness by the 4*88 tail uniforms that each block holds
-    # until the join (2.8 KB): its tail draws are settled in runs of 64 blocks, so the
-    # arrays of that pass do not grow with the sample count. Measured: 3.0 KB per block.
+    # 200 bytes each, and for the witness by what each block holds until the join: 2*161
+    # tail uniforms, its shift and the X of its 32 tail rows (2.8 KB, as were 4*88 uniforms
+    # and 3 floats): its tail draws are settled in runs of 64 blocks, so the arrays of that
+    # pass do not grow with the sample count. Measured: 3.0 KB per block.
     monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
     v = sine_solution(1.0, R1, 0.2)
     p = ModelParams(x0=0.0, r=R1, sigma=0.2)
